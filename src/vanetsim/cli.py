@@ -92,6 +92,10 @@ def parse_scenario(path) -> dict:
             if key not in merged[sec]:
                 raise ConfigurationError(f"unknown key {key!r} in [{sec}]")
             merged[sec][key] = val
+    exact_energy = merged["sim"]["exact_energy"].lower()
+    if exact_energy not in ("true", "false"):
+        raise ConfigurationError(f"exact_energy must be true or false, "
+                                 f"got {merged['sim']['exact_energy']!r}")
 
     try:
         sc = {
@@ -118,7 +122,7 @@ def parse_scenario(path) -> dict:
                           if merged["sim"]["horizon_s"].strip() else None),
             "a_max": float(merged["sim"]["a_max"]),
             "drain_s": float(merged["sim"]["drain_s"]),
-            "exact_energy": merged["sim"]["exact_energy"].lower() == "true",
+            "exact_energy": exact_energy == "true",
         }
     except ValueError as exc:
         raise ConfigurationError(f"bad scenario value: {exc}") from exc

@@ -28,9 +28,6 @@ CTS_BITS = 1760
 
 PAYLOAD_BITS = 8000         # 1000-byte application payload
 
-BACKGROUND_RATE = 50.0      # pkt/s of non-routing traffic offered per station
-COMM_RANGE_M = 1000.0       # nominal V2I radio range
-
 # EDCA parameter sets for the four-category comparison experiment.
 # Contention windows are sizes (draw in [0, w0-1]), not CW register values.
 # Priority order for internal-collision resolution: first entry wins.

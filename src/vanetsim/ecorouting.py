@@ -139,9 +139,6 @@ class CommModule:
                  refresh: float = CELL_REFRESH, seed: int = 0):
         if mode not in ("realistic", "ideal"):
             raise ValidationError(f"unknown comm mode {mode!r}")
-        if mode == "realistic" and not network.rsus:
-            # legal: every vehicle stays unconnected and no report ever lands
-            pass
         self.network = network
         self.table = table
         self.params = params

@@ -136,38 +136,6 @@ def idle_rate(coeffs: VtMicroCoefficients, measure: str = "fuel") -> float:
     return vt_micro_rate(0.0, 0.0, coeffs, measure)
 
 
-class FuelAccumulator:
-    """Per-vehicle link-fuel integration at the simulator cadence.
-
-    The rate is refreshed from the current (v, a) once per refresh
-    interval (1.0 s) and applied over every kinematic step until the
-    next refresh, so a constant-speed second burns exactly rate * 1 s.
-    """
-
-    REFRESH = 1.0  # seconds
-
-    def __init__(self, coeffs: VtMicroCoefficients, measure: str = "fuel"):
-        self._coeffs = coeffs
-        self._measure = measure
-        self._rate = None
-        self._next_refresh = 0.0
-        self.total = 0.0
-
-    def step(self, now: float, v: float, a: float, dt: float) -> None:
-        if self._rate is None or now >= self._next_refresh - 1e-12:
-            self._rate = vt_micro_rate(v, a, self._coeffs, self._measure)
-            self._next_refresh = now + self.REFRESH
-        self.total += self._rate * dt
-
-    def finalize(self) -> float:
-        """Return and reset the accumulated amount (link exit)."""
-        out = self.total
-        self.total = 0.0
-        self._rate = None
-        self._next_refresh = 0.0
-        return out
-
-
 def free_flow_link_fuel(length_m: float, free_speed_kmh: float,
                         coeffs: VtMicroCoefficients) -> float:
     """Fuel to cruise a link at its free-flow speed (liters)."""

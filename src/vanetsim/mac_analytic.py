@@ -359,11 +359,6 @@ def drop_probability(p_rej: float, p_last_state: float, p_col: float) -> float:
     return p_rej + p_exhaust - p_rej * p_exhaust
 
 
-def throughput(solution: MacSolution, params: MacParams) -> float:
-    """Delivered-packet rate of the whole cell, packets/second."""
-    return solution.throughput
-
-
 def _initial_q0(params: MacParams, t_s: float, t_f: float) -> float:
     """Queue-empty probability of an uncontended station (p_col = 0 start)."""
     t_serv0, _, _ = _service_terms(0.0, 1.0, 0.0, 0.0, t_s, t_f, params)
@@ -425,16 +420,16 @@ def solve(params: MacParams, *, tol: float = FIXED_POINT_TOL,
 
     # One consistent evaluation at the converged iterate for the report.
     p00 = normalize_p00(p_col, p_idle, q0, params)
-    dist = state_probabilities(p00, p_col, p_idle, q0, params)
+    p_last = p00 * p_col ** (r - 1)  # head state of the final retry stage
     _, p_idle_slot, _, p_suc, p_fail = coupling_equations(p_trans, params)
     t_serv, t_w, t_tr_av = _service_terms(p_col, p_idle, p_suc, p_fail, t_s, t_f, params)
     mu = 1.0 / t_serv
     rho = lam * t_serv
     _, p_rej, lambda_eff, t_q = mm1k_metrics(rho, params.queue_capacity, mu, lam,
                                              exact_wait=exact_queue_wait)
-    p_drop = drop_probability(p_rej, dist.p_last, p_col)
+    p_drop = drop_probability(p_rej, p_last, p_col)
     thr_raw = (params.n_stations * (1.0 - q0)
-               * (1.0 - dist.p_last * p_col) * (1.0 - p_fail))
+               * (1.0 - p_last * p_col) * (1.0 - p_fail))
     return MacSolution(
         p_trans=p_trans, p_col=p_col, p_idle_slot=p_idle_slot, p_idle=p_idle,
         p_suc=p_suc, p_fail=p_fail, q0=q0, p00=p00,

@@ -22,13 +22,13 @@ loop O(channel events), not O(arrivals).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from random import Random
 
 from . import constants
 from .errors import ConfigurationError
-from .mac_analytic import MacParams, transmission_times
+from .mac_analytic import MacParams, transmission_times, window_sizes
 
 BATCH_COUNT = 20
 DEFAULT_MIN_DELIVERED = 1000
@@ -48,10 +48,6 @@ def _t95(df: int) -> float:
     return _T95.get(df, 1.96)
 
 
-class ArrivalProcess(Enum):
-    POISSON = "poisson"
-
-
 class AcMode(Enum):
     SINGLE_AC = "single_ac"
     FOUR_AC = "four_ac"
@@ -63,7 +59,6 @@ class DesConfig:
     seed: int
     measured_duration: float
     warmup: float | None = None          # None -> 10% of measured_duration
-    arrival_process: ArrivalProcess = ArrivalProcess.POISSON
     ac_mode: AcMode = AcMode.SINGLE_AC
     min_delivered: int = DEFAULT_MIN_DELIVERED
     collect_trace: bool = False
@@ -114,37 +109,6 @@ class DesStats:
     per_ac_delay: dict[str, float | None] | None = None
     trace: list | None = None        # (id, entity, birth, attempts, fate, done)
 
-    def as_record(self) -> dict:
-        rec = {
-            "delivered_per_station": self.delivered_per_station,
-            "mean_total_delay": self.mean_total_delay,
-            "drop_rate": self.drop_rate,
-            "empty_fraction": self.empty_fraction,
-            "collision_fraction": self.collision_fraction,
-            "mean_service_time": self.mean_service_time,
-            "generated": self.generated,
-            "delivered": self.delivered,
-            "rejected": self.rejected,
-            "retry_dropped": self.retry_dropped,
-            "in_system": self.in_system,
-            "attempts": self.attempts,
-            "air_collisions": self.air_collisions,
-            "internal_collisions": self.internal_collisions,
-            "mean_system_size": self.mean_system_size,
-            "accepted_rate": self.accepted_rate,
-            "mean_sojourn": self.mean_sojourn,
-            "duration_measured": self.duration_measured,
-        }
-        for name, hw in self.confidence_halfwidth.items():
-            rec[f"ci95_{name}"] = hw
-        if self.per_ac_delivered is not None:
-            for name, rate in self.per_ac_delivered.items():
-                rec[f"delivered_{name}"] = rate
-        if self.per_ac_delay is not None:
-            for name, dly in self.per_ac_delay.items():
-                rec[f"delay_{name}"] = dly
-        return rec
-
 
 class _Entity:
     """One contending queue: a station, or one AC of a station."""
@@ -174,22 +138,16 @@ class _Entity:
 
 def _build_entities(cfg: DesConfig, rng: Random) -> list[_Entity]:
     p = cfg.mac_params
-    ents = []
     if cfg.ac_mode is AcMode.SINGLE_AC:
-        windows = tuple(p.w0 * p.alpha ** min(i, p.m_stages)
-                        for i in range(p.retry_stages))
-        for s in range(p.n_stations):
-            ents.append(_Entity(len(ents), s, "single", p.arrival_rate,
-                                p.aifs_slots, windows))
+        classes = [("single", p)]
     else:
-        for s in range(p.n_stations):
-            for ac in constants.AC_PRIORITY:
-                e = constants.EDCA_PARAMETER_SETS[ac]
-                stages = e["m_stages"] + e["f_extra"]
-                windows = tuple(e["w0"] * p.alpha ** min(i, e["m_stages"])
-                                for i in range(stages))
-                ents.append(_Entity(len(ents), s, ac, p.arrival_rate,
-                                    e["aifs_slots"], windows))
+        classes = [(ac, replace(p, **constants.EDCA_PARAMETER_SETS[ac]))
+                   for ac in constants.AC_PRIORITY]
+    ents = []
+    for s in range(p.n_stations):
+        for ac, q in classes:
+            ents.append(_Entity(len(ents), s, ac, p.arrival_rate,
+                                q.aifs_slots, window_sizes(q)))
     for e in ents:
         e.next_arrival = rng.expovariate(e.lam)
     return ents

@@ -116,9 +116,6 @@ class RoadNetwork:
     def has_signal(self, node_id: int) -> bool:
         return node_id in self._signal_nodes
 
-    def total_link_length(self) -> float:
-        return sum(l.length for l in self.links.values())
-
     def with_rsus(self, signal_ids, range_m: float) -> "RoadNetwork":
         """New network with RSUs installed on the given signals."""
         rsus = [Rsu(id=i, node=self.signals[sid].node, range_m=range_m)
@@ -437,12 +434,6 @@ class CoverageIndex:
                                      and (best_id is None or rid < best_id)):
                 best_id, best_d = rid, d
         return best_id
-
-    def vehicles_in_range(self, rsu_id: int, positions) -> int:
-        """Count of (x, y) positions within the RSU's disk (<= range)."""
-        rx, ry, rng = self._rsus[rsu_id]
-        return sum(1 for x, y in positions
-                   if math.hypot(x - rx, y - ry) <= rng)
 
     def count_per_rsu(self, positions) -> dict[int, int]:
         """One bucketing pass, then per-RSU neighborhood counts."""

@@ -191,11 +191,14 @@ class TrafficConfig:
     horizon: float | None = None    # None: demand end + drain
     drain: float = 1800.0
     exact_energy: bool = False
-    requery_blocked: bool = False   # re-ask the router every blocked step
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
+        if not self.a_max > 0.0:
+            raise ValidationError("a_max must be positive")
+        if self.horizon is not None and not self.horizon > 0.0:
+            raise ValidationError("horizon must be positive")
         if not 0.0 < self.green_share < 1.0:
             raise ValidationError("green share must sit strictly inside (0, 1)")
         if self.signal_cycle < 2.0 * self.dt:
@@ -329,31 +332,22 @@ class Simulation:
         return (not self._enroute and self._due_ptr >= len(self._due)
                 and all(not q for q in self._entry_queues.values()))
 
+    def _position(self, veh: Vehicle) -> tuple[float, float]:
+        """Plane coordinates of a moving vehicle, interpolated along its link."""
+        link = self.network.link(veh.route[0])
+        a = self.network.nodes[link.from_node]
+        b = self.network.nodes[link.to_node]
+        f = veh.pos / link.length
+        return a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f
+
     def enroute_positions(self) -> list[tuple[Vehicle, float, float]]:
         """Plane coordinates of every moving vehicle, route-order interpolated."""
-        out = []
-        nodes = self.network.nodes
-        for veh in self._enroute:
-            link = self.network.link(veh.route[0])
-            a = nodes[link.from_node]
-            b = nodes[link.to_node]
-            f = veh.pos / link.length
-            out.append((veh, a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f))
-        return out
+        return [(veh, *self._position(veh)) for veh in self._enroute]
 
     def pending_carriers(self) -> list[tuple[Vehicle, float, float]]:
         """Positions of moving vehicles that still hold queued reports."""
-        out = []
-        nodes = self.network.nodes
-        for veh in self._enroute:
-            if not veh.pending:
-                continue
-            link = self.network.link(veh.route[0])
-            a = nodes[link.from_node]
-            b = nodes[link.to_node]
-            f = veh.pos / link.length
-            out.append((veh, a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f))
-        return out
+        return [(veh, *self._position(veh))
+                for veh in self._enroute if veh.pending]
 
     # -- engine-map plumbing ----------------------------------------------
 
@@ -495,7 +489,7 @@ class Simulation:
         lid = veh.route[0]
         lk = self._lk[lid]
         to = lk.to_node
-        if to != veh.destination and (not veh.decided or self.config.requery_blocked):
+        if to != veh.destination and not veh.decided:
             tail = self.router(now, veh, to)
             veh.route = [lid] + list(tail)
             veh.decided = True

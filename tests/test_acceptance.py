@@ -171,10 +171,10 @@ def test_criterion_1_cell_model_vs_event_sim():
     assert wall < 600.0, f"grid took {wall:.0f}s, budget 600s"
     assert ok, (
         f"{detail}. Known limitation, documented in the README: the "
-        "per-slot coupling of queue emptiness and medium state "
-        "under-weights service pressure, so the model is accurate for "
-        "unsaturated throughput but biases service time (and therefore "
-        "delay) low near and beyond cell saturation.")
+        "per-slot coupling of queue emptiness and medium state misweights "
+        "contention, so the model is accurate for unsaturated throughput, "
+        "but at light load it over-estimates delay, and at saturation it "
+        "under-estimates service time and its delay diverges.")
 
 
 def test_criterion_2_priority_collapse_error():

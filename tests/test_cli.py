@@ -59,6 +59,17 @@ def test_scenario_rejects_unknown_key(tmp_path):
                      str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+def test_scenario_rejects_non_boolean_exact_energy(tmp_path):
+    path = tmp_path / "bad.ini"
+    for value, want in (("true", True), ("false", False)):
+        path.write_text(TINY_SCENARIO + f"exact_energy = {value}\n")
+        assert cli.parse_scenario(path)["exact_energy"] is want
+    for value in ("yes", "1", "ture"):
+        path.write_text(TINY_SCENARIO + f"exact_energy = {value}\n")
+        with pytest.raises(ConfigurationError, match="exact_energy"):
+            cli.parse_scenario(path)
+
+
 def test_scenario_rejects_out_of_range_odsf(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(TINY_SCENARIO.replace("odsf = 0.5 1.0", "odsf = 0.0 1.0"))

@@ -2,14 +2,10 @@
 
 The shipped-calibration idle rate is pinned as a golden value: with
 index origin 0 only the constant term survives at (v=0, a=0), so the
-idle fuel burn must equal exp of the [0][0] entry exactly. The
-accumulator oracle is an offline left-Riemann integrator holding each
-sampled rate for one refresh interval, recomputed independently of the
-accumulator's internals.
+idle fuel burn must equal exp of the [0][0] entry exactly.
 """
 
 import math
-import random
 
 import pytest
 
@@ -75,46 +71,6 @@ def test_envelope_warning_not_error(coeffs):
     assert r > 0.0
     with pytest.raises(ValidationError):
         energy.vt_micro_rate(-1.0, 0.0, coeffs)
-
-
-def test_constant_cruise_accumulates_exactly(coeffs):
-    acc = energy.FuelAccumulator(coeffs)
-    rate = energy.vt_micro_rate(60.0, 0.0, coeffs)
-    for n in range(1000):  # 100 s at 0.1 s steps
-        acc.step(n * 0.1, 60.0, 0.0, 0.1)
-    assert acc.finalize() == pytest.approx(100.0 * rate, rel=1e-9)
-    assert acc.total == 0.0
-
-
-def test_zero_length_sojourn_is_zero(coeffs):
-    acc = energy.FuelAccumulator(coeffs)
-    assert acc.finalize() == 0.0
-
-
-def test_sawtooth_matches_offline_riemann_sum(coeffs):
-    rng = random.Random(11)
-    dt = 0.1
-    steps = 600
-    # sawtooth between 20 and 80 km/h with jitter
-    speeds = [50.0 + 30.0 * (1 if (n // 50) % 2 == 0 else -1)
-              * ((n % 50) / 50.0) + rng.uniform(-2, 2) for n in range(steps)]
-    accels = [0.0] + [(speeds[n] - speeds[n - 1]) / dt
-                      for n in range(1, steps)]
-    accels = [max(-10.0, min(10.0, a)) for a in accels]
-
-    acc = energy.FuelAccumulator(coeffs)
-    for n in range(steps):
-        acc.step(n * dt, speeds[n], accels[n], dt)
-    measured = acc.finalize()
-
-    # oracle: rate sampled at the first step of every whole second and
-    # held for the following ten steps
-    expected = 0.0
-    for n in range(steps):
-        if n % 10 == 0:
-            held = energy.vt_micro_rate(speeds[n], accels[n], coeffs)
-        expected += held * dt
-    assert measured == pytest.approx(expected, rel=1e-12)
 
 
 def test_free_flow_link_fuel_arithmetic(coeffs):

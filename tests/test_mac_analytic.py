@@ -290,7 +290,6 @@ def test_solve_throughput_consistency():
                 * (1.0 - p_last * sol.p_col) * (1.0 - sol.p_fail))
     assert sol.throughput_raw == pytest.approx(want_raw, rel=1e-12)
     assert sol.throughput == pytest.approx(want_raw / sol.t_serv, rel=1e-12)
-    assert ma.throughput(sol, p) == sol.throughput
 
 
 def test_solve_exact_queue_wait_flag_only_touches_wait():

@@ -59,9 +59,9 @@ def test_conservation_identity_exact():
 def test_seed_determinism():
     a = des.simulate(config(n=5, lam=30.0, duration=10.0, seed=7))
     b = des.simulate(config(n=5, lam=30.0, duration=10.0, seed=7))
-    assert a.as_record() == b.as_record()
+    assert a == b
     c = des.simulate(config(n=5, lam=30.0, duration=10.0, seed=8))
-    assert c.as_record() != a.as_record()
+    assert c != a
 
 
 def test_two_station_saturation_slot_game():

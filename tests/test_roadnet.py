@@ -162,12 +162,12 @@ def test_connected_rsu_tie_goes_to_lower_id():
     assert idx.connected_rsu(50.0, 0.0) == 0  # equidistant, lower id
 
 
-def test_vehicles_in_range_constructed():
+def test_count_per_rsu_constructed():
     net = rn.gen_grid(2, 2, spacing=1000.0).with_rsus([1], range_m=100.0)
     idx = rn.CoverageIndex(net)
     inside = [(0.0, 0.0), (99.0, 0.0), (0.0, 100.0)]   # boundary included
     outside = [(101.0, 0.0), (500.0, 500.0)]
-    assert idx.vehicles_in_range(0, inside + outside) == 3
+    assert idx.count_per_rsu(inside + outside) == {0: 3}
 
 
 def test_spatial_index_matches_naive_scan():
@@ -198,7 +198,6 @@ def test_spatial_index_matches_naive_scan():
         naive = sum(1 for x, y in positions
                     if math.hypot(x - rx, y - ry) <= rng_m)
         assert counts[rid] == naive
-        assert idx.vehicles_in_range(rid, positions) == naive
 
 
 def test_coverage_metrics():

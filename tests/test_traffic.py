@@ -70,6 +70,12 @@ def test_demand_validation():
         traffic.TrafficConfig(dt=0.0)
     with pytest.raises(ValidationError):
         traffic.TrafficConfig(green_share=1.0)
+    for a_max in (0.0, -3.6):
+        with pytest.raises(ValidationError):
+            traffic.TrafficConfig(a_max=a_max)
+    for horizon in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            traffic.TrafficConfig(horizon=horizon)
 
 
 # --- kinematics -------------------------------------------------------------
