@@ -59,20 +59,6 @@ def exit_code_for(exc: BaseException) -> int:
 
 # --- scenario files ----------------------------------------------------------
 
-SCENARIO_DEFAULTS = {
-    "network": {"path": "", "rows": "10", "cols": "10", "spacing_m": "150.0",
-                "free_speed_kmh": "50.0", "jam_density": "120.0", "lanes": "1"},
-    "rsu": {"range_m": "250.0"},
-    "demand": {"od": "", "odsf": "1.0"},
-    "comm": {"mode": "realistic", "background_rate": "50.0",
-             "payload_bytes": "1000", "queue_capacity": "64",
-             "access": "basic", "refresh_s": "1.0"},
-    "routing": {"eta": "0.05", "beta": "0.2"},
-    "sim": {"seed": "1", "horizon_s": "", "a_max": "3.6", "drain_s": "1800.0",
-            "exact_energy": "false"},
-}
-
-
 def parse_scenario(path) -> dict:
     """INI file -> plain typed dict (picklable, so sweep workers can take it)."""
     p = Path(path)
@@ -84,46 +70,17 @@ def parse_scenario(path) -> dict:
     except configparser.Error as exc:
         raise ConfigurationError(f"bad scenario syntax: {exc}") from exc
 
-    merged = {sec: dict(vals) for sec, vals in SCENARIO_DEFAULTS.items()}
+    known = {(sec, key) for sec, key, *_ in SCENARIO_KEYS}
     for sec in ini.sections():
-        if sec not in merged:
+        if sec not in {known_sec for known_sec, _ in known}:
             raise ConfigurationError(f"unknown scenario section [{sec}]")
-        for key, val in ini[sec].items():
-            if key not in merged[sec]:
+        for key in ini[sec]:
+            if (sec, key) not in known:
                 raise ConfigurationError(f"unknown key {key!r} in [{sec}]")
-            merged[sec][key] = val
-    exact_energy = merged["sim"]["exact_energy"].lower()
-    if exact_energy not in ("true", "false"):
-        raise ConfigurationError(f"exact_energy must be true or false, "
-                                 f"got {merged['sim']['exact_energy']!r}")
 
     try:
-        sc = {
-            "net_path": merged["network"]["path"],
-            "rows": int(merged["network"]["rows"]),
-            "cols": int(merged["network"]["cols"]),
-            "spacing_m": float(merged["network"]["spacing_m"]),
-            "free_speed_kmh": float(merged["network"]["free_speed_kmh"]),
-            "jam_density": float(merged["network"]["jam_density"]),
-            "lanes": int(merged["network"]["lanes"]),
-            "rsu_range_m": float(merged["rsu"]["range_m"]),
-            "od": _parse_od(merged["demand"]["od"]),
-            "odsf": [float(tok) for tok in merged["demand"]["odsf"].split()],
-            "mode": merged["comm"]["mode"],
-            "background_rate": float(merged["comm"]["background_rate"]),
-            "payload_bytes": int(merged["comm"]["payload_bytes"]),
-            "queue_capacity": int(merged["comm"]["queue_capacity"]),
-            "access": merged["comm"]["access"],
-            "refresh_s": float(merged["comm"]["refresh_s"]),
-            "eta": float(merged["routing"]["eta"]),
-            "beta": float(merged["routing"]["beta"]),
-            "seed": int(merged["sim"]["seed"]),
-            "horizon_s": (float(merged["sim"]["horizon_s"])
-                          if merged["sim"]["horizon_s"].strip() else None),
-            "a_max": float(merged["sim"]["a_max"]),
-            "drain_s": float(merged["sim"]["drain_s"]),
-            "exact_energy": exact_energy == "true",
-        }
+        sc = {name: convert(ini[sec][key]) if ini.has_option(sec, key) else default
+              for sec, key, name, convert, default in SCENARIO_KEYS}
     except ValueError as exc:
         raise ConfigurationError(f"bad scenario value: {exc}") from exc
     if sc["net_path"]:
@@ -164,6 +121,41 @@ def _parse_od(text: str) -> list[tuple]:
     return out
 
 
+# One row per scenario key: section, key, name in the parsed dict, converter
+# of the INI text, and the default, read from the module that owns the value
+# (None: the key has no default).
+SCENARIO_KEYS = (
+    ("network", "path", "net_path", str, None),
+    ("network", "rows", "rows", int, roadnet.GRID_ROWS),
+    ("network", "cols", "cols", int, roadnet.GRID_COLS),
+    ("network", "spacing_m", "spacing_m", float, roadnet.GRID_SPACING_M),
+    ("network", "free_speed_kmh", "free_speed_kmh", float, roadnet.FREE_SPEED_KMH),
+    ("network", "jam_density", "jam_density", float, roadnet.JAM_DENSITY),
+    ("network", "lanes", "lanes", int, roadnet.LANES),
+    ("rsu", "range_m", "rsu_range_m", float, roadnet.RSU_RANGE_M),
+    ("demand", "od", "od", _parse_od, None),
+    ("demand", "odsf", "odsf", lambda text: tuple(map(float, text.split())),
+     (traffic.OdDemand.odsf,)),
+    ("comm", "mode", "mode", str, "realistic"),
+    ("comm", "background_rate", "background_rate", float,
+     ecorouting.BACKGROUND_RATE),
+    ("comm", "payload_bytes", "payload_bytes", int,
+     mac_analytic.MacParams.payload_bits // 8),
+    ("comm", "queue_capacity", "queue_capacity", int,
+     mac_analytic.MacParams.queue_capacity),
+    ("comm", "access", "access", str, mac_analytic.MacParams.access_mode.value),
+    ("comm", "refresh_s", "refresh_s", float, ecorouting.CELL_REFRESH),
+    ("routing", "eta", "eta", float, ecorouting.ETA),
+    ("routing", "beta", "beta", float, ecorouting.BETA),
+    ("sim", "seed", "seed", int, 1),
+    ("sim", "horizon_s", "horizon_s",
+     lambda text: float(text) if text.strip() else None,
+     traffic.TrafficConfig.horizon),
+    ("sim", "a_max", "a_max", float, traffic.TrafficConfig.a_max),
+    ("sim", "drain_s", "drain_s", float, traffic.TrafficConfig.drain),
+)
+
+
 def _access_mode(name: str) -> mac_analytic.AccessMode:
     try:
         return mac_analytic.AccessMode(name)
@@ -199,8 +191,7 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
     demand = traffic.OdDemand(
         tuple(traffic.OdEntry(*row) for row in sc["od"]), odsf=odsf)
     config = traffic.TrafficConfig(horizon=sc["horizon_s"], a_max=sc["a_max"],
-                                   drain=sc["drain_s"],
-                                   exact_energy=sc["exact_energy"])
+                                   drain=sc["drain_s"])
     sim = traffic.Simulation(net, demand=demand, config=config, router=router,
                              coeffs=coeffs, comm=comm, seed=seed)
     return sim, table, comm
@@ -270,8 +261,9 @@ def _sweep_point(args: tuple) -> dict:
 # --- model-vs-measurement grid ------------------------------------------------------
 
 def validation_rows(stations, rates, payload_bytes, accesses, *,
-                    duration: float = 20.0, seed: int = 1,
-                    queue_capacity: int = 64) -> list[tuple]:
+                    duration: float, seed: int,
+                    queue_capacity: int = mac_analytic.MacParams.queue_capacity,
+                    ) -> list[tuple]:
     """Fixed-point model against the event simulator, one row per grid point.
 
     Throughput errors are relative to the measured per-station delivery
@@ -474,24 +466,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_defaults(args) -> int:
     print("# mac parameters")
-    demo = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0)
-    for f in dataclasses.fields(demo):
-        val = getattr(demo, f.name)
-        if f.name == "access_mode":
-            val = val.value
-        print(f"{f.name} {records.fmt(val)}")
+    for f in dataclasses.fields(mac_analytic.MacParams):
+        if f.default is not dataclasses.MISSING:    # required fields have none
+            val = f.default.value if f.name == "access_mode" else f.default
+            print(f"{f.name} {records.fmt(val)}")
     print("# traffic")
     for f in dataclasses.fields(traffic.TrafficConfig):
-        print(f"{f.name} {records.fmt(f.default)}")
-    print("# routing and uplink")
-    print(f"eta {records.fmt(ecorouting.ETA)}")
-    print(f"beta {records.fmt(ecorouting.BETA)}")
-    print(f"background_rate {records.fmt(ecorouting.BACKGROUND_RATE)}")
-    print(f"cell_refresh {records.fmt(ecorouting.CELL_REFRESH)}")
+        if f.name not in ("horizon", "a_max", "drain"):   # set by [sim] keys
+            print(f"{f.name} {records.fmt(f.default)}")
     print("# scenario file")
-    for sec, vals in SCENARIO_DEFAULTS.items():
-        for key, val in vals.items():
-            print(f"{sec}.{key} {val if val != '' else 'none'}")
+    for sec, key, _, _, default in SCENARIO_KEYS:
+        text = (" ".join(map(records.fmt, default)) if isinstance(default, tuple)
+                else records.fmt(default))
+        print(f"{sec}.{key} {text}")
     return EXIT_OK
 
 
@@ -502,14 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vanetsim",
         description="Road traffic and roadside-uplink co-simulation toolkit.")
     top.add_argument("--quiet", action="store_true", help="suppress progress logs")
+    mac = mac_analytic.MacParams
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-mac", help="solve one cell operating point")
     p.add_argument("--stations", type=int, default=10)
     p.add_argument("--rate", type=float, default=50.0)
-    p.add_argument("--bytes", type=int, default=1000)
-    p.add_argument("--queue", type=int, default=64)
-    p.add_argument("--access", default="basic")
+    p.add_argument("--bytes", type=int, default=mac.payload_bits // 8)
+    p.add_argument("--queue", type=int, default=mac.queue_capacity)
+    p.add_argument("--access", default=mac.access_mode.value)
     p.add_argument("--params", help="record file with parameter fields")
     p.add_argument("--grid", help="table file of 'stations rate' rows")
     p.add_argument("--out")
@@ -519,26 +507,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stations", default="5,10,20,40")
     p.add_argument("--rates", default="10,25,50,100")
     p.add_argument("--bytes", default="500,1000")
-    p.add_argument("--access", default="basic")
-    p.add_argument("--queue", type=int, default=64)
+    p.add_argument("--access", default=mac.access_mode.value)
+    p.add_argument("--queue", type=int, default=mac.queue_capacity)
     p.add_argument("--duration", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate_mac)
 
     p = sub.add_parser("gen-grid", help="write a signalized grid network file")
-    p.add_argument("--rows", type=int, default=10)
-    p.add_argument("--cols", type=int, default=10)
-    p.add_argument("--spacing", type=float, default=150.0)
-    p.add_argument("--free-speed", type=float, default=50.0)
-    p.add_argument("--jam-density", type=float, default=120.0)
-    p.add_argument("--lanes", type=int, default=1)
+    p.add_argument("--rows", type=int, default=roadnet.GRID_ROWS)
+    p.add_argument("--cols", type=int, default=roadnet.GRID_COLS)
+    p.add_argument("--spacing", type=float, default=roadnet.GRID_SPACING_M)
+    p.add_argument("--free-speed", type=float, default=roadnet.FREE_SPEED_KMH)
+    p.add_argument("--jam-density", type=float, default=roadnet.JAM_DENSITY)
+    p.add_argument("--lanes", type=int, default=roadnet.LANES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_grid)
 
     p = sub.add_parser("place-rsus", help="greedy roadside coverage plan")
     p.add_argument("--network", required=True)
-    p.add_argument("--range", type=float, default=250.0)
+    p.add_argument("--range", type=float, default=roadnet.RSU_RANGE_M)
     p.add_argument("--out")
     p.set_defaults(func=cmd_place_rsus)
 

@@ -22,6 +22,14 @@ from dataclasses import dataclass, field
 
 from .errors import NoPathError, ParseError, ValidationError
 
+GRID_ROWS = 10
+GRID_COLS = 10
+GRID_SPACING_M = 150.0
+FREE_SPEED_KMH = 50.0
+JAM_DENSITY = 120.0      # veh/km/lane
+LANES = 1
+RSU_RANGE_M = 250.0
+
 
 @dataclass(frozen=True)
 class Node:
@@ -277,9 +285,9 @@ def write_network(path, network: RoadNetwork) -> None:
                 fp.write(f"{r.id} {r.node} {r.range_m!r}\n")
 
 
-def gen_grid(rows: int = 10, cols: int = 10, spacing: float = 150.0,
-             free_speed: float = 50.0, jam_density: float = 120.0,
-             lanes: int = 1) -> RoadNetwork:
+def gen_grid(rows: int = GRID_ROWS, cols: int = GRID_COLS,
+             spacing: float = GRID_SPACING_M, free_speed: float = FREE_SPEED_KMH,
+             jam_density: float = JAM_DENSITY, lanes: int = LANES) -> RoadNetwork:
     """Manhattan grid: every intersection signalized, links both ways."""
     if rows < 2 or cols < 2:
         raise ValidationError("grid needs at least 2x2 nodes")

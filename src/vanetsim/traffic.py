@@ -40,6 +40,8 @@ NFD_INTERVAL = 30.0      # s
 RATE_REFRESH = 1.0       # s between engine-map lookups per vehicle
 
 _POS_EPS = 1e-6          # m, stop-line arrival tolerance
+_V_LO, _V_HI = energy.ENVELOPE_V
+_A_LO, _A_HI = energy.ENVELOPE_A
 
 WAITING = "waiting"
 EN_ROUTE = "enroute"
@@ -354,14 +356,14 @@ class Simulation:
     def _lookup_rates(self, v: float, a: float):
         # envelope clamp here, not in the map, so stop-line discontinuities
         # do not spray warnings
-        if v < 0.0:
-            v = 0.0
-        elif v > 120.0:
-            v = 120.0
-        if a < -10.0:
-            a = -10.0
-        elif a > 10.0:
-            a = 10.0
+        if v < _V_LO:
+            v = _V_LO
+        elif v > _V_HI:
+            v = _V_HI
+        if a < _A_LO:
+            a = _A_LO
+        elif a > _A_HI:
+            a = _A_HI
         if self.config.exact_energy:
             key = (v, a)
         else:

@@ -11,11 +11,10 @@ import itertools
 import math
 import random
 import time
-from pathlib import Path
 
 import pytest
 
-from vanetsim import cli, mac_analytic, mac_des, roadnet, traffic
+from vanetsim import cli, mac_analytic, mac_des, roadnet
 
 TREND_INI = """\
 [network]

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from vanetsim import cli, records
+from vanetsim import cli, constants, ecorouting, records, traffic
 from vanetsim.errors import (ConfigurationError, ConvergenceError,
                              DegenerateInputError, NoPathError, ParseError,
                              SimulationError, ValidationError)
@@ -59,15 +59,19 @@ def test_scenario_rejects_unknown_key(tmp_path):
                      str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
-def test_scenario_rejects_non_boolean_exact_energy(tmp_path):
-    path = tmp_path / "bad.ini"
-    for value, want in (("true", True), ("false", False)):
-        path.write_text(TINY_SCENARIO + f"exact_energy = {value}\n")
-        assert cli.parse_scenario(path)["exact_energy"] is want
-    for value in ("yes", "1", "ture"):
-        path.write_text(TINY_SCENARIO + f"exact_energy = {value}\n")
-        with pytest.raises(ConfigurationError, match="exact_energy"):
-            cli.parse_scenario(path)
+def test_build_run_carries_owner_defaults(tmp_path):
+    path = tmp_path / "minimal.ini"
+    path.write_text("[demand]\nod = 1 4 300 0 60\n")
+    sim, table, comm = cli.build_run(cli.parse_scenario(path), odsf=1.0,
+                                     mode="realistic", seed=1)
+    assert comm.background_rate == ecorouting.BACKGROUND_RATE
+    assert comm.refresh == ecorouting.CELL_REFRESH
+    assert sim.router.eta == ecorouting.ETA
+    assert table.beta == ecorouting.BETA
+    assert comm.params.queue_capacity == constants.QUEUE_CAPACITY
+    assert comm.params.payload_bits == constants.PAYLOAD_BITS
+    assert sim.config.a_max == traffic.A_MAX
+    assert sim.config.drain == traffic.TrafficConfig().drain
 
 
 def test_scenario_rejects_out_of_range_odsf(tmp_path):
@@ -183,7 +187,16 @@ def test_validate_mac_tiny_grid(tmp_path):
 
 def test_defaults_lists_tunables(capsys):
     assert cli.main(["defaults"]) == 0
-    out = capsys.readouterr().out
-    for key in ("n_stations", "slot_time", "signal_cycle", "eta",
-                "background_rate", "demand.odsf"):
-        assert key in out
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    for key in ("queue_capacity", "slot_time", "signal_cycle", "exact_energy",
+                "routing.eta", "comm.background_rate", "demand.odsf",
+                "sim.a_max"):
+        assert key in names
+    # each tunable once: under its scenario key where it has one
+    assert len(names) == len(set(names))
+    for gone in ("a_max", "drain", "horizon", "eta", "beta", "background_rate",
+                 "cell_refresh", "sim.exact_energy"):
+        assert gone not in names
+    # required fields have no default to show
+    assert "n_stations" not in names and "arrival_rate" not in names

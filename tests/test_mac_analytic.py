@@ -4,7 +4,6 @@ Golden values were derived by hand from the model definitions before the
 implementation existed; they are frozen here on purpose.
 """
 
-import math
 import random
 
 import pytest
