@@ -9,14 +9,26 @@ The event loop walks idle phases in bulk: nothing can happen between
 "the next station counter reaches zero" and "the next packet lands at
 an empty station", so the clock jumps straight to the earlier of the
 two. Busy periods (success or collision) end every idle phase and
-reset AIFS sensing for everyone, which is the EDCA rule. The channel
+restart AIFS sensing for everyone, which is the EDCA rule. The channel
 occupancy of a busy period excludes the AIFS share of t_s/t_f, because
 here AIFS is simulated literally as sensed idle slots.
 
+No step scans the stations. Because every contender restarts AIFS after
+a busy period, all contenders with the same AIFS value A count the same
+max(0, P - A) back-off slots in an idle phase of P slots. Each AIFS
+group keeps one clock of counted back-off slots and a heap of
+(expiry, idx, version) entries; an entity fires at phase slot
+A + expiry - clock, and a busy period touches only its transmitters.
+An entity admitted at slot s of a phase counts from s + A on; if the
+phase ends before that, it gets a corrected entry with a higher version
+and the old one is skipped as stale. Empty entities wait in a heap
+keyed by (next arrival, idx). An idle step thus costs O(groups) and a
+busy period O(transmitters * log N). Ties go to the lowest idx.
+
 Arrivals at non-empty stations cannot change contention state, so each
 station's Poisson stream is materialized lazily: pending packets are
-folded in when that station's queue is next touched. This keeps the
-loop O(channel events), not O(arrivals).
+folded in when that station's queue is next touched. So the number of
+loop steps follows channel events and admissions, not arrivals.
 """
 
 from __future__ import annotations
@@ -24,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from random import Random
 
 from . import constants
@@ -32,6 +46,8 @@ from .mac_analytic import MacParams, transmission_times, window_sizes
 
 BATCH_COUNT = 20
 DEFAULT_MIN_DELIVERED = 1000
+
+_by_idx = attrgetter("idx")
 
 # two-sided 95% Student-t critical values by degrees of freedom
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
@@ -114,8 +130,8 @@ class _Entity:
     """One contending queue: a station, or one AC of a station."""
 
     __slots__ = ("idx", "station", "ac", "lam", "aifs", "windows", "max_stage",
-                 "queue", "aifs_left", "backoff", "stage", "hol_start",
-                 "next_arrival", "empty_since", "last_sync", "attempts_hol")
+                 "queue", "backoff", "stage", "hol_start", "next_arrival",
+                 "empty_since", "last_sync", "attempts_hol", "group", "version")
 
     def __init__(self, idx, station, ac, lam, aifs, windows):
         self.idx = idx
@@ -126,14 +142,32 @@ class _Entity:
         self.windows = windows
         self.max_stage = len(windows)
         self.queue: list[float] = []     # birth times, FIFO
-        self.aifs_left = 0
-        self.backoff = 0
+        self.backoff = 0                 # back-off left when its heap entry was pushed
         self.stage = 0
         self.hol_start = 0.0
         self.next_arrival = 0.0
         self.empty_since = 0.0
         self.last_sync = 0.0
         self.attempts_hol = 0
+        self.group: _AifsGroup | None = None
+        self.version = 0                 # of its live heap entry; older ones are stale
+
+
+class _AifsGroup:
+    """The contenders that share one AIFS value.
+
+    `clock` is the number of back-off slots the group has counted before
+    the current idle phase. A heap entry (expiry, idx, version) holds
+    expiry = clock + remaining back-off, so its entity fires at phase
+    slot aifs + expiry - clock.
+    """
+
+    __slots__ = ("aifs", "clock", "heap")
+
+    def __init__(self, aifs: int):
+        self.aifs = aifs
+        self.clock = 0
+        self.heap: list[tuple[int, int, int]] = []
 
 
 def _build_entities(cfg: DesConfig, rng: Random) -> list[_Entity]:
@@ -163,6 +197,8 @@ def simulate(config: DesConfig) -> DesStats:
     config.validate()
     p = config.mac_params
     rng = Random(config.seed)
+    expovariate = rng.expovariate
+    randrange = rng.randrange
     slot = p.slot_time
     t_s, t_f = transmission_times(p)
     t_aifs = p.aifs_slots * slot
@@ -211,26 +247,44 @@ def simulate(config: DesConfig) -> DesStats:
         which is exactly when laziness is safe.
         """
         nonlocal generated, rejected, size_integral
-        while e.next_arrival <= upto and e.queue:
-            ta = e.next_arrival
-            size_integral += len(e.queue) * window_overlap(e.last_sync, ta)
-            e.last_sync = ta
+        queue = e.queue
+        lam = e.lam
+        last = e.last_sync
+        ta = e.next_arrival
+        while ta <= upto:
+            # window_overlap(last, ta) and batch_of(ta), inlined
+            lo = last if last > warmup else warmup
+            hi = ta if ta < horizon else horizon
+            if hi > lo:
+                size_integral += len(queue) * (hi - lo)
+            last = ta
             generated += 1
-            b = batch_of(ta)
-            if b >= 0:
+            in_window = warmup <= ta < horizon
+            if in_window:
+                b = int((ta - warmup) / batch_len)
+                if b >= BATCH_COUNT:
+                    b = BATCH_COUNT - 1
                 m_offered[b] += 1
-            if len(e.queue) >= cap:
+            if len(queue) >= cap:
                 rejected += 1
-                if b >= 0:
+                if in_window:
                     m_dropped[b] += 1
                 if trace is not None:
                     trace.append([e.idx, ta, 0, "rejected", ta])
             else:
-                e.queue.append(ta)
-            e.next_arrival = ta + rng.expovariate(e.lam)
+                queue.append(ta)
+            ta += expovariate(lam)
+        e.last_sync = last
+        e.next_arrival = ta
 
-    def admit_first(e: _Entity) -> None:
-        """Arrival at an empty entity: it becomes a contender."""
+    def push(e: _Entity, start: int = 0) -> None:
+        """Enter e in its group heap; it counts back-off from slot start + aifs."""
+        g = e.group
+        e.version += 1
+        heappush(g.heap, (g.clock + start + e.backoff, e.idx, e.version))
+
+    def admit_first(e: _Entity, pos: int) -> None:
+        """Arrival at an empty entity at phase slot pos: it becomes a contender."""
         nonlocal generated, empty_time
         ta = e.next_arrival
         empty_time += window_overlap(e.empty_since, ta)
@@ -243,9 +297,9 @@ def simulate(config: DesConfig) -> DesStats:
         e.hol_start = ta
         e.stage = 0
         e.attempts_hol = 0
-        e.backoff = rng.randrange(e.windows[0])
-        e.aifs_left = e.aifs
-        e.next_arrival = ta + rng.expovariate(e.lam)
+        e.backoff = randrange(e.windows[0])
+        e.next_arrival = ta + expovariate(e.lam)
+        push(e, pos)
 
     def pop_head(e: _Entity, now: float) -> None:
         """Head packet leaves (delivered or dropped); next one takes over."""
@@ -257,61 +311,72 @@ def simulate(config: DesConfig) -> DesStats:
         e.attempts_hol = 0
         if e.queue:
             e.hol_start = now
-            e.backoff = rng.randrange(e.windows[0])
+            e.backoff = randrange(e.windows[0])
         else:
             e.empty_since = now
+
+    by_aifs = {a: _AifsGroup(a) for a in sorted({e.aifs for e in ents})}
+    for e in ents:
+        e.group = by_aifs[e.aifs]
+    groups = list(by_aifs.values())
+    arrivals = [(e.next_arrival, e.idx) for e in ents]  # empty entities only
+    heapify(arrivals)
 
     t0 = 0.0  # start of the current idle phase
     while t0 < horizon:
         # walk idle slots until a transmission fires inside the horizon
         pos = 0
-        transmitters: list[_Entity] = []
+        admitted: list[tuple[_Entity, int]] = []
         while True:
-            rem_trans = -1
-            for e in ents:
-                if e.queue:
-                    need = e.aifs_left + e.backoff
-                    if rem_trans < 0 or need < rem_trans:
-                        rem_trans = need
-            arr_entity = None
-            arr_time = math.inf
-            for e in ents:
-                if not e.queue and e.next_arrival < arr_time:
-                    arr_time = e.next_arrival
-                    arr_entity = e
-            if arr_entity is not None:
-                boundary = math.ceil((arr_time - t0) / slot - 1e-12)
-                rem_arr = boundary - pos if boundary > pos else 0
-            else:
-                rem_arr = -1
-            if rem_trans >= 0 and (rem_arr < 0 or rem_trans <= rem_arr):
-                for e in ents:
-                    if e.queue:
-                        a = e.aifs_left if e.aifs_left < rem_trans else rem_trans
-                        e.aifs_left -= a
-                        e.backoff -= rem_trans - a
-                pos += rem_trans
-                transmitters = [e for e in ents
-                                if e.queue and e.aifs_left == 0 and e.backoff == 0]
-                break
-            if arr_entity is None:
-                t0 = horizon  # nothing queued, nothing pending anywhere
+            fire = -1  # phase slot of the next transmission, -1 for none
+            for g in groups:
+                heap = g.heap
+                while heap and heap[0][2] != ents[heap[0][1]].version:
+                    heappop(heap)  # stale
+                if heap:
+                    f = g.aifs + heap[0][0] - g.clock
+                    if fire < 0 or f < fire:
+                        fire = f
+            if not arrivals:
+                break  # only a transmission can come next, if anything
+            arr_time, arr_idx = arrivals[0]
+            boundary = math.ceil((arr_time - t0) / slot - 1e-12)
+            rem_arr = boundary - pos if boundary > pos else 0
+            if fire >= 0 and fire - pos <= rem_arr:
                 break
             if arr_time >= horizon:
-                t0 = horizon  # nothing else can happen inside the horizon
+                fire = -1  # nothing else can happen inside the horizon
                 break
-            for e in ents:
-                if e.queue:
-                    a = e.aifs_left if e.aifs_left < rem_arr else rem_arr
-                    e.aifs_left -= a
-                    e.backoff -= rem_arr - a
+            heappop(arrivals)
             pos += rem_arr
-            admit_first(arr_entity)
-        if not transmitters:
-            continue
-        now = t0 + pos * slot
+            e = ents[arr_idx]
+            admit_first(e, pos)
+            admitted.append((e, pos))
+        if fire < 0:
+            break
+        now = t0 + fire * slot
         if now >= horizon:
             break
+
+        # pop everyone due at slot `fire`; the phase ends for all groups
+        transmitters: list[_Entity] = []
+        for g in groups:
+            heap = g.heap
+            due = g.clock + fire - g.aifs
+            while heap and heap[0][0] == due:
+                _, idx, version = heappop(heap)
+                e = ents[idx]
+                if e.version == version:
+                    e.backoff = 0
+                    transmitters.append(e)
+            if fire > g.aifs:
+                g.clock += fire - g.aifs
+        if len(groups) > 1:
+            transmitters.sort(key=_by_idx)
+        # admitted at slot s, an entity counts back-off from s + aifs only
+        for e, s in admitted:
+            if fire < s + e.aifs:
+                push(e)
 
         # internal collisions first: one winner per station takes the air
         if four_ac:
@@ -362,7 +427,7 @@ def simulate(config: DesConfig) -> DesStats:
                 trace.append([e.idx, birth, e.attempts_hol, "delivered", t_end])
             pop_head(e, t_end)
         else:
-            failed = sorted(on_air + losers, key=lambda e: e.idx)
+            failed = sorted(on_air + losers, key=_by_idx)
             for e in failed:
                 e.stage += 1
                 if e.stage >= e.max_stage:
@@ -381,11 +446,15 @@ def simulate(config: DesConfig) -> DesStats:
                                       "dropped", t_end])
                     pop_head(e, t_end)
                 else:
-                    e.backoff = rng.randrange(e.windows[e.stage])
+                    e.backoff = randrange(e.windows[e.stage])
 
-        for e in ents:
+        # the busy period restarts AIFS for everyone; only the
+        # transmitters' back-off changed
+        for e in transmitters:
             if e.queue:
-                e.aifs_left = e.aifs
+                push(e)
+            else:
+                heappush(arrivals, (e.next_arrival, e.idx))
         t0 = t_end
 
     # close the books at the horizon
