@@ -426,27 +426,29 @@ def simulate(config: DesConfig) -> DesStats:
             if trace is not None:
                 trace.append([e.idx, birth, e.attempts_hol, "delivered", t_end])
             pop_head(e, t_end)
+            # 802.11e: a loser of an internal collision backs off as if
+            # its frame had collided on the air
+            failed = losers
         else:
             failed = sorted(on_air + losers, key=_by_idx)
-            for e in failed:
-                e.stage += 1
-                if e.stage >= e.max_stage:
-                    sync_arrivals(e, t_end)
-                    birth = e.queue[0]
-                    retry_dropped += 1
-                    b = batch_of(t_end)
-                    if b >= 0:
-                        m_dropped[b] += 1
-                        service_sum += t_end - e.hol_start
-                        service_count += 1
-                        sojourn_sum += t_end - birth
-                        sojourn_count += 1
-                    if trace is not None:
-                        trace.append([e.idx, birth, e.attempts_hol,
-                                      "dropped", t_end])
-                    pop_head(e, t_end)
-                else:
-                    e.backoff = randrange(e.windows[e.stage])
+        for e in failed:
+            e.stage += 1
+            if e.stage >= e.max_stage:
+                sync_arrivals(e, t_end)
+                birth = e.queue[0]
+                retry_dropped += 1
+                b = batch_of(t_end)
+                if b >= 0:
+                    m_dropped[b] += 1
+                    service_sum += t_end - e.hol_start
+                    service_count += 1
+                    sojourn_sum += t_end - birth
+                    sojourn_count += 1
+                if trace is not None:
+                    trace.append([e.idx, birth, e.attempts_hol, "dropped", t_end])
+                pop_head(e, t_end)
+            else:
+                e.backoff = randrange(e.windows[e.stage])
 
         # the busy period restarts AIFS for everyone; only the
         # transmitters' back-off changed

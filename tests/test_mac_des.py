@@ -188,3 +188,42 @@ def test_mid_load_against_model():
     assert sol.t_serv > stats.mean_service_time          # known overshoot
     assert sol.t_serv < 6.0 * stats.mean_service_time    # but bounded
     assert sol.t_delay > stats.mean_total_delay
+
+
+def test_internal_collision_loser_backs_off():
+    # A lone station never collides on the air, but its four ACs collide
+    # inside it. Each loser backs off as after an air collision (802.11e),
+    # so a packet that keeps losing reaches its retry limit.
+    stats = des.simulate(config(n=1, lam=200.0, duration=20.0, seed=5,
+                                payload_bits=4000, ac_mode=des.AcMode.FOUR_AC))
+    assert stats.air_collisions == 0
+    assert stats.internal_collisions > 0
+    assert stats.retry_dropped > 0
+
+
+# Seed 1, 20 s: (generated, delivered, rejected, retry_dropped, in_system,
+# attempts, air_collisions, internal_collisions) and the mean total delay,
+# pinned so that any change to the event loop that alters a result shows.
+GOLDEN = {
+    "basic-1000B-N20-lam50": (
+        dict(n=20, lam=50.0, payload_bits=8000),
+        (22072, 9376, 11416, 69, 1211, 17964, 8588, 0), 2.716844099379698),
+    "rtscts-500B-N5-lam25": (
+        dict(n=5, lam=25.0, payload_bits=4000, access_mode=ma.AccessMode.RTS_CTS),
+        (2822, 2821, 0, 0, 1, 2843, 22, 0), 0.002142722760610596),
+    "basic-1000B-N40-lam100": (
+        dict(n=40, lam=100.0, payload_bits=8000),
+        (88236, 8469, 76991, 227, 2549, 20103, 11634, 0), 5.705828532554676),
+    "four-ac-basic-500B-N5-lam50": (
+        dict(n=5, lam=50.0, payload_bits=4000, ac_mode=des.AcMode.FOUR_AC),
+        (21836, 18625, 2531, 362, 318, 23667, 5042, 310), 0.35234480447350736),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_counters(name):
+    kw, counters, delay = GOLDEN[name]
+    s = des.simulate(config(seed=1, duration=20.0, **kw))
+    assert (s.generated, s.delivered, s.rejected, s.retry_dropped, s.in_system,
+            s.attempts, s.air_collisions, s.internal_collisions) == counters
+    assert s.mean_total_delay == delay
