@@ -78,11 +78,16 @@ def parse_scenario(path) -> dict:
             if (sec, key) not in known:
                 raise ConfigurationError(f"unknown key {key!r} in [{sec}]")
 
-    try:
-        sc = {name: convert(ini[sec][key]) if ini.has_option(sec, key) else default
-              for sec, key, name, convert, default in SCENARIO_KEYS}
-    except ValueError as exc:
-        raise ConfigurationError(f"bad scenario value: {exc}") from exc
+    sc = {}
+    for sec, key, name, convert, default in SCENARIO_KEYS:
+        if not ini.has_option(sec, key):
+            sc[name] = default
+            continue
+        try:
+            sc[name] = convert(ini[sec][key])
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad scenario value for [{sec}] {key}: {exc}") from exc
     if sc["net_path"]:
         net_file = (p.parent / sc["net_path"]).resolve()
         if not net_file.is_file():

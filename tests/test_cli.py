@@ -59,6 +59,16 @@ def test_scenario_rejects_unknown_key(tmp_path):
                      str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+def test_scenario_bad_value_names_its_key(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(TINY_SCENARIO.replace("rows = 4", "rows = ten"))
+    with pytest.raises(ConfigurationError, match=r"\[network\] rows"):
+        cli.parse_scenario(path)
+    assert cli.main(["run", "--scenario", str(path), "--out",
+                     str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "[network] rows" in capsys.readouterr().err
+
+
 def test_build_run_carries_owner_defaults(tmp_path):
     path = tmp_path / "minimal.ini"
     path.write_text("[demand]\nod = 1 4 300 0 60\n")
