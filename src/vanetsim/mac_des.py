@@ -371,8 +371,7 @@ def simulate(config: DesConfig) -> DesStats:
                     transmitters.append(e)
             if fire > g.aifs:
                 g.clock += fire - g.aifs
-        if len(groups) > 1:
-            transmitters.sort(key=_by_idx)
+        transmitters.sort(key=_by_idx)
         # admitted at slot s, an entity counts back-off from s + aifs only
         for e, s in admitted:
             if fire < s + e.aifs:
