@@ -429,7 +429,7 @@ def simulate(config: DesConfig) -> DesStats:
             # its frame had collided on the air
             failed = losers
         else:
-            failed = sorted(on_air + losers, key=_by_idx)
+            failed = transmitters  # on_air + losers, in idx order
         for e in failed:
             e.stage += 1
             if e.stage >= e.max_stage:
