@@ -80,11 +80,8 @@ def parse_scenario(path) -> dict:
 
     sc = {}
     for sec, key, name, convert, default in SCENARIO_KEYS:
-        if not ini.has_option(sec, key):
-            sc[name] = default
-            continue
         try:
-            sc[name] = convert(ini[sec][key])
+            sc[name] = convert(ini[sec][key]) if ini.has_option(sec, key) else default
         except ValueError as exc:
             raise ConfigurationError(
                 f"bad scenario value for [{sec}] {key}: {exc}") from exc
