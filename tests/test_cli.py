@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, reproducibility, artifact shapes."""
 
+import hashlib
 import math
 
 import pytest
@@ -151,6 +152,68 @@ def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
     assert "wall_per_simulated_s" in meta
     summary = (tmp_path / "a" / "summary.txt").read_text()
     assert "wall" not in summary
+
+
+# A 4x4 grid with the benchmark's small impact shape, its four streams
+# raised to 1500 veh/h so that the realistic run ends with deferred and
+# unfinished trips (167 generated, 133 finished, 3 deferred, 31 unfinished).
+GOLDEN_SCENARIO = """\
+[network]
+rows = 4
+cols = 4
+spacing_m = 150
+
+[rsu]
+range_m = 250
+
+[comm]
+background_rate = 200
+queue_capacity = 8
+payload_bytes = 1000
+
+[demand]
+od =
+    1 16 1500 0 90
+    16 1 1500 0 90
+    4 13 1500 0 90
+    13 4 1500 0 90
+
+[sim]
+seed = 1
+drain_s = 240
+
+[routing]
+eta = 0.15
+"""
+
+# sha256 of each data file of `run --seed 1`, pinned so that a change
+# meant to keep results shows any byte it alters
+GOLDEN_RUN_SHA256 = {
+    "ideal": {
+        "summary.txt": "7190373d33c7ad5058294fcd4a6957744c3d61f68b12a413f62726e657df7391",
+        "nfd.tsv": "d012ed2096e705404c6d3810c8efa1cddf740de977c0db7fcd43c2774d38fa8f",
+        "vehicles.tsv": "c79a1a30e1b213bcf09dd5289350c30258b806d9631eff9470f724563aa8a0fc",
+        "packets.tsv": "e0e79de205084307d1d712b8620f091255fe529ab3351709df6b91fb34f1e9e6",
+    },
+    "realistic": {
+        "summary.txt": "d8955e804de0a6adb3f3ed50ed34caec77f1bd248e313eb1c47160b8bf14a4fd",
+        "nfd.tsv": "ba699e3d9c7ed6e16f26a27bb7951762d1e16ecb284edaff9001a1682189b79a",
+        "vehicles.tsv": "0cc73c44bc127d558be3375598920d19588032d6aeb5b1e37819efe9f019e1ea",
+        "packets.tsv": "2013f1aef394fbad247a68447a64355b34399ceda629ab7292b0880a6db4c537",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_RUN_SHA256))
+def test_run_golden_artifacts(mode, tmp_path):
+    scenario = tmp_path / "golden.ini"
+    scenario.write_text(GOLDEN_SCENARIO)
+    out = tmp_path / mode
+    assert cli.main(["--quiet", "run", "--scenario", str(scenario),
+                     "--out", str(out), "--mode", mode, "--seed", "1"]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_RUN_SHA256[mode]}
+    assert got == GOLDEN_RUN_SHA256[mode]
 
 
 def test_run_mode_and_seed_overrides(tiny_scenario, tmp_path):
