@@ -403,7 +403,8 @@ def simulate(config: DesConfig) -> DesStats:
             air_collisions += len(on_air)
             if in_window:
                 m_collisions += len(on_air)
-        for e in on_air:
+        # a loser of an internal collision spends a retry stage too
+        for e in transmitters:
             e.attempts_hol += 1
 
         if success:

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from vanetsim import constants
 from vanetsim import mac_analytic as ma
 from vanetsim import mac_des as des
 from vanetsim.errors import ConfigurationError
@@ -200,6 +201,23 @@ def test_internal_collision_loser_backs_off():
     assert stats.internal_collisions > 0
     assert stats.retry_dropped > 0
 
+
+def test_dropped_trace_rows_count_every_attempt():
+    # A retry-dropped packet failed once per retry stage, on the air or
+    # inside its station, so its trace row shows its class's stage count.
+    cfg = config(n=1, lam=200.0, duration=20.0, seed=5, payload_bits=4000,
+                 ac_mode=des.AcMode.FOUR_AC, collect_trace=True)
+    stats = des.simulate(cfg)
+    stages = {ac: ma.MacParams(n_stations=1, arrival_rate=1.0,
+                               **constants.EDCA_PARAMETER_SETS[ac]).retry_stages
+              for ac in constants.AC_PRIORITY}
+    dropped = [row for row in stats.trace if row[4] == "dropped"]
+    assert len(dropped) == stats.retry_dropped > 0
+    for _, entity, _, attempts, _, _ in dropped:
+        # one station: entity idx i is the i-th access class
+        assert attempts == stages[constants.AC_PRIORITY[entity]]
+    assert {constants.AC_PRIORITY[row[1]] for row in dropped} == {"ac_vi"}
+    assert stages["ac_vi"] == 2
 
 # Seed 1, 20 s: (generated, delivered, rejected, retry_dropped, in_system,
 # attempts, air_collisions, internal_collisions) and the mean total delay,
