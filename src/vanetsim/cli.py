@@ -472,10 +472,6 @@ def cmd_defaults(args) -> int:
         if f.default is not dataclasses.MISSING:    # required fields have none
             val = f.default.value if f.name == "access_mode" else f.default
             print(f"{f.name} {records.fmt(val)}")
-    print("# traffic")
-    for f in dataclasses.fields(traffic.TrafficConfig):
-        if f.name not in ("horizon", "a_max", "drain"):   # set by [sim] keys
-            print(f"{f.name} {records.fmt(f.default)}")
     print("# scenario file")
     for sec, key, _, _, default in SCENARIO_KEYS:
         text = (" ".join(map(records.fmt, default)) if isinstance(default, tuple)

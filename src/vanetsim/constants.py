@@ -1,9 +1,12 @@
 """Protocol constants for the DSRC control channel.
 
 Everything below describes the 10 MHz IEEE 802.11p profile at the
-mandatory 6 Mb/s OFDM rate. These are defaults only: each value can be
-overridden per run through MacParams or the scenario file, and nothing
-in the solvers reads this module behind the caller's back.
+mandatory 6 Mb/s OFDM rate. Each value below, apart from the EDCA
+sets, is the default of a MacParams field, and the solvers read it
+only through MacParams. A `solve-mac --params` record can set every
+MacParams field. A scenario file reaches only the payload size and the
+queue capacity (its [comm] keys payload_bytes and queue_capacity,
+beside access for the access mode); the rest stay at these values.
 
 Durations are seconds, frame sizes are bits. Control-frame sizes are
 bit-equivalents at the data rate with PHY overhead folded in, because

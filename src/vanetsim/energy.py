@@ -132,10 +132,6 @@ def vt_micro_rate(v: float, a: float, coeffs: VtMicroCoefficients,
     return math.exp(exponent)
 
 
-def idle_rate(coeffs: VtMicroCoefficients, measure: str = "fuel") -> float:
-    return vt_micro_rate(0.0, 0.0, coeffs, measure)
-
-
 def free_flow_link_fuel(length_m: float, free_speed_kmh: float,
                         coeffs: VtMicroCoefficients) -> float:
     """Fuel to cruise a link at its free-flow speed (liters)."""

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the toolkit.
 
 Library code raises these directly; the CLI maps each family to a
-distinct nonzero exit code (see cli.EXIT_CODES).
+distinct nonzero exit code (see cli.exit_code_for).
 """
 
 

@@ -304,12 +304,6 @@ def _service_terms(p_col: float, p_idle: float, p_suc: float, p_fail: float,
     return slot * total, slot * t_w, slot * t_tr_av
 
 
-def service_time(p_col: float, p_idle: float, p_suc: float, p_fail: float,
-                 t_s: float, t_f: float, params: MacParams) -> float:
-    """Mean time the access function holds one packet, seconds."""
-    return _service_terms(p_col, p_idle, p_suc, p_fail, t_s, t_f, params)[0]
-
-
 def mm1k_metrics(rho: float, queue_capacity: int, mu: float, arrival_rate: float,
                  exact_wait: bool = False) -> tuple[float, float, float, float | None]:
     """Finite-queue metrics (q0, p_rej, lambda_eff, t_q).
@@ -368,15 +362,14 @@ def _initial_q0(params: MacParams, t_s: float, t_f: float) -> float:
     return q0
 
 
-def solve(params: MacParams, *, tol: float = FIXED_POINT_TOL,
-          damping: float = FIXED_POINT_DAMPING,
-          max_iter: int = FIXED_POINT_MAX_ITER,
-          exact_queue_wait: bool = False) -> MacSolution:
+def solve(params: MacParams, *, exact_queue_wait: bool = False) -> MacSolution:
     """Damped fixed-point solution of the coupled chain/queue system.
 
     Iterates the vector (p_trans, p_col, p_idle, q0); each component is
-    relaxed as 0.5*new + 0.5*old (plain iteration oscillates under high
-    load). Convergence is max component change < tol.
+    relaxed as 0.5*new + 0.5*old (FIXED_POINT_DAMPING; plain iteration
+    oscillates under high load). Convergence is max component change
+    < FIXED_POINT_TOL; ConvergenceError after FIXED_POINT_MAX_ITER
+    iterations.
 
     exact_queue_wait swaps the reported queue wait for the exact
     finite-queue expectation; the fixed point itself is unaffected
@@ -393,7 +386,8 @@ def solve(params: MacParams, *, tol: float = FIXED_POINT_TOL,
 
     iterations = 0
     residual = math.inf
-    for iterations in range(1, max_iter + 1):
+    damping = FIXED_POINT_DAMPING
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         p00 = normalize_p00(p_col, p_idle, q0, params)
         p_trans_raw = p00 * sum(p_col ** i for i in range(r))
         p_trans_new = damping * p_trans_raw + (1.0 - damping) * p_trans
@@ -411,7 +405,7 @@ def solve(params: MacParams, *, tol: float = FIXED_POINT_TOL,
         residual = max(abs(p_trans_new - p_trans), abs(p_col_new - p_col),
                        abs(p_idle_new - p_idle), abs(q0_new - q0))
         p_trans, p_col, p_idle, q0 = p_trans_new, p_col_new, p_idle_new, q0_new
-        if residual < tol:
+        if residual < FIXED_POINT_TOL:
             break
     else:
         raise ConvergenceError(

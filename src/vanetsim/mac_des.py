@@ -34,7 +34,7 @@ loop steps follows channel events and admissions, not arrivals.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
@@ -46,6 +46,9 @@ from .mac_analytic import MacParams, transmission_times, window_sizes
 
 BATCH_COUNT = 20
 DEFAULT_MIN_DELIVERED = 1000
+WARMUP_SHARE = 0.1                   # of measured_duration, discarded first
+SINGLE_AC_CHECK_STATIONS = 10
+SINGLE_AC_CHECK_MIN_DELIVERED = 200
 
 _by_idx = attrgetter("idx")
 
@@ -74,7 +77,6 @@ class DesConfig:
     mac_params: MacParams
     seed: int
     measured_duration: float
-    warmup: float | None = None          # None -> 10% of measured_duration
     ac_mode: AcMode = AcMode.SINGLE_AC
     min_delivered: int = DEFAULT_MIN_DELIVERED
     collect_trace: bool = False
@@ -83,8 +85,6 @@ class DesConfig:
         bad = self.mac_params.problems()
         if not self.measured_duration > 0:
             bad.append(f"measured_duration must be > 0, got {self.measured_duration}")
-        if self.warmup is not None and self.warmup < 0:
-            bad.append(f"warmup must be >= 0, got {self.warmup}")
         if self.min_delivered < 0:
             bad.append(f"min_delivered must be >= 0, got {self.min_delivered}")
         if bad:
@@ -93,7 +93,7 @@ class DesConfig:
 
     @property
     def warmup_time(self) -> float:
-        return 0.1 * self.measured_duration if self.warmup is None else self.warmup
+        return WARMUP_SHARE * self.measured_duration
 
 
 @dataclass
@@ -533,37 +533,29 @@ def simulate(config: DesConfig) -> DesStats:
     )
 
 
-def single_ac_approximation_check(lambda_per_ac: float, *,
-                                  mac_params: MacParams | None = None,
-                                  seed: int = 1,
-                                  measured_duration: float = 30.0,
-                                  min_delivered: int = 200) -> float:
+def single_ac_approximation_check(lambda_per_ac: float, *, seed: int = 1,
+                                  measured_duration: float = 30.0) -> float:
     """Relative error of collapsing four ACs into one queue at 4x the rate.
 
-    Runs the four-queue system with each AC offered lambda_per_ac and a
-    single best-effort queue offered 4*lambda_per_ac, then compares the
+    Runs ten stations with each AC offered lambda_per_ac and ten
+    single best-effort queues offered 4*lambda_per_ac, then compares the
     per-AC share of the single-queue throughput against the measured
     best-effort throughput (both network-wide rates).
     """
     if not lambda_per_ac > 0:
         raise ConfigurationError("lambda_per_ac must be > 0")
-    template = mac_params if mac_params is not None else MacParams(
-        n_stations=10, arrival_rate=lambda_per_ac)
-    base = asdict(template)
-    base["access_mode"] = template.access_mode  # asdict loses the enum identity
-    base_four = MacParams(**{**base, "arrival_rate": lambda_per_ac})
-    base_single = MacParams(**{**base, "arrival_rate": 4.0 * lambda_per_ac})
+    n = SINGLE_AC_CHECK_STATIONS
     stats_four = simulate(DesConfig(
-        mac_params=base_four, seed=seed, measured_duration=measured_duration,
-        ac_mode=AcMode.FOUR_AC, min_delivered=min_delivered))
+        mac_params=MacParams(n_stations=n, arrival_rate=lambda_per_ac),
+        seed=seed, measured_duration=measured_duration,
+        ac_mode=AcMode.FOUR_AC, min_delivered=SINGLE_AC_CHECK_MIN_DELIVERED))
     stats_single = simulate(DesConfig(
-        mac_params=base_single, seed=seed + 1,
-        measured_duration=measured_duration,
-        ac_mode=AcMode.SINGLE_AC, min_delivered=min_delivered))
+        mac_params=MacParams(n_stations=n, arrival_rate=4.0 * lambda_per_ac),
+        seed=seed + 1, measured_duration=measured_duration,
+        ac_mode=AcMode.SINGLE_AC, min_delivered=SINGLE_AC_CHECK_MIN_DELIVERED))
     thr_be = stats_four.per_ac_delivered["ac_be"]
     if thr_be <= 0:
         raise ConfigurationError(
             "best-effort throughput is zero; cannot form a relative error")
-    n = base_single.n_stations
     thr_single_share = stats_single.delivered_per_station * n / 4.0
     return abs(thr_single_share - thr_be) / thr_be

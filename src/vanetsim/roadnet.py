@@ -29,6 +29,7 @@ FREE_SPEED_KMH = 50.0
 JAM_DENSITY = 120.0      # veh/km/lane
 LANES = 1
 RSU_RANGE_M = 250.0
+COVERAGE_SAMPLES_PER_LINK = 10   # interior points of link_length_coverage
 
 
 @dataclass(frozen=True)
@@ -138,23 +139,24 @@ def _distance(a: Node, b: Node) -> float:
 
 # --- ingestion ----------------------------------------------------------
 
-_SECTIONS = ("nodes", "links", "signals", "rsus")
+_SCHEMA = {
+    "nodes": (int, float, float),
+    "links": (int, int, int, float, int, float, float),
+    "signals": (int, int),
+}
 
 
-def _row_error(kind, fields):
-    """Domain check for one parsed row; returns a reason or None."""
-    if kind == "links":
-        _, _, _, length, lanes, vf, kjam = fields
-        if length <= 0:
-            return "link length must be > 0"
-        if lanes < 1:
-            return "lanes must be >= 1"
-        if vf <= 0:
-            return "free-flow speed must be > 0"
-        if kjam <= 0:
-            return "jam density must be > 0"
-    if kind == "rsus" and fields[2] <= 0:
-        return "rsu range must be > 0"
+def _link_error(fields):
+    """Domain check for one parsed link row; returns a reason or None."""
+    _, _, _, length, lanes, vf, kjam = fields
+    if length <= 0:
+        return "link length must be > 0"
+    if lanes < 1:
+        return "lanes must be >= 1"
+    if vf <= 0:
+        return "free-flow speed must be > 0"
+    if kjam <= 0:
+        return "jam density must be > 0"
     return None
 
 
@@ -167,7 +169,11 @@ def load_network(path) -> RoadNetwork:
         [nodes]    id x_m y_m
         [links]    id from to length_m lanes free_kmh jam_veh_km_lane
         [signals]  id node
-        [rsus]     id node range_m        (section optional)
+
+    RSUs are not part of the file. `run` and `sweep` place them with
+    `place_rsus` over the scenario's `[rsu] range_m`, and `place-rsus`
+    over its `--range`; an `[rsus]` section raises ParseError as an
+    unknown section.
 
     Rows that parse but violate a domain rule (bad length, unknown
     endpoint, duplicate id) are skipped and listed in network.report;
@@ -181,13 +187,7 @@ def load_network(path) -> RoadNetwork:
         raise ParseError("missing '# format: roadnet v1' header",
                          path=spath, line=1)
 
-    schema = {
-        "nodes": (int, float, float),
-        "links": (int, int, int, float, int, float, float),
-        "signals": (int, int),
-        "rsus": (int, int, float),
-    }
-    rows: dict[str, list[tuple[int, tuple]]] = {k: [] for k in _SECTIONS}
+    rows: dict[str, list[tuple[int, tuple]]] = {k: [] for k in _SCHEMA}
     section = None
     for no, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
@@ -195,14 +195,14 @@ def load_network(path) -> RoadNetwork:
             continue
         if line.startswith("["):
             name = line.strip("[]").strip()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise ParseError(f"unknown section {name!r}", path=spath, line=no)
             section = name
             continue
         if section is None:
             raise ParseError("data before any [section]", path=spath, line=no)
         tokens = line.split()
-        types = schema[section]
+        types = _SCHEMA[section]
         if len(tokens) != len(types):
             raise ParseError(
                 f"{section} row needs {len(types)} fields, got {len(tokens)}",
@@ -224,7 +224,7 @@ def load_network(path) -> RoadNetwork:
 
     links: dict[int, Link] = {}
     for no, f in rows["links"]:
-        reason = _row_error("links", f)
+        reason = _link_error(f)
         if reason is None and f[0] in links:
             reason = f"duplicate link id {f[0]}"
         if reason is None and (f[1] not in nodes or f[2] not in nodes):
@@ -248,23 +248,8 @@ def load_network(path) -> RoadNetwork:
         signals[f[0]] = Signal(*f)
         report.accepted += 1
 
-    rsus: list[Rsu] = []
-    seen_rsu = set()
-    for no, f in rows["rsus"]:
-        reason = _row_error("rsus", f)
-        if reason is None and f[0] in seen_rsu:
-            reason = f"duplicate rsu id {f[0]}"
-        if reason is None and f[1] not in nodes:
-            reason = "rsu node not a known node"
-        if reason is not None:
-            report.reject(no, reason)
-            continue
-        seen_rsu.add(f[0])
-        rsus.append(Rsu(*f))
-        report.accepted += 1
-
     return RoadNetwork(nodes.values(), links.values(), signals.values(),
-                       rsus, report)
+                       report=report)
 
 
 def write_network(path, network: RoadNetwork) -> None:
@@ -279,10 +264,6 @@ def write_network(path, network: RoadNetwork) -> None:
         fp.write("[signals]\n")
         for s in sorted(network.signals.values(), key=lambda s: s.id):
             fp.write(f"{s.id} {s.node}\n")
-        if network.rsus:
-            fp.write("[rsus]\n")
-            for r in network.rsus:
-                fp.write(f"{r.id} {r.node} {r.range_m!r}\n")
 
 
 def gen_grid(rows: int = GRID_ROWS, cols: int = GRID_COLS,
@@ -383,8 +364,7 @@ def signal_coverage_fraction(network: RoadNetwork, selected, r_com: float) -> fl
     return covered / len(network.signals)
 
 
-def link_length_coverage(network: RoadNetwork, index: "CoverageIndex",
-                         samples_per_link: int = 10) -> float:
+def link_length_coverage(network: RoadNetwork, index: "CoverageIndex") -> float:
     """Fraction of link length within some RSU disk, by midpoint sampling.
 
     Signal cover is guaranteed by construction; area cover is not. This
@@ -396,14 +376,14 @@ def link_length_coverage(network: RoadNetwork, index: "CoverageIndex",
         a = network.node(link.from_node)
         b = network.node(link.to_node)
         hit = 0
-        for i in range(samples_per_link):
-            t = (i + 0.5) / samples_per_link
+        for i in range(COVERAGE_SAMPLES_PER_LINK):
+            t = (i + 0.5) / COVERAGE_SAMPLES_PER_LINK
             x = a.x + t * (b.x - a.x)
             y = a.y + t * (b.y - a.y)
             if index.connected_rsu(x, y) is not None:
                 hit += 1
         total += link.length
-        covered += link.length * hit / samples_per_link
+        covered += link.length * hit / COVERAGE_SAMPLES_PER_LINK
     return covered / total if total else 0.0
 
 

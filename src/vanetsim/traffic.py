@@ -8,6 +8,11 @@ deterministic for a given schedule and router, which is what makes run
 hashes comparable across reruns; distinct scenarios parallelize as
 separate processes, never by threading inside one simulation.
 
+The step (DT), the signal cycle and green share, and the interval of
+the flow-density samples are module constants. The scenario's [sim]
+keys set the acceleration bound, the horizon and the drain time
+through TrafficConfig.
+
 Speed lives in km/h and acceleration in km/h per second throughout,
 matching the engine-map conventions in :mod:`vanetsim.energy`. Engine
 rates are refreshed once per simulated second and held in between; by
@@ -28,6 +33,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import energy, roadnet
 from .errors import SimulationError, ValidationError
@@ -185,26 +191,17 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    dt: float = DT
+    dt: ClassVar[float] = DT       # the step is fixed; readable, not settable
     a_max: float = A_MAX
-    signal_cycle: float = SIGNAL_CYCLE
-    green_share: float = GREEN_SHARE
-    nfd_interval: float = NFD_INTERVAL
     horizon: float | None = None    # None: demand end + drain
     drain: float = 1800.0
     exact_energy: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValidationError("dt must be positive")
         if not self.a_max > 0.0:
             raise ValidationError("a_max must be positive")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValidationError("horizon must be positive")
-        if not 0.0 < self.green_share < 1.0:
-            raise ValidationError("green share must sit strictly inside (0, 1)")
-        if self.signal_cycle < 2.0 * self.dt:
-            raise ValidationError("signal cycle shorter than two steps")
 
 
 @dataclass(frozen=True)
@@ -288,9 +285,9 @@ class Simulation:
             ln.length / 1000.0 * ln.lanes for ln in network.links.values())
 
         cfg = self.config
-        self._phase_steps = max(1, round(cfg.signal_cycle * cfg.green_share / cfg.dt))
-        self._nfd_steps = max(1, round(cfg.nfd_interval / cfg.dt))
-        self._dv_max = cfg.a_max * cfg.dt
+        self._phase_steps = max(1, round(SIGNAL_CYCLE * GREEN_SHARE / DT))
+        self._nfd_steps = max(1, round(NFD_INTERVAL / DT))
+        self._dv_max = cfg.a_max * DT
 
         if demand is not None:
             self._demand_end = demand.end_time()
@@ -316,7 +313,7 @@ class Simulation:
 
     @property
     def now(self) -> float:
-        return self._n * self.config.dt
+        return self._n * DT
 
     def counts(self) -> dict[str, int]:
         """Trip accounting over measured (non-preload) vehicles."""
@@ -380,13 +377,12 @@ class Simulation:
     # -- step loop ---------------------------------------------------------
 
     def step(self) -> None:
-        cfg = self.config
         n = self._n
-        now = n * cfg.dt
+        now = n * DT
         if n % self._nfd_steps == 0:
             self._sample_nfd(now)
         phase = (n // self._phase_steps) % 2
-        now_end = (n + 1) * cfg.dt
+        now_end = (n + 1) * DT
 
         occ_snap = dict(self._occ)
         finished_now: list[Vehicle] = []
@@ -451,9 +447,9 @@ class Simulation:
         elif dv < -self._dv_max:
             dv = -self._dv_max
         v = veh.speed + dv
-        a = dv / self.config.dt
+        a = dv / DT
         veh.speed = v
-        veh.pos += v / 3.6 * self.config.dt
+        veh.pos += v / 3.6 * DT
         self._burn(veh, now, v, a)
 
         if veh.pos >= lk.length - _POS_EPS:
@@ -480,12 +476,11 @@ class Simulation:
             veh.rates = self._lookup_rates(v, a)
             veh.rate_until = now + RATE_REFRESH
         f, c, h, x = veh.rates
-        dt = self.config.dt
-        veh.fuel += f * dt
-        veh.link_fuel += f * dt
-        veh.co += c * dt
-        veh.hc += h * dt
-        veh.nox += x * dt
+        veh.fuel += f * DT
+        veh.link_fuel += f * DT
+        veh.co += c * DT
+        veh.hc += h * DT
+        veh.nox += x * DT
 
     def _try_cross(self, veh, now, now_end, phase) -> bool:
         lid = veh.route[0]

@@ -262,14 +262,15 @@ def test_defaults_lists_tunables(capsys):
     assert cli.main(["defaults"]) == 0
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
              if not line.startswith("#")]
-    for key in ("queue_capacity", "slot_time", "signal_cycle", "exact_energy",
-                "routing.eta", "comm.background_rate", "demand.odsf",
-                "sim.a_max"):
+    for key in ("queue_capacity", "slot_time", "routing.eta",
+                "comm.background_rate", "demand.odsf", "sim.a_max"):
         assert key in names
     # each tunable once: under its scenario key where it has one
     assert len(names) == len(set(names))
+    # fixed traffic constants and the test-only exact_energy are not tunables
     for gone in ("a_max", "drain", "horizon", "eta", "beta", "background_rate",
-                 "cell_refresh", "sim.exact_energy"):
+                 "cell_refresh", "sim.exact_energy", "exact_energy", "dt",
+                 "signal_cycle", "green_share", "nfd_interval"):
         assert gone not in names
     # required fields have no default to show
     assert "n_stations" not in names and "arrival_rate" not in names

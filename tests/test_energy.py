@@ -44,8 +44,9 @@ def test_regime_boundary_uses_acceleration_sign():
 
 def test_idle_golden_value(coeffs):
     k00 = coeffs.tables[("fuel", "L")][0][0]
-    assert energy.idle_rate(coeffs) == math.exp(k00)
-    assert energy.idle_rate(coeffs) == pytest.approx(4.373e-4, rel=1e-3)
+    idle = energy.vt_micro_rate(0.0, 0.0, coeffs)
+    assert idle == math.exp(k00)
+    assert idle == pytest.approx(4.373e-4, rel=1e-3)
 
 
 def test_positive_and_bounded_over_envelope(coeffs):

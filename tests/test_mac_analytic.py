@@ -115,7 +115,7 @@ def test_degenerate_inputs_rejected():
     with pytest.raises(DegenerateInputError):
         ma.state_probabilities(0.1, 0.2, 0.0, 0.3, p)
     with pytest.raises(DegenerateInputError):
-        ma.service_time(0.2, 0.0, 0.3, 0.1, 1e-3, 1e-3, p)
+        ma._service_terms(0.2, 0.0, 0.3, 0.1, 1e-3, 1e-3, p)
     with pytest.raises(DegenerateInputError):
         ma.normalize_p00_closed_form(0.5, 1.0, 0.2, p)  # p_col = 1/alpha
 
@@ -147,7 +147,7 @@ def test_service_time_no_collisions():
     p = params(w0=16)
     t_s, t_f = ma.transmission_times(p)
     slot = p.slot_time
-    got = ma.service_time(0.0, 0.8, 0.3, 0.1, t_s, t_f, p)
+    got = ma._service_terms(0.0, 0.8, 0.3, 0.1, t_s, t_f, p)[0]
     t_w = 0.1 * (t_f / slot) + 0.3 * (t_s / slot) + 1.0 / 0.8
     want = slot * (t_w * 7.5 + t_s / slot)  # (w0-1)/2 = 7.5, t_tr_av = t_s
     assert got == pytest.approx(want, rel=1e-12)
@@ -157,7 +157,7 @@ def test_service_time_all_collisions_counts_every_stage():
     p = params(w0=4, m_stages=2, f_extra=1)
     t_s, t_f = ma.transmission_times(p)
     slot = p.slot_time
-    got = ma.service_time(1.0, 0.5, 0.0, 0.4, t_s, t_f, p)
+    got = ma._service_terms(1.0, 0.5, 0.0, 0.4, t_s, t_f, p)[0]
     t_w = 0.4 * (t_f / slot) + 2.0
     t_tr = t_f / slot  # p_col = 1 -> every attempt fails
     want = slot * sum(t_w * (w - 1) / 2.0 + t_tr for w in (4, 8, 16))

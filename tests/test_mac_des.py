@@ -38,7 +38,6 @@ def test_config_validation_rolls_up_param_problems():
 
 def test_default_warmup_is_tenth_of_horizon():
     assert config(duration=50.0).warmup_time == pytest.approx(5.0)
-    assert config(duration=50.0, warmup=2.0).warmup_time == 2.0
 
 
 def test_single_station_never_collides_or_drops():
@@ -81,7 +80,7 @@ def test_micro_trace_fates_replayable():
     # The rate is high enough that arrivals regularly land inside the
     # previous exchange and get turned away at the full queue.
     cfg = config(n=1, lam=200.0, duration=5.0, seed=3, w0=2, m_stages=0,
-                 f_extra=1, queue_capacity=1, warmup=0.0, collect_trace=True)
+                 f_extra=1, queue_capacity=1, collect_trace=True)
     stats = des.simulate(cfg)
     trace = stats.trace
     assert trace, "trace requested but empty"
@@ -200,6 +199,7 @@ def test_internal_collision_loser_backs_off():
     assert stats.air_collisions == 0
     assert stats.internal_collisions > 0
     assert stats.retry_dropped > 0
+
 
 
 def test_dropped_trace_rows_count_every_attempt():

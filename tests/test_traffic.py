@@ -66,10 +66,6 @@ def test_demand_validation():
         traffic.OdDemand((traffic.OdEntry(1, 2, 1.0, 10.0, 10.0),))
     with pytest.raises(ValidationError):
         traffic.OdDemand((traffic.OdEntry(3, 3, 1.0, 0.0, 10.0),))
-    with pytest.raises(ValidationError):
-        traffic.TrafficConfig(dt=0.0)
-    with pytest.raises(ValidationError):
-        traffic.TrafficConfig(green_share=1.0)
     for a_max in (0.0, -3.6):
         with pytest.raises(ValidationError):
             traffic.TrafficConfig(a_max=a_max)
@@ -108,7 +104,7 @@ def test_signal_hand_trace():
     assert len(router.calls) == 2
 
     r50 = energy.vt_micro_rate(50.0, 0.0, sim.coeffs)
-    idle = energy.idle_rate(sim.coeffs)
+    idle = energy.vt_micro_rate(0.0, 0.0, sim.coeffs)
     assert veh.fuel == pytest.approx(71.9 * r50 + 24.0 * idle, rel=1e-9)
 
     u1, u2 = sim.updates
