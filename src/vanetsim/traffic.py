@@ -285,8 +285,8 @@ class Simulation:
             ln.length / 1000.0 * ln.lanes for ln in network.links.values())
 
         cfg = self.config
-        self._phase_steps = max(1, round(SIGNAL_CYCLE * GREEN_SHARE / DT))
-        self._nfd_steps = max(1, round(NFD_INTERVAL / DT))
+        self._phase_steps = round(SIGNAL_CYCLE * GREEN_SHARE / DT)
+        self._nfd_steps = round(NFD_INTERVAL / DT)
         self._dv_max = cfg.a_max * DT
 
         if demand is not None:
