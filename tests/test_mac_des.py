@@ -201,7 +201,6 @@ def test_internal_collision_loser_backs_off():
     assert stats.retry_dropped > 0
 
 
-
 def test_dropped_trace_rows_count_every_attempt():
     # A retry-dropped packet failed once per retry stage, on the air or
     # inside its station, so its trace row shows its class's stage count.
@@ -218,6 +217,7 @@ def test_dropped_trace_rows_count_every_attempt():
         assert attempts == stages[constants.AC_PRIORITY[entity]]
     assert {constants.AC_PRIORITY[row[1]] for row in dropped} == {"ac_vi"}
     assert stages["ac_vi"] == 2
+
 
 # Seed 1, 20 s: (generated, delivered, rejected, retry_dropped, in_system,
 # attempts, air_collisions, internal_collisions) and the mean total delay,

@@ -70,7 +70,6 @@ def test_parse_error_carries_line_number(tmp_path):
     assert err.value.line == 6
 
 
-
 def test_rsus_section_is_a_parse_error(tmp_path):
     # RSUs come from the greedy cover over the scenario's [rsu] range_m;
     # a network file that still places them by hand is refused, not ignored
@@ -78,6 +77,7 @@ def test_rsus_section_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="rsus") as err:
         rn.load_network(write(tmp_path, text))
     assert err.value.line == 9
+
 
 def test_empty_node_list_is_validation_error(tmp_path):
     with pytest.raises(ValidationError):
