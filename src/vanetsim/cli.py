@@ -177,7 +177,7 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
                                free_speed=sc["free_speed_kmh"],
                                jam_density=sc["jam_density"], lanes=sc["lanes"])
     chosen = roadnet.place_rsus(net, sc["rsu_range_m"])
-    net = net.with_rsus(chosen, range_m=sc["rsu_range_m"])
+    index = roadnet.CoverageIndex(net, chosen, sc["rsu_range_m"])
 
     coeffs = energy.load_coefficients()
     table = ecorouting.TmcCostTable(net, coeffs, beta=sc["beta"])
@@ -187,7 +187,7 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
         payload_bits=sc["payload_bytes"] * 8,
         queue_capacity=sc["queue_capacity"],
         access_mode=_access_mode(sc["access"]))
-    comm = ecorouting.CommModule(net, table, params, mode=mode,
+    comm = ecorouting.CommModule(index, table, params, mode=mode,
                                  background_rate=sc["background_rate"],
                                  refresh=sc["refresh_s"], seed=seed + 2)
     demand = traffic.OdDemand(
@@ -405,14 +405,13 @@ def cmd_place_rsus(args) -> int:
     net = roadnet.load_network(args.network)
     chosen = roadnet.place_rsus(net, args.range)
     covered = roadnet.signal_coverage_fraction(net, chosen, args.range)
-    with_r = net.with_rsus(chosen, range_m=args.range)
-    idx = roadnet.CoverageIndex(with_r)
+    idx = roadnet.CoverageIndex(net, chosen, args.range)
     mapping = {
         "range_m": args.range,
         "rsu_count": len(chosen),
         "signal_ids": " ".join(str(s) for s in chosen),
         "signal_coverage": covered,
-        "link_length_coverage": roadnet.link_length_coverage(with_r, idx),
+        "link_length_coverage": roadnet.link_length_coverage(net, idx),
     }
     _print_or_write(args, "rsu_plan", mapping)
     return EXIT_OK

@@ -45,10 +45,6 @@ class TmcCostTable:
         self.costs = {
             lid: energy.free_flow_link_fuel(ln.length, ln.free_speed, coeffs)
             for lid, ln in network.links.items()}
-        self.last_update = dict.fromkeys(self.costs, 0.0)
-
-    def cost(self, link_id: int) -> float:
-        return self.costs[link_id]
 
     def apply_update(self, update) -> None:
         """Fold one delivered measurement into the link estimate.
@@ -63,7 +59,6 @@ class TmcCostTable:
         b = self.beta
         self.costs[update.link_id] = \
             (1.0 - b) * self.costs[update.link_id] + b * update.fuel
-        self.last_update[update.link_id] = update.delivered_at
 
 
 class EcoRouter:
@@ -85,18 +80,15 @@ class EcoRouter:
 
     def __call__(self, now, vehicle, at_node) -> list[int]:
         costs = self.table.costs
-        if self.eta == 0.0:
-            weight = lambda ln: costs[ln.id]
-        else:
-            eps: dict[int, float] = {}
-            rng_uniform = self._rng.uniform
-            eta = self.eta
+        eps: dict[int, float] = {}
+        rng_uniform = self._rng.uniform
+        eta = self.eta
 
-            def weight(ln):
-                e = eps.get(ln.id)
-                if e is None:
-                    e = eps[ln.id] = rng_uniform(-eta, eta)
-                return costs[ln.id] * (1.0 + e)
+        def weight(ln):
+            e = eps.get(ln.id)
+            if e is None:
+                e = eps[ln.id] = rng_uniform(-eta, eta)
+            return costs[ln.id] * (1.0 + e)
 
         path = roadnet.shortest_path(self.network, at_node,
                                      vehicle.destination, weight)
@@ -127,26 +119,27 @@ class CommStats:
 class CommModule:
     """Per-cell uplink between vehicles and the cost table.
 
-    step() is called by the simulation once per tick: due deliveries are
-    applied first, then every connected vehicle's queued reports face the
-    current cell drop probability. Reports from unconnected vehicles
-    simply wait; their delay is the mobility of the carrier.
+    One cell per RSU of the coverage index, keyed by RSU id. step() is
+    called by the simulation once per tick: due deliveries are applied
+    first, then every connected vehicle's queued reports face the current
+    cell drop probability. Reports from unconnected vehicles simply wait;
+    their delay is the mobility of the carrier. An index without RSUs
+    leaves every carrier unconnected.
     """
 
-    def __init__(self, network: roadnet.RoadNetwork, table: TmcCostTable,
+    def __init__(self, index: roadnet.CoverageIndex, table: TmcCostTable,
                  params: mac_analytic.MacParams, *, mode: str = "realistic",
                  background_rate: float = BACKGROUND_RATE,
                  refresh: float = CELL_REFRESH, seed: int = 0):
         if mode not in ("realistic", "ideal"):
             raise ValidationError(f"unknown comm mode {mode!r}")
-        self.network = network
+        self.index = index
         self.table = table
         self.params = params
         self.mode = mode
         self.background_rate = background_rate
         self.refresh = refresh
-        self.index = roadnet.CoverageIndex(network) if network.rsus else None
-        self.cells = {rsu.id: CommCellState(rsu.id) for rsu in network.rsus}
+        self.cells = {rid: CommCellState(rid) for rid in index.ids}
         self.stats = CommStats()
         self._rng = random.Random(seed)
         self._heap: list[tuple[float, int, object]] = []
@@ -190,8 +183,6 @@ class CommModule:
             at, _, upd = heapq.heappop(heap)
             self._deliver(upd, at)
 
-        if self.index is None:
-            return
         if now >= self._recount_at - 1e-9:
             self._recount(sim, now)
             self._recount_at = now + self.refresh

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-import numpy as np
-
 from . import constants
 from .errors import ConfigurationError, ConvergenceError, DegenerateInputError
 
@@ -181,23 +179,23 @@ class StateDistribution:
 
     p00: float
     p_empty: float                # empty-system state
-    head: np.ndarray              # P(i,0), one entry per retry stage
-    backoff: list[np.ndarray]     # backoff[i][j-1] = P(i,j), j = 1..w_i-1
+    head: list[float]             # P(i,0), one entry per retry stage
+    backoff: list[list[float]]    # backoff[i][j-1] = P(i,j), j = 1..w_i-1
 
     @property
     def p_trans(self) -> float:
         """A station transmits when it sits in any head-of-stage state."""
-        return float(self.head.sum())
+        return math.fsum(self.head)
 
     @property
     def p_last(self) -> float:
         """P(M+f-1, 0): occupancy of the final retry stage."""
-        return float(self.head[-1])
+        return self.head[-1]
 
     def total_mass(self) -> float:
         """Literal sum over every state; equals 1 at a consistent iterate."""
-        return float(self.p_empty + self.head.sum()
-                     + sum(row.sum() for row in self.backoff))
+        return math.fsum([self.p_empty, *self.head,
+                          *(x for row in self.backoff for x in row)])
 
 
 def state_probabilities(p00: float, p_col: float, p_idle: float, q0: float,
@@ -208,11 +206,9 @@ def state_probabilities(p00: float, p_col: float, p_idle: float, q0: float,
     if not p_idle > 0.0:
         raise DegenerateInputError("p_idle must be positive")
     windows = window_sizes(params)
-    head = np.array([p00 * p_col ** i for i in range(len(windows))])
-    backoff = []
-    for i, w in enumerate(windows):
-        j = np.arange(1, w)
-        backoff.append((w - j) / w * (p_col ** i / p_idle) * p00)
+    head = [p00 * p_col ** i for i in range(len(windows))]
+    backoff = [[(w - j) / w * (p_col ** i / p_idle) * p00 for j in range(1, w)]
+               for i, w in enumerate(windows)]
     p_empty = q0 / (1.0 - q0) * p00
     return StateDistribution(p00=p00, p_empty=p_empty, head=head, backoff=backoff)
 

@@ -467,8 +467,10 @@ def simulate(config: DesConfig) -> DesStats:
         else:
             empty_time += window_overlap(e.empty_since, horizon)
         if trace is not None:
-            for birth in e.queue:
-                trace.append([e.idx, birth, 0, "pending", None])
+            # only the head has been attempted; the rest wait behind it
+            for k, birth in enumerate(e.queue):
+                attempts = e.attempts_hol if k == 0 else 0
+                trace.append([e.idx, birth, attempts, "pending", None])
     in_system = sum(len(e.queue) for e in ents)
 
     if generated != delivered + rejected + retry_dropped + in_system:

@@ -8,9 +8,9 @@ repeatedly pick the signal whose communication disk covers the most
 still-uncovered signals (strictly closer than the range), lowest id on
 ties, until every signal is covered.
 
-Coverage queries run through a uniform grid index whose cell size is
-the largest RSU range, so any disk intersects at most the 3x3 cell
-neighborhood of its center.
+The RSU layout lives in `CoverageIndex`: the placed signals, one
+shared range, and a uniform grid index whose cell size is that range,
+so any disk intersects at most the 3x3 cell neighborhood of its center.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoPathError, ParseError, ValidationError
 
@@ -56,31 +56,13 @@ class Signal:
     node: int
 
 
-@dataclass(frozen=True)
-class Rsu:
-    id: int
-    node: int
-    range_m: float
-
-
-@dataclass
-class IngestionReport:
-    rejected: list[tuple[int, str]] = field(default_factory=list)
-    accepted: int = 0
-
-    def reject(self, line_no: int, reason: str) -> None:
-        self.rejected.append((line_no, reason))
-
-
 class RoadNetwork:
     """Immutable after construction; safe to share between threads."""
 
-    def __init__(self, nodes, links, signals, rsus=(), report=None):
+    def __init__(self, nodes, links, signals):
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
         self.links: dict[int, Link] = {l.id: l for l in links}
         self.signals: dict[int, Signal] = {s.id: s for s in signals}
-        self.rsus: tuple[Rsu, ...] = tuple(rsus)
-        self.report = report if report is not None else IngestionReport()
         self._out: dict[int, tuple[Link, ...]] = {}
         grouped: dict[int, list[Link]] = {}
         for link in self.links.values():
@@ -125,13 +107,6 @@ class RoadNetwork:
     def has_signal(self, node_id: int) -> bool:
         return node_id in self._signal_nodes
 
-    def with_rsus(self, signal_ids, range_m: float) -> "RoadNetwork":
-        """New network with RSUs installed on the given signals."""
-        rsus = [Rsu(id=i, node=self.signals[sid].node, range_m=range_m)
-                for i, sid in enumerate(signal_ids)]
-        return RoadNetwork(self.nodes.values(), self.links.values(),
-                           self.signals.values(), rsus, self.report)
-
 
 def _distance(a: Node, b: Node) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
@@ -140,23 +115,33 @@ def _distance(a: Node, b: Node) -> float:
 # --- ingestion ----------------------------------------------------------
 
 _SCHEMA = {
-    "nodes": (int, float, float),
-    "links": (int, int, int, float, int, float, float),
-    "signals": (int, int),
+    "nodes": (Node, (int, float, float)),
+    "links": (Link, (int, int, int, float, int, float, float)),
+    "signals": (Signal, (int, int)),
 }
 
 
-def _link_error(fields):
-    """Domain check for one parsed link row; returns a reason or None."""
-    _, _, _, length, lanes, vf, kjam = fields
-    if length <= 0:
-        return "link length must be > 0"
-    if lanes < 1:
-        return "lanes must be >= 1"
-    if vf <= 0:
-        return "free-flow speed must be > 0"
-    if kjam <= 0:
-        return "jam density must be > 0"
+def _row_error(section, fields, seen, nodes):
+    """Domain check for one parsed row; returns a reason or None.
+
+    seen holds the section's rows accepted so far, nodes the node table.
+    """
+    if fields[0] in seen:
+        return f"duplicate {section[:-1]} id {fields[0]}"
+    if section == "links":
+        _, a, b, length, lanes, vf, kjam = fields
+        if length <= 0:
+            return "link length must be > 0"
+        if lanes < 1:
+            return "lanes must be >= 1"
+        if vf <= 0:
+            return "free-flow speed must be > 0"
+        if kjam <= 0:
+            return "jam density must be > 0"
+        if a not in nodes or b not in nodes:
+            return "link endpoint not a known node"
+    if section == "signals" and fields[1] not in nodes:
+        return "signal node not a known node"
     return None
 
 
@@ -175,10 +160,10 @@ def load_network(path) -> RoadNetwork:
     over its `--range`; an `[rsus]` section raises ParseError as an
     unknown section.
 
-    Rows that parse but violate a domain rule (bad length, unknown
-    endpoint, duplicate id) are skipped and listed in network.report;
-    unparseable rows raise ParseError with the line number; violated
-    network-level invariants raise ValidationError.
+    A row that does not parse, or that breaks a domain rule (duplicate
+    id; non-positive length, lanes, speed or jam density; unknown
+    endpoint or signal node), raises ParseError with its line number;
+    violated network-level invariants raise ValidationError.
     """
     spath = str(path)
     with open(path, encoding="utf-8") as fp:
@@ -202,7 +187,7 @@ def load_network(path) -> RoadNetwork:
         if section is None:
             raise ParseError("data before any [section]", path=spath, line=no)
         tokens = line.split()
-        types = _SCHEMA[section]
+        types = _SCHEMA[section][1]
         if len(tokens) != len(types):
             raise ParseError(
                 f"{section} row needs {len(types)} fields, got {len(tokens)}",
@@ -213,43 +198,16 @@ def load_network(path) -> RoadNetwork:
             raise ParseError(f"bad {section} row: {exc}", path=spath, line=no)
         rows[section].append((no, fields))
 
-    report = IngestionReport()
-    nodes: dict[int, Node] = {}
-    for no, f in rows["nodes"]:
-        if f[0] in nodes:
-            report.reject(no, f"duplicate node id {f[0]}")
-            continue
-        nodes[f[0]] = Node(*f)
-        report.accepted += 1
-
-    links: dict[int, Link] = {}
-    for no, f in rows["links"]:
-        reason = _link_error(f)
-        if reason is None and f[0] in links:
-            reason = f"duplicate link id {f[0]}"
-        if reason is None and (f[1] not in nodes or f[2] not in nodes):
-            reason = "link endpoint not a known node"
-        if reason is not None:
-            report.reject(no, reason)
-            continue
-        links[f[0]] = Link(*f)
-        report.accepted += 1
-
-    signals: dict[int, Signal] = {}
-    for no, f in rows["signals"]:
-        reason = None
-        if f[0] in signals:
-            reason = f"duplicate signal id {f[0]}"
-        elif f[1] not in nodes:
-            reason = "signal node not a known node"
-        if reason is not None:
-            report.reject(no, reason)
-            continue
-        signals[f[0]] = Signal(*f)
-        report.accepted += 1
-
-    return RoadNetwork(nodes.values(), links.values(), signals.values(),
-                       report=report)
+    tables: dict[str, dict] = {}
+    for section, (cls, _) in _SCHEMA.items():
+        seen = tables[section] = {}
+        for no, f in rows[section]:
+            reason = _row_error(section, f, seen, tables["nodes"])
+            if reason is not None:
+                raise ParseError(reason, path=spath, line=no)
+            seen[f[0]] = cls(*f)
+    return RoadNetwork(tables["nodes"].values(), tables["links"].values(),
+                       tables["signals"].values())
 
 
 def write_network(path, network: RoadNetwork) -> None:
@@ -390,18 +348,24 @@ def link_length_coverage(network: RoadNetwork, index: "CoverageIndex") -> float:
 # --- coverage index -----------------------------------------------------
 
 class CoverageIndex:
-    """Uniform-grid spatial index over the network's RSU disks."""
+    """The RSU layout and its uniform-grid spatial index.
 
-    def __init__(self, network: RoadNetwork):
-        self._rsus = {r.id: (network.node(r.node).x, network.node(r.node).y,
-                             r.range_m) for r in network.rsus}
-        self._cell = max((r.range_m for r in network.rsus), default=1.0)
+    RSU i sits on the node of signal signal_ids[i]; every RSU reaches
+    range_m, which is also the grid's cell size. With no signal ids
+    every count map is empty and no position is connected.
+    """
+
+    def __init__(self, network: RoadNetwork, signal_ids, range_m: float):
+        self.range_m = range_m
+        nodes = [network.node(network.signals[sid].node) for sid in signal_ids]
+        self._xy = [(node.x, node.y) for node in nodes]
+        self.ids = range(len(self._xy))
         self._buckets: dict[tuple[int, int], list[int]] = {}
-        for rid, (x, y, _rng) in sorted(self._rsus.items()):
+        for rid, (x, y) in enumerate(self._xy):
             self._buckets.setdefault(self._key(x, y), []).append(rid)
 
     def _key(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self._cell), math.floor(y / self._cell))
+        return (math.floor(x / self.range_m), math.floor(y / self.range_m))
 
     def _near(self, x: float, y: float):
         cx, cy = self._key(x, y)
@@ -413,8 +377,9 @@ class CoverageIndex:
         """Nearest in-range RSU id; ties within 1e-9 m go to lowest id."""
         best_id = None
         best_d = math.inf
+        rng = self.range_m
         for rid in self._near(x, y):
-            rx, ry, rng = self._rsus[rid]
+            rx, ry = self._xy[rid]
             d = math.hypot(x - rx, y - ry)
             if d > rng:
                 continue
@@ -429,7 +394,8 @@ class CoverageIndex:
         for pos in positions:
             buckets.setdefault(self._key(pos[0], pos[1]), []).append(pos)
         counts = {}
-        for rid, (rx, ry, rng) in self._rsus.items():
+        rng = self.range_m
+        for rid, (rx, ry) in enumerate(self._xy):
             cx, cy = self._key(rx, ry)
             n = 0
             for dx in (-1, 0, 1):

@@ -138,6 +138,19 @@ def test_gen_grid_place_rsus_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "signal_coverage 1.0" in out
 
+    # the whole record for the default 10x10 grid, pick order included
+    assert cli.main(["gen-grid", "--out", str(net_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["place-rsus", "--network", str(net_path),
+                     "--range", "250"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "range_m 250.0",
+        "rsu_count 16",
+        "signal_ids 12 15 18 42 45 48 72 75 78 90 20 50 92 95 97 70",
+        "signal_coverage 1.0",
+        "link_length_coverage 0.9511111111111111",
+    ]
+
 
 def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
     for sub in ("a", "b"):

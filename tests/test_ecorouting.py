@@ -43,8 +43,7 @@ def test_table_initializes_to_free_flow_fuel():
     table = eco.TmcCostTable(net, coeffs)
     for lid, link in net.links.items():
         want = energy.free_flow_link_fuel(link.length, link.free_speed, coeffs)
-        assert table.cost(lid) == want > 0.0
-        assert table.last_update[lid] == 0.0
+        assert table.costs[lid] == want > 0.0
 
 
 def test_apply_update_smoothing_arithmetic():
@@ -55,7 +54,6 @@ def test_apply_update_smoothing_arithmetic():
     upd.mark_delivered(5.0)
     table.apply_update(upd)
     assert table.costs[1] == pytest.approx(1.2, rel=1e-12)
-    assert table.last_update[1] == 5.0
 
     replace = eco.TmcCostTable(net, beta=1.0)
     upd2 = mkupdate(2, fuel=0.7)
@@ -127,18 +125,19 @@ class StubSim:
 
 
 def rsu_cell_network():
+    """One road, one RSU at its start reaching 300 m."""
     nodes = [rn.Node(1, 0.0, 0.0), rn.Node(2, 500.0, 0.0)]
     links = [rn.Link(1, 1, 2, 500.0, 1, 50.0, 120.0)]
     net = rn.RoadNetwork(nodes, links, [rn.Signal(1, 1)])
-    return net.with_rsus([1], range_m=300.0)
+    return net, rn.CoverageIndex(net, [1], 300.0)
 
 
 def test_drop_fraction_matches_cell_probability():
-    net = rsu_cell_network()
+    net, index = rsu_cell_network()
     table = eco.TmcCostTable(net)
     params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
                                     payload_bits=8000, queue_capacity=64)
-    module = eco.CommModule(net, table, params, seed=5)
+    module = eco.CommModule(index, table, params, seed=5)
 
     per, fleet = 500, 20
     carriers = [StubCarrier([mkupdate(i * per + j + 1) for j in range(per)])
@@ -166,11 +165,11 @@ def test_drop_fraction_matches_cell_probability():
 
 
 def test_saturated_cell_defers_survivors():
-    net = rsu_cell_network()
+    net, index = rsu_cell_network()
     table = eco.TmcCostTable(net)
     params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
                                     payload_bits=8000, queue_capacity=64)
-    module = eco.CommModule(net, table, params, background_rate=200.0, seed=5)
+    module = eco.CommModule(index, table, params, background_rate=200.0, seed=5)
     sol = module._solve_cell(40, 200.0)
     assert sol.t_delay is None     # the queue really is saturated here
 
@@ -189,12 +188,13 @@ def test_saturated_cell_defers_survivors():
 # --- closed loop ----------------------------------------------------------------
 
 def grid_scenario(mode, comm_cls=eco.CommModule):
-    net = rn.gen_grid(3, 3, spacing=150.0).with_rsus([1, 5, 9], range_m=160.0)
+    net = rn.gen_grid(3, 3, spacing=150.0)
+    index = rn.CoverageIndex(net, [1, 5, 9], 160.0)
     table = eco.TmcCostTable(net)
     router = eco.EcoRouter(net, table, eta=0.05, seed=21)
     params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
                                     payload_bits=8000, queue_capacity=64)
-    comm = comm_cls(net, table, params, mode=mode, seed=4)
+    comm = comm_cls(index, table, params, mode=mode, seed=4)
     od = traffic.OdDemand((traffic.OdEntry(1, 9, 400.0, 0.0, 240.0),
                            traffic.OdEntry(3, 7, 400.0, 0.0, 240.0)))
     sim = traffic.Simulation(net, demand=od, seed=17, router=router, comm=comm)
@@ -217,7 +217,6 @@ def test_ideal_mode_equals_direct_bypass():
     a_sim, a_table, _ = grid_scenario("ideal")
     b_sim, b_table, _ = grid_scenario("ideal", comm_cls=BypassComm)
     assert repr(a_table.costs) == repr(b_table.costs)
-    assert repr(a_table.last_update) == repr(b_table.last_update)
     assert a_sim.state_hash() == b_sim.state_hash()
     assert [u.fate for u in a_sim.updates] == [u.fate for u in b_sim.updates]
     assert all(u.fate == "delivered" for u in a_sim.updates)
@@ -225,13 +224,14 @@ def test_ideal_mode_equals_direct_bypass():
 
 
 def test_unreachable_uplink_leaves_table_at_free_flow():
-    net = rn.gen_grid(3, 3, spacing=150.0)    # no RSUs anywhere
+    net = rn.gen_grid(3, 3, spacing=150.0)
+    no_rsus = rn.CoverageIndex(net, [], 250.0)
     table = eco.TmcCostTable(net)
     initial = repr(table.costs)
     router = eco.EcoRouter(net, table, eta=0.05, seed=21)
     params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
                                     payload_bits=8000, queue_capacity=64)
-    comm = eco.CommModule(net, table, params, seed=4)
+    comm = eco.CommModule(no_rsus, table, params, seed=4)
     od = traffic.OdDemand((traffic.OdEntry(1, 9, 300.0, 0.0, 180.0),))
     sim = traffic.Simulation(net, demand=od, seed=2, router=router, comm=comm)
     sim.run()

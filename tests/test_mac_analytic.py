@@ -89,7 +89,7 @@ def test_state_distribution_shape_and_heads():
     assert dist.p_trans == pytest.approx(p00 * 1.5)
     # P(i,1) = (w-1)/w * p_col^i/p_idle * p00
     assert dist.backoff[0][0] == pytest.approx(0.75 / 0.8 * p00)
-    assert dist.backoff[1].shape == (7,)
+    assert len(dist.backoff[1]) == 7
 
 
 def test_closed_form_matches_summation():

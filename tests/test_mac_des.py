@@ -219,6 +219,26 @@ def test_dropped_trace_rows_count_every_attempt():
     assert stages["ac_vi"] == 2
 
 
+def test_pending_head_row_counts_its_attempts():
+    # At the horizon a station's head packet may already have collided;
+    # its "pending" row carries those attempts, the packets behind it none.
+    cfg = config(n=20, lam=50.0, duration=20.0, seed=1, payload_bits=8000,
+                 collect_trace=True)
+    stats = des.simulate(cfg)
+    pending = [row for row in stats.trace if row[4] == "pending"]
+    assert len(pending) == stats.in_system
+    heads = {}
+    for _, entity, birth, attempts, _, _ in pending:
+        heads.setdefault(entity, []).append((birth, attempts))
+    tried = 0
+    for rows in heads.values():
+        rows.sort()
+        assert all(att == 0 for _, att in rows[1:])
+        assert 0 <= rows[0][1] < cfg.mac_params.retry_stages
+        tried += rows[0][1] > 0
+    assert tried == 18
+
+
 # Seed 1, 20 s: (generated, delivered, rejected, retry_dropped, in_system,
 # attempts, air_collisions, internal_collisions) and the mean total delay,
 # pinned so that any change to the event loop that alters a result shows.

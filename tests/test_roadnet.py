@@ -39,27 +39,30 @@ def test_toy_file_identity_ingestion(tmp_path):
     net = rn.load_network(write(tmp_path, TOY))
     assert set(net.nodes) == {1, 2}
     assert net.link(1).length == 1000.0
-    assert net.report.rejected == []
 
 
-def test_rejected_rows_are_reported_with_line_numbers(tmp_path):
-    text = """\
-# format: roadnet v1
-[nodes]
-1 0.0 0.0
-2 1000.0 0.0
-[links]
-1 1 2 1000.0 1 50.0 120.0
-2 1 2 -5.0 1 50.0 120.0
-3 1 9 100.0 1 50.0 120.0
-[signals]
-1 1
-"""
-    net = rn.load_network(write(tmp_path, text))
-    assert len(net.links) == 1
-    reasons = dict(net.report.rejected)
-    assert reasons[7] == "link length must be > 0"
-    assert reasons[8] == "link endpoint not a known node"
+# One case per loader rule: a section header and one row that breaks the
+# rule, appended to TOY so the row sits on line 10, and the reason. A bad
+# row stops the load; it is never skipped.
+BAD_ROWS = {
+    "duplicate-node": ("[nodes]\n2 5.0 5.0", "duplicate node id 2"),
+    "duplicate-link": ("[links]\n1 2 1 1000.0 1 50.0 120.0", "duplicate link id 1"),
+    "length": ("[links]\n2 2 1 0.0 1 50.0 120.0", "link length must be > 0"),
+    "lanes": ("[links]\n2 2 1 1000.0 0 50.0 120.0", "lanes must be >= 1"),
+    "speed": ("[links]\n2 2 1 1000.0 1 -50.0 120.0", "free-flow speed must be > 0"),
+    "jam-density": ("[links]\n2 2 1 1000.0 1 50.0 0.0", "jam density must be > 0"),
+    "endpoint": ("[links]\n2 2 9 1000.0 1 50.0 120.0", "link endpoint not a known node"),
+    "duplicate-signal": ("[signals]\n1 2", "duplicate signal id 1"),
+    "signal-node": ("[signals]\n2 9", "signal node not a known node"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_bad_row_is_a_parse_error_at_its_line(tmp_path, case):
+    extra, reason = BAD_ROWS[case]
+    with pytest.raises(ParseError, match=reason) as err:
+        rn.load_network(write(tmp_path, TOY + extra + "\n"))
+    assert err.value.line == 10
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -100,7 +103,6 @@ def test_grid_generator_and_loader_roundtrip(tmp_path):
     path = tmp_path / "grid.txt"
     rn.write_network(path, net)
     back = rn.load_network(path)
-    assert back.report.rejected == []
     assert back.links == net.links
     assert back.nodes == net.nodes
 
@@ -155,8 +157,7 @@ def test_greedy_cover_against_exhaustive_minimum():
 
 def test_connected_rsu_basics():
     net = rn.gen_grid(2, 2, spacing=300.0)
-    net = net.with_rsus([1, 4], range_m=200.0)
-    idx = rn.CoverageIndex(net)
+    idx = rn.CoverageIndex(net, [1, 4], 200.0)
     assert idx.connected_rsu(0.0, 0.0) == 0          # exactly on rsu 0
     assert idx.connected_rsu(150.0, 150.0) is None   # 212 m from both
     assert idx.connected_rsu(5000.0, 5000.0) is None
@@ -166,36 +167,42 @@ def test_connected_rsu_tie_goes_to_lower_id():
     nodes = [rn.Node(1, 0.0, 0.0), rn.Node(2, 100.0, 0.0)]
     links = [rn.Link(1, 1, 2, 100.0, 1, 50.0, 120.0)]
     signals = [rn.Signal(1, 1), rn.Signal(2, 2)]
-    net = rn.RoadNetwork(nodes, links, signals).with_rsus([1, 2], 200.0)
-    idx = rn.CoverageIndex(net)
+    net = rn.RoadNetwork(nodes, links, signals)
+    idx = rn.CoverageIndex(net, [1, 2], 200.0)
     assert idx.connected_rsu(50.0, 0.0) == 0  # equidistant, lower id
 
 
 def test_count_per_rsu_constructed():
-    net = rn.gen_grid(2, 2, spacing=1000.0).with_rsus([1], range_m=100.0)
-    idx = rn.CoverageIndex(net)
+    net = rn.gen_grid(2, 2, spacing=1000.0)
+    idx = rn.CoverageIndex(net, [1], 100.0)
     inside = [(0.0, 0.0), (99.0, 0.0), (0.0, 100.0)]   # boundary included
     outside = [(101.0, 0.0), (500.0, 500.0)]
     assert idx.count_per_rsu(inside + outside) == {0: 3}
+
+
+def test_empty_index_counts_nothing_and_connects_nothing():
+    idx = rn.CoverageIndex(rn.gen_grid(2, 2, spacing=100.0), [], 250.0)
+    assert list(idx.ids) == []
+    assert idx.count_per_rsu([(0.0, 0.0), (50.0, 50.0)]) == {}
+    assert idx.connected_rsu(0.0, 0.0) is None
 
 
 def test_spatial_index_matches_naive_scan():
     rng = random.Random(7)
     net = rn.gen_grid(5, 5, spacing=200.0)
     chosen = rn.place_rsus(net, r_com=350.0)
-    net = net.with_rsus(chosen, range_m=220.0)
-    idx = rn.CoverageIndex(net)
-    rsus = {r.id: (net.node(r.node).x, net.node(r.node).y, r.range_m)
-            for r in net.rsus}
+    reach = 220.0
+    idx = rn.CoverageIndex(net, chosen, reach)
+    # gen_grid puts signal i on node i
+    rsus = [(net.node(sid).x, net.node(sid).y) for sid in chosen]
     positions = [(rng.uniform(-100, 900), rng.uniform(-100, 900))
                  for _ in range(500)]
 
     def naive_connected(x, y):
         best, best_d = None, math.inf
-        for rid in sorted(rsus):
-            rx, ry, rng_m = rsus[rid]
+        for rid, (rx, ry) in enumerate(rsus):
             d = math.hypot(x - rx, y - ry)
-            if d <= rng_m and d < best_d - 1e-9:
+            if d <= reach and d < best_d - 1e-9:
                 best, best_d = rid, d
         return best
 
@@ -203,9 +210,9 @@ def test_spatial_index_matches_naive_scan():
         assert idx.connected_rsu(x, y) == naive_connected(x, y)
 
     counts = idx.count_per_rsu(positions)
-    for rid, (rx, ry, rng_m) in rsus.items():
+    for rid, (rx, ry) in enumerate(rsus):
         naive = sum(1 for x, y in positions
-                    if math.hypot(x - rx, y - ry) <= rng_m)
+                    if math.hypot(x - rx, y - ry) <= reach)
         assert counts[rid] == naive
 
 
@@ -213,8 +220,7 @@ def test_coverage_metrics():
     net = rn.gen_grid(4, 4, spacing=150.0)
     chosen = rn.place_rsus(net, r_com=250.0)
     assert rn.signal_coverage_fraction(net, chosen, 250.0) == 1.0
-    net = net.with_rsus(chosen, range_m=250.0)
-    idx = rn.CoverageIndex(net)
+    idx = rn.CoverageIndex(net, chosen, 250.0)
     frac = rn.link_length_coverage(net, idx)
     assert 0.0 < frac <= 1.0
 
