@@ -233,7 +233,9 @@ def execute_run(sc: dict, *, odsf: float, mode: str, seed: int, out_dir) -> dict
                         sim.UPDATE_COLUMNS, sim.update_rows())
     records.write_meta(out / "meta.txt", wall_s=wall, simulated_s=sim_s,
                        wall_per_simulated_s=(wall / sim_s if sim_s else None),
-                       vehicles=len(sim.vehicles))
+                       vehicles=len(sim.vehicles), vehicle_steps=sim.vehicle_steps,
+                       parked_red_steps=sim.parked_red_steps,
+                       parked_full_steps=sim.parked_full_steps)
     log.info("run odsf=%s mode=%s: %.1f sim-s in %.2f wall-s (%.4f wall-s per sim-s)",
              odsf, mode, sim_s, wall, wall / sim_s if sim_s else float("nan"))
 

@@ -25,6 +25,7 @@ from enum import Enum
 
 from . import constants
 from .errors import ConfigurationError, ConvergenceError, DegenerateInputError
+from .floats import left_sum
 
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_DAMPING = 0.5
@@ -330,7 +331,7 @@ def mm1k_metrics(rho: float, queue_capacity: int, mu: float, arrival_rate: float
         else:
             s = 1.0 / rho
             probs = [p_rej * s ** (k - n) for n in range(k + 1)]
-        mean_in_system = sum(n * p for n, p in enumerate(probs))
+        mean_in_system = left_sum(n * p for n, p in enumerate(probs))
         mean_in_queue = mean_in_system - (1.0 - q0)
         t_q = mean_in_queue / lambda_eff if lambda_eff > 0 else None
         return q0, p_rej, lambda_eff, t_q
@@ -385,7 +386,7 @@ def solve(params: MacParams, *, exact_queue_wait: bool = False) -> MacSolution:
     damping = FIXED_POINT_DAMPING
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         p00 = normalize_p00(p_col, p_idle, q0, params)
-        p_trans_raw = p00 * sum(p_col ** i for i in range(r))
+        p_trans_raw = p00 * left_sum(p_col ** i for i in range(r))
         p_trans_new = damping * p_trans_raw + (1.0 - damping) * p_trans
 
         p_col_raw, _, p_idle_raw, p_suc, p_fail = coupling_equations(p_trans_new, params)

@@ -42,6 +42,7 @@ from random import Random
 
 from . import constants
 from .errors import ConfigurationError
+from .floats import left_sum
 from .mac_analytic import MacParams, transmission_times, window_sizes
 
 BATCH_COUNT = 20
@@ -494,8 +495,8 @@ def simulate(config: DesConfig) -> DesStats:
         n = len(values)
         if n < 2:
             return math.inf
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+        mean = left_sum(values) / n
+        var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
         return _t95(n - 1) * math.sqrt(var / n)
 
     rate_batches = [m_delivered[i] / batch_len / p.n_stations
@@ -507,7 +508,7 @@ def simulate(config: DesConfig) -> DesStats:
 
     return DesStats(
         delivered_per_station=measured_delivered / dur_m / p.n_stations,
-        mean_total_delay=(sum(m_delay_sum) / measured_delivered
+        mean_total_delay=(left_sum(m_delay_sum) / measured_delivered
                           if measured_delivered else None),
         drop_rate=dropped / offered if offered else 0.0,
         empty_fraction=empty_time / (len(ents) * dur_m),

@@ -15,15 +15,30 @@ through TrafficConfig.
 
 Speed lives in km/h and acceleration in km/h per second throughout,
 matching the engine-map conventions in :mod:`vanetsim.energy`. Engine
-rates are refreshed once per simulated second and held in between; by
-default the lookup quantizes speed and acceleration to 0.5-unit bins so
-the exp() evaluations amortize across the fleet, and
+rates are refreshed once per simulated second (every RATE_REFRESH / DT
+steps, counted in whole steps) and held in between; by default the
+lookup quantizes speed and acceleration to 0.5-unit bins so the exp()
+evaluations amortize across the fleet, and
 ``TrafficConfig(exact_energy=True)`` disables the binning when a test
 needs bit-exact hand arithmetic.
 
 Blocking at a stop line is an instantaneous halt: the acceleration
 clamp shapes free driving, not the last half metre before a red light.
 The engine map sees envelope-clamped kinematics for that step.
+
+A vehicle that fails to cross is parked: it keeps its place in the step
+order, but the loop skips it until its wake step. At a red light that
+is the next phase flip. Behind a full next link it is "never", until a
+vehicle leaves that link; then the waiter's wake is the current step,
+so a waiter later in the step order tries again in that same step and
+an earlier one in the next. That is the first step at which the
+per-step loop could have crossed, so admission order, router draws and
+the competition for room do not change. A parked step would only have
+added the idle burn, so the skipped burns are replayed at the wake, and
+before anything reads fuel (``state_hash`` and the end of ``run``). The
+replay uses ``floats.add_repeated``, which gives the bits of the
+step-by-step sums; results are byte-identical to a loop that moves
+every vehicle every step.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from typing import ClassVar
 
 from . import energy, roadnet
 from .errors import SimulationError, ValidationError
+from .floats import add_repeated, left_sum
 
 DT = 0.1                 # s
 A_MAX = 3.6              # km/h per s, about 1 m/s^2
@@ -46,6 +62,7 @@ NFD_INTERVAL = 30.0      # s
 RATE_REFRESH = 1.0       # s between engine-map lookups per vehicle
 
 _POS_EPS = 1e-6          # m, stop-line arrival tolerance
+_NEVER = math.inf        # wake of a vehicle waiting for room on a full link
 _V_LO, _V_HI = energy.ENVELOPE_V
 _A_LO, _A_HI = energy.ENVELOPE_A
 
@@ -162,7 +179,7 @@ class Vehicle:
         "id", "origin", "destination", "depart", "preload", "state",
         "route", "pos", "speed", "entered_at", "finished_at",
         "distance", "ff_time", "fuel", "co", "hc", "nox", "link_fuel",
-        "pending", "rates", "rate_until", "decided")
+        "pending", "rates", "rate_until", "decided", "wake", "burned_to")
 
     def __init__(self, vid: int, dep: Departure):
         self.id = vid
@@ -185,8 +202,10 @@ class Vehicle:
         self.link_fuel = 0.0      # liters on the current link
         self.pending: list[LinkCostUpdate] = []
         self.rates = None
-        self.rate_until = -math.inf
+        self.rate_until = 0       # step of the next engine-map lookup
         self.decided = False      # route tail already refreshed at this stop
+        self.wake = 0             # step the loop moves it again; 0: not parked
+        self.burned_to = 0        # parked: first step whose burn is not applied
 
 
 @dataclass(frozen=True)
@@ -281,12 +300,13 @@ class Simulation:
         self._lk = {lid: _LinkData(link, network)
                     for lid, link in network.links.items()}
         self._occ = dict.fromkeys(network.links, 0)
-        self._total_len_lanes_km = sum(
+        self._total_len_lanes_km = left_sum(
             ln.length / 1000.0 * ln.lanes for ln in network.links.values())
 
         cfg = self.config
         self._phase_steps = round(SIGNAL_CYCLE * GREEN_SHARE / DT)
         self._nfd_steps = round(NFD_INTERVAL / DT)
+        self._refresh_steps = round(RATE_REFRESH / DT)
         self._dv_max = cfg.a_max * DT
 
         if demand is not None:
@@ -300,6 +320,8 @@ class Simulation:
         self._due_ptr = 0
         self._entry_queues: dict[int, deque[Vehicle]] = {}
         self._enroute: list[Vehicle] = []
+        self._carriers: list[Vehicle] = []
+        self._waiters: dict[int, list[Vehicle]] = {lid: [] for lid in network.links}
         self._counts = {WAITING: len(self.vehicles), EN_ROUTE: 0,
                         FINISHED: 0, DEFERRED: 0}
         self._n = 0
@@ -308,6 +330,11 @@ class Simulation:
         self.updates: list[LinkCostUpdate] = []
         self.nfd: list[NfdSample] = []
         self.finished: list[Vehicle] = []
+        # vehicle-steps in the loop, and the parked ones among them by the
+        # light at the stop line; the replay counts the parked ones
+        self.vehicle_steps = 0
+        self.parked_red_steps = 0
+        self.parked_full_steps = 0
 
     # -- clock and public state ------------------------------------------
 
@@ -344,9 +371,13 @@ class Simulation:
         return [(veh, *self._position(veh)) for veh in self._enroute]
 
     def pending_carriers(self) -> list[tuple[Vehicle, float, float]]:
-        """Positions of moving vehicles that still hold queued reports."""
+        """Positions of moving vehicles that still hold queued reports.
+
+        The step loop lists the carriers in step order, so this does not
+        scan the whole en-route fleet.
+        """
         return [(veh, *self._position(veh))
-                for veh in self._enroute if veh.pending]
+                for veh in self._carriers if veh.pending]
 
     # -- engine-map plumbing ----------------------------------------------
 
@@ -381,19 +412,29 @@ class Simulation:
         now = n * DT
         if n % self._nfd_steps == 0:
             self._sample_nfd(now)
-        phase = (n // self._phase_steps) % 2
         now_end = (n + 1) * DT
 
         occ_snap = dict(self._occ)
+        self.vehicle_steps += len(self._enroute)
         finished_now: list[Vehicle] = []
         survivors = []
+        carriers = []
         for veh in self._enroute:
-            self._move(veh, now, now_end, phase, occ_snap)
-            if veh.state == EN_ROUTE:
-                survivors.append(veh)
-            else:
-                finished_now.append(veh)
+            # a parked vehicle keeps its place and is skipped until its wake
+            wake = veh.wake
+            if wake and wake <= n:
+                self._replay_idle(veh, n)
+                veh.wake = wake = 0
+            if not wake:
+                self._move(veh, n, now_end, occ_snap)
+                if veh.state != EN_ROUTE:
+                    finished_now.append(veh)
+                    continue
+            survivors.append(veh)
+            if veh.pending:
+                carriers.append(veh)
         self._enroute = survivors
+        self._carriers = carriers
 
         self._admit(now, now_end)
         if self.comm is not None:
@@ -416,20 +457,21 @@ class Simulation:
         stop = self.horizon if until is None else min(until, self.horizon)
         while not self.done() and self.now < stop - 1e-9:
             self.step()
+        self._settle()
 
     # -- movement ----------------------------------------------------------
 
-    def _move(self, veh, now, now_end, phase, occ_snap) -> None:
+    def _move(self, veh, n, now_end, occ_snap) -> None:
         route = veh.route
         lid = route[0]
         lk = self._lk[lid]
         crossed = False
 
         if veh.pos >= lk.length - _POS_EPS:
-            # held at the stop line since an earlier step
-            if not self._try_cross(veh, now, now_end, phase):
+            # held at the stop line since an earlier step, and due again
+            if not self._try_cross(veh, n, now_end):
                 veh.speed = 0.0
-                self._burn(veh, now, 0.0, 0.0)
+                self._burn(veh, n, 0.0, 0.0)
                 return
             if veh.state == FINISHED:
                 return
@@ -450,13 +492,13 @@ class Simulation:
         a = dv / DT
         veh.speed = v
         veh.pos += v / 3.6 * DT
-        self._burn(veh, now, v, a)
+        self._burn(veh, n, v, a)
 
         if veh.pos >= lk.length - _POS_EPS:
             over = veh.pos - lk.length
             if over < 0.0:
                 over = 0.0
-            if self._try_cross(veh, now, now_end, phase):
+            if self._try_cross(veh, n, now_end):
                 if veh.state == FINISHED:
                     return
                 nlk = self._lk[veh.route[0]]
@@ -471,10 +513,16 @@ class Simulation:
                 veh.pos = lk.length
                 veh.speed = 0.0
 
-    def _burn(self, veh, now, v, a) -> None:
-        if now >= veh.rate_until - 1e-9:
+    def _burn(self, veh, n, v, a) -> None:
+        """Burn step n at speed v and acceleration a.
+
+        The rates are looked up every RATE_REFRESH and held in between. A
+        parked vehicle skips its held steps, each ``_burn(veh, n, 0.0,
+        0.0)``; ``_replay_idle`` applies them later, bit for bit.
+        """
+        if n >= veh.rate_until:
             veh.rates = self._lookup_rates(v, a)
-            veh.rate_until = now + RATE_REFRESH
+            veh.rate_until = n + self._refresh_steps
         f, c, h, x = veh.rates
         veh.fuel += f * DT
         veh.link_fuel += f * DT
@@ -482,15 +530,86 @@ class Simulation:
         veh.hc += h * DT
         veh.nox += x * DT
 
-    def _try_cross(self, veh, now, now_end, phase) -> bool:
+    def _replay_idle(self, veh, upto) -> None:
+        """Apply the held-step burns a parked vehicle skipped before ``upto``.
+
+        Each skipped step is ``_burn(veh, n, 0.0, 0.0)``: the rates held
+        since the last lookup until the next one is due, then the idle
+        rates, which every later lookup returns again. So the stretch is at
+        most two runs of constant rates (one, when the held rates are idle
+        already), and each accumulator jumps over a run with
+        ``add_repeated``, which gives the bits of the step-by-step sums.
+        """
+        start = veh.burned_to
+        k = upto - start
+        if k <= 0:
+            return
+        veh.burned_to = upto
+        lk = self._lk[veh.route[0]]
+        red = self._red_steps(lk, start, upto) if lk.to_signal else 0
+        self.parked_red_steps += red
+        self.parked_full_steps += k - red
+
+        rates = veh.rates
+        held = min(veh.rate_until, upto) - start
+        if held < k:
+            # a lookup is due inside the stretch; it and every later one
+            # return the idle rates
+            idle = self._lookup_rates(0.0, 0.0)
+            p = self._refresh_steps
+            veh.rate_until += ((upto - 1 - veh.rate_until) // p + 1) * p
+            veh.rates = idle
+            if rates == idle:
+                held = k
+            else:
+                self._add_burns(veh, rates, held)
+                rates, held = idle, k - held
+        self._add_burns(veh, rates, held)
+
+    @staticmethod
+    def _add_burns(veh, rates, k) -> None:
+        f, c, h, x = rates
+        veh.fuel = add_repeated(veh.fuel, f * DT, k)
+        veh.link_fuel = add_repeated(veh.link_fuel, f * DT, k)
+        veh.co = add_repeated(veh.co, c * DT, k)
+        veh.hc = add_repeated(veh.hc, h * DT, k)
+        veh.nox = add_repeated(veh.nox, x * DT, k)
+
+    def _red_steps(self, lk, start, upto) -> int:
+        """Steps in [start, upto) at which lk's approach shows red."""
+        p = self._phase_steps
+        red_from = p if lk.is_ew else 0       # offset of red in the cycle
+
+        def before(n):
+            cycles, rem = divmod(n, 2 * p)
+            return cycles * p + min(max(rem - red_from, 0), p)
+
+        return before(upto) - before(start)
+
+    def _settle(self) -> None:
+        """Bring the burns of every parked vehicle up to the clock."""
+        for veh in self._enroute:
+            if veh.wake:
+                self._replay_idle(veh, self._n)
+
+    def _try_cross(self, veh, n, now_end) -> bool:
+        """Cross the stop line at step n, or park the vehicle there.
+
+        A vehicle held by a red light wakes at the next phase flip. One
+        held by a full next link waits on that link's list until a vehicle
+        leaves it (see ``_exit_link``).
+        """
         lid = veh.route[0]
         lk = self._lk[lid]
         to = lk.to_node
         if to != veh.destination and not veh.decided:
-            tail = self.router(now, veh, to)
+            tail = self.router(n * DT, veh, to)
             veh.route = [lid] + list(tail)
             veh.decided = True
-        if lk.to_signal and phase != (0 if lk.is_ew else 1):
+        flips = n // self._phase_steps
+        if lk.to_signal and flips % 2 != (0 if lk.is_ew else 1):
+            veh.wake = (flips + 1) * self._phase_steps
+            veh.burned_to = n + 1
             return False
         if to == veh.destination:
             self._exit_link(veh, lid, lk, now_end)
@@ -504,6 +623,9 @@ class Simulation:
         nxt = veh.route[1]
         nlk = self._lk[nxt]
         if self._occ[nxt] + 1 > nlk.cap:
+            veh.wake = _NEVER
+            veh.burned_to = n + 1
+            self._waiters[nxt].append(veh)
             return False
         self._exit_link(veh, lid, lk, now_end)
         veh.route.pop(0)
@@ -521,6 +643,13 @@ class Simulation:
         veh.distance += lk.length
         veh.ff_time += lk.ff_time
         self._occ[lid] -= 1
+        waiters = self._waiters[lid]
+        if waiters:
+            # room on lid: its waiters try again at their next turn, which
+            # for one later in the step order is this very step
+            for w in waiters:
+                w.wake = self._n
+            waiters.clear()
 
     # -- admissions ----------------------------------------------------------
 
@@ -570,6 +699,7 @@ class Simulation:
         self.nfd.append(NfdSample(now, density, density * speed, speed))
 
     def state_hash(self) -> str:
+        self._settle()
         h = hashlib.sha256()
         h.update(f"{self._n}\n".encode())
         for veh in self.vehicles:

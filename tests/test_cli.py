@@ -163,6 +163,16 @@ def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
     # wall-clock timing lives only in the sidecar
     meta = (tmp_path / "a" / "meta.txt").read_text()
     assert "wall_per_simulated_s" in meta
+    # so do the step counts, which repeat with the seed
+    counts = []
+    for sub in ("a", "b"):
+        fields = dict(line.split(" ", 1) for line in
+                      (tmp_path / sub / "meta.txt").read_text().splitlines()[1:])
+        counts.append([int(fields[key]) for key in
+                       ("vehicle_steps", "parked_red_steps", "parked_full_steps")])
+    assert counts[0] == counts[1]
+    steps, red, full = counts[0]
+    assert steps > red + full and red > 0
     summary = (tmp_path / "a" / "summary.txt").read_text()
     assert "wall" not in summary
 

@@ -9,6 +9,7 @@ between the cruise rate and the idle rate, so the totals are checked
 against closed-form sums rather than against the simulator itself.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -102,6 +103,9 @@ def test_signal_hand_trace():
 
     # one decision at admission, one at the stop line, none while blocked
     assert len(router.calls) == 2
+    # 959 steps on the network; the 239 after the arrival step wait parked
+    assert sim.vehicle_steps == 959
+    assert (sim.parked_red_steps, sim.parked_full_steps) == (239, 0)
 
     r50 = energy.vt_micro_rate(50.0, 0.0, sim.coeffs)
     idle = energy.vt_micro_rate(0.0, 0.0, sim.coeffs)
@@ -180,7 +184,7 @@ def test_admission_stops_at_jam_density():
     assert counts[traffic.WAITING] == 0
 
 
-def test_ring_gridlock_flow_zero_density_at_jam():
+def ring_gridlock_sim():
     nodes = [rn.Node(1, 0.0, 0.0), rn.Node(2, 150.0, 0.0),
              rn.Node(3, 150.0, 150.0), rn.Node(4, 0.0, 150.0)]
     links = [rn.Link(1, 1, 2, 150.0, 1, 50.0, 120.0),
@@ -191,8 +195,12 @@ def test_ring_gridlock_flow_zero_density_at_jam():
     sched = []
     for origin, dest in ((1, 3), (2, 4), (3, 1), (4, 2)):
         sched.extend(traffic.Departure(0.0, origin, dest) for _ in range(30))
-    sim = traffic.Simulation(net, schedule=sched,
-                             config=traffic.TrafficConfig(horizon=300.0))
+    return traffic.Simulation(net, schedule=sched,
+                              config=traffic.TrafficConfig(horizon=300.0))
+
+
+def test_ring_gridlock_flow_zero_density_at_jam():
+    sim = ring_gridlock_sim()
     sim.run()
     counts = sim.counts()
     assert counts[traffic.FINISHED] == 0
@@ -202,6 +210,98 @@ def test_ring_gridlock_flow_zero_density_at_jam():
     assert last.density == pytest.approx(120.0)   # pinned at jam density
     assert last.speed == 0.0
     assert last.flow == 0.0
+
+
+# --- parked vehicles ------------------------------------------------------------
+#
+# Vehicles held at a stop line are skipped by the step loop and their idle
+# burn is replayed later. The pinned hashes and float bits below were taken
+# from the plain per-step loop, which burned every held step; they must not
+# move.
+
+def accumulator_digest(sim):
+    h = hashlib.sha256()
+    for v in sim.vehicles:
+        h.update(repr((v.id, v.fuel, v.link_fuel, v.co, v.hc, v.nox)).encode())
+    return h.hexdigest()
+
+
+def red_hold_sim():
+    # all three reach the stop line during the red half of the first minute
+    net = line_network([500.0, 500.0], signal_nodes=[2])
+    sched = [traffic.Departure(t, 1, 3) for t in (0.0, 3.0, 7.5)]
+    return traffic.Simulation(net, schedule=sched,
+                              config=traffic.TrafficConfig(horizon=200.0))
+
+
+RED_HOLD_HASH_45 = "54fd57cb3f7493553b33befccbbeb5129b022c4b15b7d19e979b6e698cefa2e9"
+RED_HOLD_FUEL_45 = ["0x1.7781163fdbbabp-5", "0x1.715c701337b19p-5",
+                    "0x1.5e098b7d5b768p-5"]
+
+
+def test_red_hold_mid_wait_matches_per_step_burn():
+    sim = red_hold_sim()
+    sim.run(until=45.0)
+    assert all(v.pos == 500.0 and v.speed == 0.0 for v in sim.vehicles)
+    assert [v.fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
+    assert [v.link_fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
+    assert accumulator_digest(sim) == (
+        "216ce1eb3c9593fdb0ded01805fe53f696ceb3d19170a02eedb17afd62b58849")
+    assert sim.state_hash() == RED_HOLD_HASH_45
+    sim.run()
+    assert sim.state_hash() == (
+        "8c1a047049eb5aeeddfe3486a6611702f0d24a180f981dd4d128edcb1aaf4ff0")
+    assert accumulator_digest(sim) == (
+        "af49e3a5aea172fc0af793c196b573020c971b05544abe7a914688bfb40a44fe")
+
+
+def test_state_hash_settles_parked_vehicles():
+    sim = red_hold_sim()
+    for _ in range(450):
+        sim.step()
+    assert sim.state_hash() == RED_HOLD_HASH_45
+    assert [v.fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
+    assert [v.link_fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
+
+
+def test_ring_gridlock_full_link_wait_matches_per_step_burn():
+    sim = ring_gridlock_sim()
+    sim.run()
+    assert sim.parked_red_steps == 0 and sim.parked_full_steps > 0
+    assert sim.state_hash() == (
+        "773003fdc70d68cc0ab2db68271e2cd579bc88d9d43700119453dfc327d41dfb")
+    assert accumulator_digest(sim) == (
+        "e1ecc13c8b8a733b1dda6701d6a719a46fe0713a8662f90379e9d66b14657141")
+
+
+def test_full_link_waiters_wake_in_step_order():
+    # A short last link (capacity 3) fills with the later-admitted trips
+    # from node 2 while its exit is red. The earlier-admitted trips from
+    # node 1 then wait behind it. At the green, the three occupants leave:
+    # vehicle 7, later in the step order, crosses in that same step, and
+    # vehicles 1 and 2 one step later; vehicle 3 finds the link full again.
+    nodes = [rn.Node(1, 0.0, 0.0), rn.Node(2, 600.0, -100.0),
+             rn.Node(3, 600.0, 0.0), rn.Node(4, 630.0, 0.0)]
+    links = [rn.Link(1, 1, 3, 600.0, 1, 50.0, 120.0),
+             rn.Link(2, 2, 3, 100.0, 1, 50.0, 120.0),
+             rn.Link(3, 3, 4, 30.0, 1, 50.0, 120.0)]
+    net = rn.RoadNetwork(nodes, links, [rn.Signal(1, 4)])
+    sched = [traffic.Departure(t, 1, 4) for t in (0.0, 1.0, 2.0)]
+    sched += [traffic.Departure(t, 2, 4) for t in (30.0, 31.0, 32.0, 33.0)]
+    sim = traffic.Simulation(net, schedule=sched,
+                             config=traffic.TrafficConfig(horizon=200.0))
+    sim.run(until=61.0)
+    assert [(v.state, v.pos) for v in sim.vehicles] == [
+        (traffic.EN_ROUTE, 0.45000000000000007), (traffic.EN_ROUTE, 0.45000000000000007),
+        (traffic.EN_ROUTE, 600.0), (traffic.FINISHED, 30.0),
+        (traffic.FINISHED, 30.0), (traffic.FINISHED, 30.0), (traffic.EN_ROUTE, 0.55)]
+    assert sim.state_hash() == (
+        "552e5a083e9301f6d4904563c5ddccea5a6a5ccc47b2f0644099718f355abe20")
+    sim.run()
+    assert sim.state_hash() == (
+        "d1ba867e484faa71e4ead1b28a235e2151344b929ad7b4210805dd82d8f701cf")
+    assert accumulator_digest(sim) == (
+        "c7cc8cecdb0516751867b9418decb10612c1397b8aba56323415a631588d41b5")
 
 
 # --- statistics ---------------------------------------------------------------
