@@ -19,6 +19,7 @@ demand table itself.
 from __future__ import annotations
 
 import argparse
+import bisect
 import configparser
 import dataclasses
 import logging
@@ -250,10 +251,8 @@ def _histogram(values) -> list[tuple]:
     edges = DELAY_BIN_EDGES
     counts = [0] * (len(edges) - 1)
     for v in values:
-        for i in range(len(edges) - 1):
-            if edges[i] <= v < edges[i + 1]:
-                counts[i] += 1
-                break
+        # delays are finite and >= 0 (mark_delivered), so the bin exists
+        counts[bisect.bisect_right(edges, v) - 1] += 1
     return [(edges[i], edges[i + 1], counts[i]) for i in range(len(edges) - 1)]
 
 

@@ -13,8 +13,8 @@ cached per cell and memoized across cells on the (count, rate) pair,
 since solving the fixed point per packet would dominate the run.
 
 ``mode="ideal"`` short-circuits all of it: every report lands in the
-table the instant it is created, which is the loss-free baseline the
-realistic mode is compared against.
+table the instant it is created and leaves its carrier, which is the
+loss-free baseline the realistic mode is compared against.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ class EcoRouter:
 
 @dataclass
 class CommCellState:
-    rsu_id: int
     n: int = 0
     solution: mac_analytic.MacSolution | None = None
     solved_at: float = -math.inf
@@ -106,7 +105,6 @@ class CommCellState:
 
 @dataclass
 class CommStats:
-    created_seen: int = 0
     delivered: int = 0
     dropped: int = 0
     deferred_saturated: int = 0
@@ -124,7 +122,9 @@ class CommModule:
     first, then every connected vehicle's queued reports face the current
     cell drop probability. Reports from unconnected vehicles simply wait;
     their delay is the mobility of the carrier. An index without RSUs
-    leaves every carrier unconnected.
+    leaves every carrier unconnected. In ideal mode step() delivers each
+    new report at its creation time and empties every carrier's pending
+    list, so in both modes a carrier holds only undelivered reports.
     """
 
     def __init__(self, index: roadnet.CoverageIndex, table: TmcCostTable,
@@ -133,13 +133,17 @@ class CommModule:
                  refresh: float = CELL_REFRESH, seed: int = 0):
         if mode not in ("realistic", "ideal"):
             raise ValidationError(f"unknown comm mode {mode!r}")
+        if not background_rate > 0.0:
+            raise ValidationError(f"background_rate {background_rate} must be positive")
+        if not refresh > 0.0:
+            raise ValidationError(f"refresh {refresh} must be positive")
         self.index = index
         self.table = table
         self.params = params
         self.mode = mode
         self.background_rate = background_rate
         self.refresh = refresh
-        self.cells = {rid: CommCellState(rid) for rid in index.ids}
+        self.cells = {rid: CommCellState() for rid in index.ids}
         self.stats = CommStats()
         self._rng = random.Random(seed)
         self._heap: list[tuple[float, int, object]] = []
@@ -171,11 +175,12 @@ class CommModule:
     def step(self, sim, now: float) -> None:
         new = sim.updates[self._seen:]
         self._seen = len(sim.updates)
-        self.stats.created_seen += len(new)
 
         if self.mode == "ideal":
             for upd in new:
                 self._deliver(upd, upd.created_at)
+            for veh in sim.carriers:
+                veh.pending = []
             return
 
         heap = self._heap
@@ -187,8 +192,8 @@ class CommModule:
             self._recount(sim, now)
             self._recount_at = now + self.refresh
 
-        for veh, x, y in sim.pending_carriers():
-            rsu = self.index.connected_rsu(x, y)
+        for veh in sim.carriers:
+            rsu = self.index.connected_rsu(*sim.position(veh))
             if rsu is None:
                 continue
             cell = self.cells[rsu]
@@ -209,7 +214,7 @@ class CommModule:
             veh.pending = retained
 
     def _recount(self, sim, now: float) -> None:
-        positions = [(x, y) for _, x, y in sim.enroute_positions()]
+        positions = [sim.position(veh) for veh in sim.enroute]
         counts = self.index.count_per_rsu(positions)
         for rsu_id, cell in self.cells.items():
             n = counts[rsu_id]
@@ -231,7 +236,7 @@ class CommModule:
         s = self.stats
         return {
             "mode": self.mode,
-            "created": s.created_seen,
+            "created": self._seen,
             "delivered": s.delivered,
             "dropped": s.dropped,
             "deferred_saturated": s.deferred_saturated,

@@ -121,7 +121,6 @@ class DesStats:
     mean_system_size: float
     accepted_rate: float
     mean_sojourn: float | None       # accepted packets, birth -> leave
-    duration_measured: float
     per_ac_delivered: dict[str, float] | None = None
     per_ac_delay: dict[str, float | None] | None = None
     trace: list | None = None        # (id, entity, birth, attempts, fate, done)
@@ -526,7 +525,6 @@ def simulate(config: DesConfig) -> DesStats:
         mean_system_size=size_integral / dur_m,
         accepted_rate=sojourn_count / dur_m,
         mean_sojourn=sojourn_sum / sojourn_count if sojourn_count else None,
-        duration_measured=dur_m,
         per_ac_delivered=({ac: cnt / dur_m for ac, cnt in ac_delivered.items()}
                           if ac_delivered is not None else None),
         per_ac_delay=({ac: (ac_delay_sum[ac] / cnt if cnt else None)

@@ -26,6 +26,9 @@ Blocking at a stop line is an instantaneous halt: the acceleration
 clamp shapes free driving, not the last half metre before a red light.
 The engine map sees envelope-clamped kinematics for that step.
 
+The uplink reads the traffic through four names of ``Simulation``:
+``updates``, ``enroute``, ``carriers`` and ``position``.
+
 A vehicle that fails to cross is parked: it keeps its place in the step
 order, but the loop skips it until its wake step. At a red light that
 is the next phase flip. Behind a full next link it is "never", until a
@@ -221,6 +224,8 @@ class TrafficConfig:
             raise ValidationError("a_max must be positive")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValidationError("horizon must be positive")
+        if not self.drain >= 0.0:
+            raise ValidationError("drain must not be negative")
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ def free_flow_router(network: roadnet.RoadNetwork):
 
 class _LinkData:
     __slots__ = ("length", "free_speed", "jam", "cap", "inv_len_lanes",
-                 "to_node", "to_signal", "is_ew", "ff_time")
+                 "to_node", "to_signal", "is_ew", "ff_time", "x0", "y0", "dx", "dy")
 
     def __init__(self, link: roadnet.Link, network: roadnet.RoadNetwork):
         self.length = link.length
@@ -265,6 +270,8 @@ class _LinkData:
         # approach axis decides which phase is green; ties read as east-west
         self.is_ew = abs(b.x - a.x) >= abs(b.y - a.y)
         self.ff_time = link.length / (link.free_speed / 3.6)
+        self.x0, self.y0 = a.x, a.y
+        self.dx, self.dy = b.x - a.x, b.y - a.y
 
 
 class Simulation:
@@ -275,7 +282,11 @@ class Simulation:
     is asked for a remaining link-id path at admission and whenever a
     vehicle first reaches the end of a link short of its destination; the
     answer is reused while the vehicle sits blocked. An optional comm
-    object gets ``comm.step(sim, now)`` once per step after movement.
+    object gets ``comm.step(sim, now)`` once per step after movement and
+    admission. It reads ``updates`` (every report, in creation order),
+    ``enroute`` (the moving fleet), ``carriers`` (those of it that hold
+    pending reports, both in step order) and ``position(veh)``, and takes
+    what it sends out of ``veh.pending``.
     """
 
     def __init__(self, network: roadnet.RoadNetwork, *,
@@ -319,8 +330,8 @@ class Simulation:
         self._due = sorted(self.vehicles, key=lambda v: (v.depart, v.id))
         self._due_ptr = 0
         self._entry_queues: dict[int, deque[Vehicle]] = {}
-        self._enroute: list[Vehicle] = []
-        self._carriers: list[Vehicle] = []
+        self.enroute: list[Vehicle] = []
+        self.carriers: list[Vehicle] = []
         self._waiters: dict[int, list[Vehicle]] = {lid: [] for lid in network.links}
         self._counts = {WAITING: len(self.vehicles), EN_ROUTE: 0,
                         FINISHED: 0, DEFERRED: 0}
@@ -355,29 +366,14 @@ class Simulation:
     def done(self) -> bool:
         if self.now >= self.horizon - 1e-9:
             return True
-        return (not self._enroute and self._due_ptr >= len(self._due)
+        return (not self.enroute and self._due_ptr >= len(self._due)
                 and all(not q for q in self._entry_queues.values()))
 
-    def _position(self, veh: Vehicle) -> tuple[float, float]:
-        """Plane coordinates of a moving vehicle, interpolated along its link."""
-        link = self.network.link(veh.route[0])
-        a = self.network.nodes[link.from_node]
-        b = self.network.nodes[link.to_node]
-        f = veh.pos / link.length
-        return a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f
-
-    def enroute_positions(self) -> list[tuple[Vehicle, float, float]]:
-        """Plane coordinates of every moving vehicle, route-order interpolated."""
-        return [(veh, *self._position(veh)) for veh in self._enroute]
-
-    def pending_carriers(self) -> list[tuple[Vehicle, float, float]]:
-        """Positions of moving vehicles that still hold queued reports.
-
-        The step loop lists the carriers in step order, so this does not
-        scan the whole en-route fleet.
-        """
-        return [(veh, *self._position(veh))
-                for veh in self._carriers if veh.pending]
+    def position(self, veh: Vehicle) -> tuple[float, float]:
+        """Plane coordinates of an en-route vehicle, interpolated along its link."""
+        lk = self._lk[veh.route[0]]
+        f = veh.pos / lk.length
+        return lk.x0 + lk.dx * f, lk.y0 + lk.dy * f
 
     # -- engine-map plumbing ----------------------------------------------
 
@@ -415,11 +411,11 @@ class Simulation:
         now_end = (n + 1) * DT
 
         occ_snap = dict(self._occ)
-        self.vehicle_steps += len(self._enroute)
+        self.vehicle_steps += len(self.enroute)
         finished_now: list[Vehicle] = []
         survivors = []
         carriers = []
-        for veh in self._enroute:
+        for veh in self.enroute:
             # a parked vehicle keeps its place and is skipped until its wake
             wake = veh.wake
             if wake and wake <= n:
@@ -433,8 +429,8 @@ class Simulation:
             survivors.append(veh)
             if veh.pending:
                 carriers.append(veh)
-        self._enroute = survivors
-        self._carriers = carriers
+        self.enroute = survivors
+        self.carriers = carriers
 
         self._admit(now, now_end)
         if self.comm is not None:
@@ -588,7 +584,7 @@ class Simulation:
 
     def _settle(self) -> None:
         """Bring the burns of every parked vehicle up to the clock."""
-        for veh in self._enroute:
+        for veh in self.enroute:
             if veh.wake:
                 self._replay_idle(veh, self._n)
 
@@ -673,7 +669,7 @@ class Simulation:
                 veh.entered_at = now_end
                 veh.pos = 0.0
                 veh.speed = greenshields(lk.free_speed, occ * lk.inv_len_lanes, lk.jam)
-                self._enroute.append(veh)
+                self.enroute.append(veh)
                 self._counts[WAITING] -= 1
                 self._counts[EN_ROUTE] += 1
 
@@ -690,12 +686,12 @@ class Simulation:
     # -- outputs -------------------------------------------------------------
 
     def _sample_nfd(self, now) -> None:
-        count = len(self._enroute)
+        count = len(self.enroute)
         if count == 0:
             self.nfd.append(NfdSample(now, 0.0, 0.0, None))
             return
         density = count / self._total_len_lanes_km
-        speed = math.fsum(v.speed for v in self._enroute) / count
+        speed = math.fsum(v.speed for v in self.enroute) / count
         self.nfd.append(NfdSample(now, density, density * speed, speed))
 
     def state_hash(self) -> str:

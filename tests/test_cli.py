@@ -269,6 +269,16 @@ def test_sweep_aggregates(tiny_scenario, tmp_path):
     assert per_point[1.0] > 0
 
 
+def test_histogram_edges_open_their_bin():
+    edges = cli.DELAY_BIN_EDGES
+    counts = [c for _, _, c in cli._histogram([0.0, 0.002, 0.0019999, 1200.0, 5e6])]
+    want = [0] * (len(edges) - 1)
+    want[0] = 2                              # 0.0 and 0.0019999
+    want[1] = 1                              # 0.002
+    want[edges.index(1200.0)] = 2            # 1200.0 and 5e6, in [1200, inf)
+    assert counts == want
+
+
 def test_validate_mac_tiny_grid(tmp_path):
     out = tmp_path / "val.tsv"
     assert cli.main(["validate-mac", "--stations", "5", "--rates", "10",

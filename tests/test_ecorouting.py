@@ -70,6 +70,12 @@ def test_apply_update_rejects_undelivered():
         eco.TmcCostTable(diamond(), beta=0.0)
     with pytest.raises(ValidationError):
         eco.EcoRouter(diamond(), table, eta=-0.1)
+    index = rn.CoverageIndex(diamond(), [], 250.0)
+    params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0)
+    for key, value in (("background_rate", 0.0), ("background_rate", -5.0),
+                       ("refresh", 0.0), ("refresh", -1.0)):
+        with pytest.raises(ValidationError, match=key):
+            eco.CommModule(index, table, params, **{key: value})
 
 
 # --- routing ----------------------------------------------------------------
@@ -112,16 +118,14 @@ class StubCarrier:
 class StubSim:
     """Just enough surface for CommModule.step: a parked fleet."""
 
-    def __init__(self, carriers, xy):
+    def __init__(self, fleet, xy):
         self.updates = []
-        self.carriers = carriers
+        self.enroute = fleet
+        self.carriers = [c for c in fleet if c.pending]
         self.xy = xy
 
-    def enroute_positions(self):
-        return [(c, self.xy[0], self.xy[1]) for c in self.carriers]
-
-    def pending_carriers(self):
-        return [(c, self.xy[0], self.xy[1]) for c in self.carriers if c.pending]
+    def position(self, veh):
+        return self.xy
 
 
 def rsu_cell_network():
@@ -253,3 +257,36 @@ def test_fate_exclusivity_over_full_run():
     for u in sim.updates:
         if u.fate == "delivered":
             assert u.delivered_at >= u.created_at
+
+
+# --- traffic-uplink seam ----------------------------------------------------------
+
+class CheckedIdealComm(eco.CommModule):
+    """Ideal uplink that checks the moving fleet after each of its steps."""
+
+    carried = 0
+
+    def step(self, sim, now):
+        super().step(sim, now)
+        self.carried += len(sim.carriers)
+        assert all(not veh.pending for veh in sim.enroute)
+
+
+def test_ideal_mode_empties_carriers_every_step():
+    sim, _, comm = grid_scenario("ideal", comm_cls=CheckedIdealComm)
+    assert comm.carried > 0
+    assert comm.stats.delivered == len(sim.updates) > 0
+
+
+def test_position_interpolates_link_ends_bit_for_bit():
+    for net in (rn.gen_grid(3, 3, spacing=150.0), diamond()):
+        sim = traffic.Simulation(net, schedule=[])
+        for link in net.links.values():
+            a, b = net.nodes[link.from_node], net.nodes[link.to_node]
+            veh = traffic.Vehicle(1, traffic.Departure(0.0, a.id, b.id))
+            veh.route = [link.id]
+            for pos in (0.0, link.length / 3.0, link.length / 2.0, link.length):
+                veh.pos = pos
+                f = pos / link.length
+                assert sim.position(veh) == (a.x + (b.x - a.x) * f,
+                                             a.y + (b.y - a.y) * f)

@@ -73,6 +73,9 @@ def test_demand_validation():
     for horizon in (0.0, -1.0):
         with pytest.raises(ValidationError):
             traffic.TrafficConfig(horizon=horizon)
+    with pytest.raises(ValidationError):
+        traffic.TrafficConfig(drain=-200.0)
+    assert traffic.TrafficConfig(drain=0.0).drain == 0.0
 
 
 # --- kinematics -------------------------------------------------------------
