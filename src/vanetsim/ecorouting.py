@@ -216,8 +216,8 @@ class CommModule:
     def _recount(self, sim, now: float) -> None:
         positions = [sim.position(veh) for veh in sim.enroute]
         counts = self.index.count_per_rsu(positions)
-        for rsu_id, cell in self.cells.items():
-            n = counts[rsu_id]
+        for rid, cell in self.cells.items():
+            n = counts[rid]
             window = now - cell.solved_at
             extra = 0.0
             if cell.sent_since and window > 0.0 and math.isfinite(window):
