@@ -158,6 +158,12 @@ SCENARIO_KEYS = (
     ("sim", "drain_s", "drain_s", float, traffic.TrafficConfig.drain),
 )
 
+# Owner argument named by a refusal (ValidationError.field) -> name in the
+# parsed dict, for the scenario values whose range their owner checks.
+_OWNER_ARGS = {"background_rate": "background_rate", "refresh": "refresh_s",
+               "eta": "eta", "beta": "beta", "horizon": "horizon_s",
+               "a_max": "a_max", "drain": "drain_s"}
+
 
 def _access_mode(name: str) -> mac_analytic.AccessMode:
     try:
@@ -170,7 +176,11 @@ def _access_mode(name: str) -> mac_analytic.AccessMode:
 # --- run construction -----------------------------------------------------------
 
 def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
-    """Network, table, comm, and simulation for one scenario point."""
+    """Network, table, comm, and simulation for one scenario point.
+
+    An owner that refuses a scenario value raises ValidationError; it is
+    re-raised naming the value's [section] key.
+    """
     if sc["net_path"]:
         net = roadnet.load_network(sc["net_path"])
     else:
@@ -181,30 +191,39 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
     index = roadnet.CoverageIndex(net, chosen, sc["rsu_range_m"])
 
     coeffs = energy.load_coefficients()
-    table = ecorouting.TmcCostTable(net, coeffs, beta=sc["beta"])
-    router = ecorouting.EcoRouter(net, table, eta=sc["eta"], seed=seed + 1)
-    params = mac_analytic.MacParams(
-        n_stations=1, arrival_rate=1.0,
-        payload_bits=sc["payload_bytes"] * 8,
-        queue_capacity=sc["queue_capacity"],
-        access_mode=_access_mode(sc["access"]))
-    comm = ecorouting.CommModule(index, table, params, mode=mode,
-                                 background_rate=sc["background_rate"],
-                                 refresh=sc["refresh_s"], seed=seed + 2)
-    demand = traffic.OdDemand(
-        tuple(traffic.OdEntry(*row) for row in sc["od"]), odsf=odsf)
-    config = traffic.TrafficConfig(horizon=sc["horizon_s"], a_max=sc["a_max"],
-                                   drain=sc["drain_s"])
-    sim = traffic.Simulation(net, demand=demand, config=config, router=router,
-                             coeffs=coeffs, comm=comm, seed=seed)
+    try:
+        table = ecorouting.TmcCostTable(net, coeffs, beta=sc["beta"])
+        router = ecorouting.EcoRouter(net, table, eta=sc["eta"], seed=seed + 1)
+        params = mac_analytic.MacParams(
+            n_stations=1, arrival_rate=1.0,
+            payload_bits=sc["payload_bytes"] * 8,
+            queue_capacity=sc["queue_capacity"],
+            access_mode=_access_mode(sc["access"]))
+        comm = ecorouting.CommModule(index, table, params, mode=mode,
+                                     background_rate=sc["background_rate"],
+                                     refresh=sc["refresh_s"], seed=seed + 2)
+        demand = traffic.OdDemand(
+            tuple(traffic.OdEntry(*row) for row in sc["od"]), odsf=odsf)
+        config = traffic.TrafficConfig(horizon=sc["horizon_s"], a_max=sc["a_max"],
+                                       drain=sc["drain_s"])
+        sim = traffic.Simulation(net, demand=demand, config=config, router=router,
+                                 coeffs=coeffs, comm=comm, seed=seed)
+    except ValidationError as exc:
+        name = _OWNER_ARGS.get(exc.field)
+        if name is None:
+            raise
+        sec, key = next((sec, key) for sec, key, parsed, *_ in SCENARIO_KEYS
+                        if parsed == name)
+        raise ValidationError(f"bad scenario value for [{sec}] {key}: {exc}",
+                              field=exc.field) from exc
     return sim, table, comm
 
 
 def execute_run(sc: dict, *, odsf: float, mode: str, seed: int, out_dir) -> dict:
     """Run one scenario point and write its artifact files."""
+    sim, table, comm = build_run(sc, odsf=odsf, mode=mode, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim, table, comm = build_run(sc, odsf=odsf, mode=mode, seed=seed)
     t0 = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - t0
@@ -434,8 +453,7 @@ def cmd_sweep(args) -> int:
     sc = parse_scenario(args.scenario)
     mode = args.mode or sc["mode"]
     seed = sc["seed"] if args.seed is None else args.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)    # made by the first point's execute_run
     points = [(sc, odsf, mode, seed, str(out / f"odsf_{odsf:g}"))
               for odsf in sc["odsf"]]
     if args.jobs <= 1:

@@ -39,7 +39,7 @@ class TmcCostTable:
 
     def __init__(self, network: roadnet.RoadNetwork, coeffs=None, beta: float = BETA):
         if not 0.0 < beta <= 1.0:
-            raise ValidationError(f"beta {beta} outside (0, 1]")
+            raise ValidationError(f"beta {beta} outside (0, 1]", field="beta")
         coeffs = coeffs or energy.load_coefficients()
         self.beta = beta
         self.costs = {
@@ -67,12 +67,16 @@ class EcoRouter:
     Usable directly as a Simulation router. Each query draws one noise
     factor per link it actually inspects, from a single seeded stream,
     so runs replay exactly for a fixed seed and call order.
+    ``roadnet.shortest_path`` weighs a link only when it settles the
+    link's tail node, once per query, so each inspected link is weighed
+    once and no per-query cache of its factor is needed.
     """
 
     def __init__(self, network: roadnet.RoadNetwork, table: TmcCostTable,
                  *, eta: float = ETA, seed: int = 0):
         if eta < 0.0:
-            raise ValidationError(f"noise width {eta} must not be negative")
+            raise ValidationError(f"noise width {eta} must not be negative",
+                                  field="eta")
         self.network = network
         self.table = table
         self.eta = eta
@@ -80,15 +84,13 @@ class EcoRouter:
 
     def __call__(self, now, vehicle, at_node) -> list[int]:
         costs = self.table.costs
-        eps: dict[int, float] = {}
-        rng_uniform = self._rng.uniform
-        eta = self.eta
+        rnd = self._rng.random
+        # random.uniform(-eta, eta) spelled out: a + (b - a) * random()
+        lo = -self.eta
+        span = self.eta - lo
 
         def weight(ln):
-            e = eps.get(ln.id)
-            if e is None:
-                e = eps[ln.id] = rng_uniform(-eta, eta)
-            return costs[ln.id] * (1.0 + e)
+            return costs[ln.id] * (1.0 + (lo + span * rnd()))
 
         path = roadnet.shortest_path(self.network, at_node,
                                      vehicle.destination, weight)
@@ -134,9 +136,10 @@ class CommModule:
         if mode not in ("realistic", "ideal"):
             raise ValidationError(f"unknown comm mode {mode!r}")
         if not background_rate > 0.0:
-            raise ValidationError(f"background_rate {background_rate} must be positive")
+            raise ValidationError(f"background_rate {background_rate} must be positive",
+                                  field="background_rate")
         if not refresh > 0.0:
-            raise ValidationError(f"refresh {refresh} must be positive")
+            raise ValidationError(f"refresh {refresh} must be positive", field="refresh")
         self.index = index
         self.table = table
         self.params = params

@@ -26,7 +26,16 @@ class ParseError(VanetSimError):
 
 
 class ValidationError(VanetSimError):
-    """Structurally parseable data that violates a stated invariant."""
+    """Structurally parseable data that violates a stated invariant.
+
+    ``field`` names the constructor argument that was refused, when the
+    check is about one argument, so a caller can say where that value came
+    from (see cli.build_run).
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class DegenerateInputError(VanetSimError):

@@ -95,9 +95,6 @@ class RoadNetwork:
             stack.extend(neigh[nid] - seen)
         return len(seen) == len(self.nodes)
 
-    def out_links(self, node_id: int) -> tuple[Link, ...]:
-        return self._out.get(node_id, ())
-
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
@@ -255,30 +252,35 @@ def shortest_path(network: RoadNetwork, origin: int, destination: int,
                   weight) -> list[Link]:
     """Deterministic label-setting minimum-cost path.
 
-    weight(link) must be >= 0. Exact cost ties resolve to the
-    lexicographically smallest link-id sequence, which makes route
-    choice reproducible on symmetric networks.
+    weight(link) must be >= 0. It is called once for each link inspected,
+    when the link's tail node is settled, and every node settles at most
+    once per query. Exact cost ties resolve to the lexicographically
+    smallest link-id sequence, which makes route choice reproducible on
+    symmetric networks.
     """
     if origin == destination:
         return []
     if origin not in network.nodes or destination not in network.nodes:
         raise NoPathError(f"unknown node in query {origin}->{destination}")
+    push, pop = heapq.heappush, heapq.heappop
+    out, links = network._out, network.links
     heap = [(0.0, (), origin)]
     settled: set[int] = set()
     while heap:
-        cost, seq, node = heapq.heappop(heap)
+        cost, seq, node = pop(heap)
         if node in settled:
             continue
         settled.add(node)
         if node == destination:
-            return [network.link(lid) for lid in seq]
-        for link in network.out_links(node):
-            if link.to_node in settled:
+            return [links[lid] for lid in seq]
+        for link in out.get(node, ()):
+            to = link.to_node
+            if to in settled:
                 continue
             w = weight(link)
             if w < 0:
                 raise ValidationError(f"negative weight on link {link.id}")
-            heapq.heappush(heap, (cost + w, seq + (link.id,), link.to_node))
+            push(heap, (cost + w, seq + (link.id,), to))
     raise NoPathError(f"no path {origin}->{destination}")
 
 

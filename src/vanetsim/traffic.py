@@ -16,11 +16,19 @@ through TrafficConfig.
 Speed lives in km/h and acceleration in km/h per second throughout,
 matching the engine-map conventions in :mod:`vanetsim.energy`. Engine
 rates are refreshed once per simulated second (every RATE_REFRESH / DT
-steps, counted in whole steps) and held in between; by default the
-lookup quantizes speed and acceleration to 0.5-unit bins so the exp()
-evaluations amortize across the fleet, and
+steps, counted in whole steps) and held in between, as per-step
+increments (rate times DT) that the burn adds as they are; by default
+the lookup quantizes speed and acceleration to 0.5-unit bins so the
+exp() evaluations amortize across the fleet, and
 ``TrafficConfig(exact_energy=True)`` disables the binning when a test
 needs bit-exact hand arithmetic.
+
+``Simulation.step`` moves the fleet in one loop body: move, burn and
+stop-line crossing run inline for each vehicle, and only the rare paths
+(crossing, replaying a parked vehicle's burns, leaving a link) are
+method calls. The Greenshields target speed is read from a per-link
+table indexed by occupancy, built once per simulation and shared by
+links with the same speed, density and capacity.
 
 Blocking at a stop line is an instantaneous halt: the acceleration
 clamp shapes free driving, not the last half metre before a red light.
@@ -221,11 +229,11 @@ class TrafficConfig:
 
     def __post_init__(self):
         if not self.a_max > 0.0:
-            raise ValidationError("a_max must be positive")
+            raise ValidationError("a_max must be positive", field="a_max")
         if self.horizon is not None and not self.horizon > 0.0:
-            raise ValidationError("horizon must be positive")
+            raise ValidationError("horizon must be positive", field="horizon")
         if not self.drain >= 0.0:
-            raise ValidationError("drain must not be negative")
+            raise ValidationError("drain must not be negative", field="drain")
 
 
 @dataclass(frozen=True)
@@ -253,16 +261,31 @@ def free_flow_router(network: roadnet.RoadNetwork):
 
 
 class _LinkData:
-    __slots__ = ("length", "free_speed", "jam", "cap", "inv_len_lanes",
+    """A link as the step loop reads it.
+
+    ``target[k]`` is the Greenshields speed at k vehicles on the link, for
+    k = 0..cap. Links with equal (free_speed, inv_len_lanes, jam, cap)
+    share one list, kept in ``tables``.
+    """
+
+    __slots__ = ("length", "free_speed", "jam", "cap", "inv_len_lanes", "target",
                  "to_node", "to_signal", "is_ew", "ff_time", "x0", "y0", "dx", "dy")
 
-    def __init__(self, link: roadnet.Link, network: roadnet.RoadNetwork):
+    def __init__(self, link: roadnet.Link, network: roadnet.RoadNetwork,
+                 tables: dict[tuple, list[float]]):
         self.length = link.length
         self.free_speed = link.free_speed
         self.jam = link.jam_density
         len_lanes_km = link.length / 1000.0 * link.lanes
         self.cap = int(link.jam_density * len_lanes_km + 1e-9)
         self.inv_len_lanes = 1.0 / len_lanes_km
+        key = (self.free_speed, self.inv_len_lanes, self.jam, self.cap)
+        target = tables.get(key)
+        if target is None:
+            target = tables[key] = [
+                greenshields(self.free_speed, k * self.inv_len_lanes, self.jam)
+                for k in range(self.cap + 1)]
+        self.target = target
         self.to_node = link.to_node
         self.to_signal = network.has_signal(link.to_node)
         a = network.nodes[link.from_node]
@@ -308,7 +331,8 @@ class Simulation:
             if veh.origin not in network.nodes or veh.destination not in network.nodes:
                 raise ValidationError(f"vehicle {veh.id} references unknown node")
 
-        self._lk = {lid: _LinkData(link, network)
+        tables: dict[tuple, list[float]] = {}
+        self._lk = {lid: _LinkData(link, network, tables)
                     for lid, link in network.links.items()}
         self._occ = dict.fromkeys(network.links, 0)
         self._total_len_lanes_km = left_sum(
@@ -396,7 +420,8 @@ class Simulation:
             a = key[1] / 2.0
         got = self._rate_cache.get(key)
         if got is None:
-            got = tuple(energy.vt_micro_rate(v, a, self.coeffs, m)
+            # per-step increments: the burn adds them as they are
+            got = tuple(energy.vt_micro_rate(v, a, self.coeffs, m) * DT
                         for m in energy.MEASURES)
             self._rate_cache[key] = got
         return got
@@ -404,6 +429,22 @@ class Simulation:
     # -- step loop ---------------------------------------------------------
 
     def step(self) -> None:
+        """Advance every vehicle one step, then admit, uplink and defer.
+
+        One loop body moves each en-route vehicle in step order: a stop
+        line reached in an earlier step is tried first, then the speed
+        steps toward the link's Greenshields target for the occupancy at
+        the start of the step (``_LinkData.target``), clamped to
+        ``a_max * DT``, then the step's burn, then a stop line reached in
+        this step is tried. A vehicle that is due at a line it already
+        holds and fails to cross again burns the step at v = a = 0, through
+        the same burn.
+
+        The burn adds the held per-step increments (rate times DT) to the
+        accumulators. They are looked up every RATE_REFRESH and held in
+        between. A parked vehicle skips its held steps, each a burn at
+        v = a = 0; ``_replay_idle`` applies them later, bit for bit.
+        """
         n = self._n
         now = n * DT
         if n % self._nfd_steps == 0:
@@ -415,6 +456,15 @@ class Simulation:
         finished_now: list[Vehicle] = []
         survivors = []
         carriers = []
+        occ_get = occ_snap.get
+        keep = survivors.append
+        carry = carriers.append
+        lks = self._lk
+        dv_max = self._dv_max
+        dv_min = -dv_max
+        refresh = self._refresh_steps
+        lookup = self._lookup_rates
+        try_cross = self._try_cross
         for veh in self.enroute:
             # a parked vehicle keeps its place and is skipped until its wake
             wake = veh.wake
@@ -422,13 +472,72 @@ class Simulation:
                 self._replay_idle(veh, n)
                 veh.wake = wake = 0
             if not wake:
-                self._move(veh, n, now_end, occ_snap)
-                if veh.state != EN_ROUTE:
-                    finished_now.append(veh)
-                    continue
-            survivors.append(veh)
+                lid = veh.route[0]
+                lk = lks[lid]
+                own = 1          # the snapshot counts the vehicle on its link
+                moving = True
+                if veh.pos >= lk.length - _POS_EPS:
+                    # held at the stop line since an earlier step, and due again
+                    if not try_cross(veh, n, now_end):
+                        moving = False
+                    elif veh.state == FINISHED:
+                        finished_now.append(veh)
+                        continue
+                    else:
+                        lid = veh.route[0]
+                        lk = lks[lid]
+                        own = 0
+                if moving:
+                    k_cnt = occ_get(lid, 0) - own
+                    if k_cnt < 0:
+                        k_cnt = 0
+                    speed = veh.speed
+                    dv = lk.target[k_cnt] - speed
+                    if dv > dv_max:
+                        dv = dv_max
+                    elif dv < dv_min:
+                        dv = dv_min
+                    v = speed + dv
+                    a = dv / DT
+                    pos = veh.pos + v / 3.6 * DT
+                    veh.pos = pos
+                else:
+                    v = a = 0.0
+                veh.speed = v
+
+                # the burn of step n
+                if n >= veh.rate_until:
+                    veh.rates = lookup(v, a)
+                    veh.rate_until = n + refresh
+                f, c, h, x = veh.rates
+                veh.fuel += f
+                veh.link_fuel += f
+                veh.co += c
+                veh.hc += h
+                veh.nox += x
+
+                if moving and pos >= lk.length - _POS_EPS:
+                    over = pos - lk.length
+                    if over < 0.0:
+                        over = 0.0
+                    if try_cross(veh, n, now_end):
+                        if veh.state == FINISHED:
+                            finished_now.append(veh)
+                            continue
+                        nlk = lks[veh.route[0]]
+                        if over >= nlk.length:
+                            raise SimulationError(
+                                f"position overrun: vehicle {veh.id} jumped past "
+                                f"link {veh.route[0]} ({over:.2f} m beyond entry)")
+                        veh.pos = over
+                        if veh.speed > nlk.free_speed:
+                            veh.speed = nlk.free_speed
+                    else:
+                        veh.pos = lk.length
+                        veh.speed = 0.0
+            keep(veh)
             if veh.pending:
-                carriers.append(veh)
+                carry(veh)
         self.enroute = survivors
         self.carriers = carriers
 
@@ -455,83 +564,14 @@ class Simulation:
             self.step()
         self._settle()
 
-    # -- movement ----------------------------------------------------------
-
-    def _move(self, veh, n, now_end, occ_snap) -> None:
-        route = veh.route
-        lid = route[0]
-        lk = self._lk[lid]
-        crossed = False
-
-        if veh.pos >= lk.length - _POS_EPS:
-            # held at the stop line since an earlier step, and due again
-            if not self._try_cross(veh, n, now_end):
-                veh.speed = 0.0
-                self._burn(veh, n, 0.0, 0.0)
-                return
-            if veh.state == FINISHED:
-                return
-            lid = route[0]
-            lk = self._lk[lid]
-            crossed = True
-
-        k_cnt = occ_snap.get(lid, 0) - (0 if crossed else 1)
-        if k_cnt < 0:
-            k_cnt = 0
-        target = greenshields(lk.free_speed, k_cnt * lk.inv_len_lanes, lk.jam)
-        dv = target - veh.speed
-        if dv > self._dv_max:
-            dv = self._dv_max
-        elif dv < -self._dv_max:
-            dv = -self._dv_max
-        v = veh.speed + dv
-        a = dv / DT
-        veh.speed = v
-        veh.pos += v / 3.6 * DT
-        self._burn(veh, n, v, a)
-
-        if veh.pos >= lk.length - _POS_EPS:
-            over = veh.pos - lk.length
-            if over < 0.0:
-                over = 0.0
-            if self._try_cross(veh, n, now_end):
-                if veh.state == FINISHED:
-                    return
-                nlk = self._lk[veh.route[0]]
-                if over >= nlk.length:
-                    raise SimulationError(
-                        f"position overrun: vehicle {veh.id} jumped past "
-                        f"link {veh.route[0]} ({over:.2f} m beyond entry)")
-                veh.pos = over
-                if veh.speed > nlk.free_speed:
-                    veh.speed = nlk.free_speed
-            else:
-                veh.pos = lk.length
-                veh.speed = 0.0
-
-    def _burn(self, veh, n, v, a) -> None:
-        """Burn step n at speed v and acceleration a.
-
-        The rates are looked up every RATE_REFRESH and held in between. A
-        parked vehicle skips its held steps, each ``_burn(veh, n, 0.0,
-        0.0)``; ``_replay_idle`` applies them later, bit for bit.
-        """
-        if n >= veh.rate_until:
-            veh.rates = self._lookup_rates(v, a)
-            veh.rate_until = n + self._refresh_steps
-        f, c, h, x = veh.rates
-        veh.fuel += f * DT
-        veh.link_fuel += f * DT
-        veh.co += c * DT
-        veh.hc += h * DT
-        veh.nox += x * DT
+    # -- stop lines and parked vehicles ---------------------------------------
 
     def _replay_idle(self, veh, upto) -> None:
         """Apply the held-step burns a parked vehicle skipped before ``upto``.
 
-        Each skipped step is ``_burn(veh, n, 0.0, 0.0)``: the rates held
-        since the last lookup until the next one is due, then the idle
-        rates, which every later lookup returns again. So the stretch is at
+        Each skipped step is the burn at v = a = 0 (see ``step``): the
+        increments held since the last lookup until the next one is due,
+        then the idle ones, which every later lookup returns again. So the stretch is at
         most two runs of constant rates (one, when the held rates are idle
         already), and each accumulator jumps over a run with
         ``add_repeated``, which gives the bits of the step-by-step sums.
@@ -565,11 +605,11 @@ class Simulation:
     @staticmethod
     def _add_burns(veh, rates, k) -> None:
         f, c, h, x = rates
-        veh.fuel = add_repeated(veh.fuel, f * DT, k)
-        veh.link_fuel = add_repeated(veh.link_fuel, f * DT, k)
-        veh.co = add_repeated(veh.co, c * DT, k)
-        veh.hc = add_repeated(veh.hc, h * DT, k)
-        veh.nox = add_repeated(veh.nox, x * DT, k)
+        veh.fuel = add_repeated(veh.fuel, f, k)
+        veh.link_fuel = add_repeated(veh.link_fuel, f, k)
+        veh.co = add_repeated(veh.co, c, k)
+        veh.hc = add_repeated(veh.hc, h, k)
+        veh.nox = add_repeated(veh.nox, x, k)
 
     def _red_steps(self, lk, start, upto) -> int:
         """Steps in [start, upto) at which lk's approach shows red."""
@@ -668,7 +708,7 @@ class Simulation:
                 veh.state = EN_ROUTE
                 veh.entered_at = now_end
                 veh.pos = 0.0
-                veh.speed = greenshields(lk.free_speed, occ * lk.inv_len_lanes, lk.jam)
+                veh.speed = lk.target[occ]
                 self.enroute.append(veh)
                 self._counts[WAITING] -= 1
                 self._counts[EN_ROUTE] += 1

@@ -85,6 +85,27 @@ def test_build_run_carries_owner_defaults(tmp_path):
     assert sim.config.drain == traffic.TrafficConfig().drain
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("comm", "refresh_s", "0"),
+    ("comm", "background_rate", "0"),
+    ("sim", "drain_s", "-200"),
+    ("sim", "horizon_s", "-1"),
+    ("sim", "a_max", "0"),
+    ("routing", "eta", "-0.1"),
+    ("routing", "beta", "0"),
+])
+def test_refused_value_names_its_key_and_writes_nothing(tmp_path, capsys,
+                                                        section, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[demand]\nod = 1 4 300 0 60\n\n[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    for cmd in ("run", "sweep"):
+        assert cli.main([cmd, "--scenario", str(path), "--out",
+                         str(out)]) == cli.EXIT_VALIDATION
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_scenario_rejects_out_of_range_odsf(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(TINY_SCENARIO.replace("odsf = 0.5 1.0", "odsf = 0.0 1.0"))

@@ -7,7 +7,9 @@ pieces (ideal-mode equivalence, never-delivered degeneracy) run the
 real co-simulation end to end.
 """
 
+import collections
 import math
+import random
 
 import pytest
 
@@ -105,6 +107,43 @@ def test_router_noise_spreads_near_ties():
         picks[tuple(router(0.0, Dest(4), 1))] += 1
     assert picks[(1, 3)] > 500 and picks[(2, 4)] > 500
     assert picks[(1, 3)] > picks[(2, 4)]    # the genuinely cheaper route leads
+
+
+def test_router_draws_one_factor_per_weighed_link():
+    net = rn.gen_grid(10, 10)
+    table = eco.TmcCostTable(net)
+    rng = random.Random(11)
+    for lid in table.costs:
+        table.costs[lid] = rng.uniform(0.005, 0.02)
+    eta = 0.15
+    router = eco.EcoRouter(net, table, eta=eta, seed=4)
+    ref_rng = random.Random(4)
+
+    def reference(origin, destination):
+        # a per-query cache of each link's factor, drawn with uniform()
+        eps = {}
+
+        def weight(ln):
+            e = eps.get(ln.id)
+            if e is None:
+                e = eps[ln.id] = ref_rng.uniform(-eta, eta)
+            return table.costs[ln.id] * (1.0 + e)
+
+        return [ln.id for ln in rn.shortest_path(net, origin, destination, weight)]
+
+    nodes = sorted(net.nodes)
+    for _ in range(300):
+        origin, destination = rng.sample(nodes, 2)
+        assert router(0.0, Dest(destination), origin) == reference(origin, destination)
+        assert router._rng.getstate() == ref_rng.getstate()
+        weighed = collections.Counter()
+
+        def counting(ln):
+            weighed[ln.id] += 1
+            return table.costs[ln.id]
+
+        rn.shortest_path(net, origin, destination, counting)
+        assert max(weighed.values()) == 1
 
 
 # --- uplink Monte-Carlo -------------------------------------------------------

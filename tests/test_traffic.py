@@ -187,6 +187,40 @@ def test_admission_stops_at_jam_density():
     assert counts[traffic.WAITING] == 0
 
 
+def test_target_table_is_greenshields_bit_for_bit():
+    # a diamond whose lower branch is longer, so two tables exist
+    diamond = rn.RoadNetwork(
+        [rn.Node(1, 0.0, 0.0), rn.Node(2, 1000.0, 500.0),
+         rn.Node(3, 1000.0, -500.0), rn.Node(4, 2000.0, 0.0)],
+        [rn.Link(1, 1, 2, 1000.0, 1, 50.0, 120.0),
+         rn.Link(2, 1, 3, 1500.0, 1, 50.0, 120.0),
+         rn.Link(3, 2, 4, 1000.0, 1, 50.0, 120.0),
+         rn.Link(4, 3, 4, 1500.0, 1, 50.0, 120.0)], [])
+    for net, n_tables in ((rn.gen_grid(4, 4), 1), (diamond, 2)):
+        sim = traffic.Simulation(net, schedule=[])
+        tables = {}
+        for lk in sim._lk.values():
+            assert len(lk.target) == lk.cap + 1
+            for k, v in enumerate(lk.target):
+                want = traffic.greenshields(lk.free_speed, k * lk.inv_len_lanes, lk.jam)
+                assert v.hex() == want.hex()
+            key = (lk.free_speed, lk.inv_len_lanes, lk.jam, lk.cap)
+            assert tables.setdefault(key, lk.target) is lk.target
+        assert len(tables) == n_tables
+
+
+def test_admission_enters_at_target_for_occupancy():
+    net = line_network([150.0])
+    sched = [traffic.Departure(0.0, 1, 2) for _ in range(30)]
+    sim = traffic.Simulation(net, schedule=sched)
+    sim.step()
+    lk = sim._lk[1]
+    assert len(sim.enroute) == lk.cap == 18
+    # the k-th admitted vehicle found k on the link
+    assert [v.speed for v in sim.enroute] == lk.target[:lk.cap]
+    assert lk.target[0] == 50.0 and lk.target[lk.cap] == 0.0
+
+
 def ring_gridlock_sim():
     nodes = [rn.Node(1, 0.0, 0.0), rn.Node(2, 150.0, 0.0),
              rn.Node(3, 150.0, 150.0), rn.Node(4, 0.0, 150.0)]
