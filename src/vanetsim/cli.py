@@ -47,7 +47,7 @@ DELAY_BIN_EDGES = (0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
 
 
 def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, ConfigurationError):
+    if isinstance(exc, (ConfigurationError, OSError)):    # OSError: missing file
         return EXIT_CONFIG
     if isinstance(exc, (ParseError, ValidationError, NoPathError)):
         return EXIT_VALIDATION
@@ -372,10 +372,20 @@ def cmd_solve_mac(args) -> int:
             access_mode=_access_mode(args.access))
     if args.grid:
         rows = []
-        _, _, table_rows = records.read_table(args.grid)
+        _, cols, table_rows = records.read_table(args.grid)
+        if "stations" not in cols or "rate" not in cols:
+            raise ParseError("grid table needs 'stations' and 'rate' columns",
+                             path=args.grid)
+        i_n, i_rate = cols.index("stations"), cols.index("rate")
         for row in table_rows:
-            params = dataclasses.replace(base, n_stations=int(row[0]),
-                                         arrival_rate=float(row[1]))
+            n, rate = row[i_n], row[i_rate]
+            if type(n) is not int:
+                raise ParseError(f"station count {n!r} is not an integer",
+                                 path=args.grid)
+            if type(rate) not in (int, float):
+                raise ParseError(f"rate {rate!r} is not a number", path=args.grid)
+            params = dataclasses.replace(base, n_stations=n,
+                                         arrival_rate=float(rate))
             sol = mac_analytic.solve(params)
             rows.append((params.n_stations, params.arrival_rate,
                          sol.throughput / params.n_stations, sol.t_serv,
@@ -459,7 +469,9 @@ def cmd_sweep(args) -> int:
     if args.jobs <= 1:
         results = [_sweep_point(pt) for pt in points]
     else:
-        with futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once, so start no idle ones
+        with futures.ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(points))) as pool:
             results = list(pool.map(_sweep_point, points))
 
     results.sort(key=lambda r: r["odsf"])
@@ -500,6 +512,20 @@ def cmd_defaults(args) -> int:
 
 # --- entry point ------------------------------------------------------------------------
 
+def _comma_list(conv):
+    """argparse type: comma-separated values that `conv` accepts.
+
+    Checking each item here makes a bad one a usage error (exit 2). The
+    text itself is kept; the command splits it.
+    """
+    def check(text: str) -> str:
+        for item in text.split(","):
+            conv(item)
+        return text
+    check.__name__ = f"{conv.__name__} list"    # argparse names it in its error
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="vanetsim",
@@ -515,14 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue", type=int, default=mac.queue_capacity)
     p.add_argument("--access", default=mac.access_mode.value)
     p.add_argument("--params", help="record file with parameter fields")
-    p.add_argument("--grid", help="table file of 'stations rate' rows")
+    p.add_argument("--grid", help="table file with 'stations' and 'rate' columns")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve_mac)
 
     p = sub.add_parser("validate-mac", help="model vs event simulator grid")
-    p.add_argument("--stations", default="5,10,20,40")
-    p.add_argument("--rates", default="10,25,50,100")
-    p.add_argument("--bytes", default="500,1000")
+    p.add_argument("--stations", type=_comma_list(int), default="5,10,20,40")
+    p.add_argument("--rates", type=_comma_list(float), default="10,25,50,100")
+    p.add_argument("--bytes", type=_comma_list(int), default="500,1000")
     p.add_argument("--access", default=mac.access_mode.value)
     p.add_argument("--queue", type=int, default=mac.queue_capacity)
     p.add_argument("--duration", type=float, default=20.0)

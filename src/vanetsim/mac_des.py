@@ -29,6 +29,11 @@ Arrivals at non-empty stations cannot change contention state, so each
 station's Poisson stream is materialized lazily: pending packets are
 folded in when that station's queue is next touched. So the number of
 loop steps follows channel events and admissions, not arrivals.
+
+Every departure, a delivery or a drop after the last retry, goes
+through one closure, `leave`: it folds in the station's arrivals,
+books the counters, batch sums, service and sojourn sums and the trace
+row, and hands the channel to the next packet in the queue.
 """
 
 from __future__ import annotations
@@ -53,19 +58,10 @@ SINGLE_AC_CHECK_MIN_DELIVERED = 200
 
 _by_idx = attrgetter("idx")
 
-# two-sided 95% Student-t critical values by degrees of freedom
-_T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-        7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
-        13: 2.160, 14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101,
-        19: 2.093, 20: 2.086, 25: 2.060, 30: 2.042}
-
-
-def _t95(df: int) -> float:
-    if df <= 0:
-        return math.inf
-    while df not in _T95 and df < 30:
-        df += 1
-    return _T95.get(df, 1.96)
+# two-sided 95% Student-t critical values for df = 1 .. BATCH_COUNT - 1;
+# the value for n batch means (df = n - 1) is _T95[n - 2]
+_T95 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+        2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093)
 
 
 class AcMode(Enum):
@@ -222,9 +218,8 @@ def simulate(config: DesConfig) -> DesStats:
     m_attempts = 0
     m_collisions = 0
     service_sum = 0.0
-    service_count = 0
     sojourn_sum = 0.0
-    sojourn_count = 0
+    left = 0           # departures (delivered or retry-dropped) in the window
     empty_time = 0.0
     size_integral = 0.0
     trace: list | None = [] if config.collect_trace else None
@@ -301,15 +296,44 @@ def simulate(config: DesConfig) -> DesStats:
         e.next_arrival = ta + expovariate(e.lam)
         push(e, pos)
 
-    def pop_head(e: _Entity, now: float) -> None:
-        """Head packet leaves (delivered or dropped); next one takes over."""
+    def leave(e: _Entity, now: float, fate: str) -> None:
+        """e's head packet leaves at `now`, "delivered" or "dropped" after
+        its last retry, and the next packet takes over.
+
+        The one place a departure is booked: counters, batch and
+        per-AC sums, service and sojourn sums, and its trace row.
+        """
+        nonlocal delivered, retry_dropped, service_sum, sojourn_sum, left
         nonlocal size_integral
-        size_integral += len(e.queue) * window_overlap(e.last_sync, now)
+        sync_arrivals(e, now)
+        queue = e.queue
+        birth = queue[0]
+        delivery = fate == "delivered"
+        if delivery:
+            delivered += 1
+        else:
+            retry_dropped += 1
+        b = batch_of(now)
+        if b >= 0:
+            if delivery:
+                if ac_delivered is not None:
+                    ac_delivered[e.ac] += 1
+                    ac_delay_sum[e.ac] += now - birth
+                m_delivered[b] += 1
+                m_delay_sum[b] += now - birth
+            else:
+                m_dropped[b] += 1
+            service_sum += now - e.hol_start
+            sojourn_sum += now - birth
+            left += 1
+        if trace is not None:
+            trace.append([e.idx, birth, e.attempts_hol, fate, now])
+        size_integral += len(queue) * window_overlap(e.last_sync, now)
         e.last_sync = now
-        e.queue.pop(0)
+        queue.pop(0)
         e.stage = 0
         e.attempts_hol = 0
-        if e.queue:
+        if queue:
             e.hol_start = now
             e.backoff = randrange(e.windows[0])
         else:
@@ -408,24 +432,7 @@ def simulate(config: DesConfig) -> DesStats:
             e.attempts_hol += 1
 
         if success:
-            e = on_air[0]
-            sync_arrivals(e, t_end)
-            birth = e.queue[0]
-            delivered += 1
-            b = batch_of(t_end)
-            if b >= 0:
-                if ac_delivered is not None:
-                    ac_delivered[e.ac] += 1
-                    ac_delay_sum[e.ac] += t_end - birth
-                m_delivered[b] += 1
-                m_delay_sum[b] += t_end - birth
-                service_sum += t_end - e.hol_start
-                service_count += 1
-                sojourn_sum += t_end - birth
-                sojourn_count += 1
-            if trace is not None:
-                trace.append([e.idx, birth, e.attempts_hol, "delivered", t_end])
-            pop_head(e, t_end)
+            leave(on_air[0], t_end, "delivered")
             # 802.11e: a loser of an internal collision backs off as if
             # its frame had collided on the air
             failed = losers
@@ -434,19 +441,7 @@ def simulate(config: DesConfig) -> DesStats:
         for e in failed:
             e.stage += 1
             if e.stage >= e.max_stage:
-                sync_arrivals(e, t_end)
-                birth = e.queue[0]
-                retry_dropped += 1
-                b = batch_of(t_end)
-                if b >= 0:
-                    m_dropped[b] += 1
-                    service_sum += t_end - e.hol_start
-                    service_count += 1
-                    sojourn_sum += t_end - birth
-                    sojourn_count += 1
-                if trace is not None:
-                    trace.append([e.idx, birth, e.attempts_hol, "dropped", t_end])
-                pop_head(e, t_end)
+                leave(e, t_end, "dropped")
             else:
                 e.backoff = randrange(e.windows[e.stage])
 
@@ -469,8 +464,8 @@ def simulate(config: DesConfig) -> DesStats:
         if trace is not None:
             # only the head has been attempted; the rest wait behind it
             for k, birth in enumerate(e.queue):
-                attempts = e.attempts_hol if k == 0 else 0
-                trace.append([e.idx, birth, attempts, "pending", None])
+                trace.append([e.idx, birth, e.attempts_hol if k == 0 else 0,
+                              "pending", None])
     in_system = sum(len(e.queue) for e in ents)
 
     if generated != delivered + rejected + retry_dropped + in_system:
@@ -484,7 +479,8 @@ def simulate(config: DesConfig) -> DesStats:
 
     if trace is not None:
         trace.sort(key=lambda row: (row[1], row[0]))
-        trace = [[i] + row for i, row in enumerate(trace)]
+        for i, row in enumerate(trace):
+            row.insert(0, i)
 
     offered = sum(m_offered)
     dropped = sum(m_dropped)
@@ -496,7 +492,7 @@ def simulate(config: DesConfig) -> DesStats:
             return math.inf
         mean = left_sum(values) / n
         var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
-        return _t95(n - 1) * math.sqrt(var / n)
+        return _T95[n - 2] * math.sqrt(var / n)
 
     rate_batches = [m_delivered[i] / batch_len / p.n_stations
                     for i in range(BATCH_COUNT)]
@@ -517,14 +513,14 @@ def simulate(config: DesConfig) -> DesStats:
             "mean_total_delay": halfwidth(delay_batches),
             "drop_rate": halfwidth(drop_batches),
         },
-        mean_service_time=service_sum / service_count if service_count else None,
+        mean_service_time=service_sum / left if left else None,
         generated=generated, delivered=delivered, rejected=rejected,
         retry_dropped=retry_dropped, in_system=in_system,
         attempts=attempts, air_collisions=air_collisions,
         internal_collisions=internal_collisions,
         mean_system_size=size_integral / dur_m,
-        accepted_rate=sojourn_count / dur_m,
-        mean_sojourn=sojourn_sum / sojourn_count if sojourn_count else None,
+        accepted_rate=left / dur_m,
+        mean_sojourn=sojourn_sum / left if left else None,
         per_ac_delivered=({ac: cnt / dur_m for ac, cnt in ac_delivered.items()}
                           if ac_delivered is not None else None),
         per_ac_delay=({ac: (ac_delay_sum[ac] / cnt if cnt else None)
@@ -543,8 +539,6 @@ def single_ac_approximation_check(lambda_per_ac: float, *, seed: int = 1,
     per-AC share of the single-queue throughput against the measured
     best-effort throughput (both network-wide rates).
     """
-    if not lambda_per_ac > 0:
-        raise ConfigurationError("lambda_per_ac must be > 0")
     n = SINGLE_AC_CHECK_STATIONS
     stats_four = simulate(DesConfig(
         mac_params=MacParams(n_stations=n, arrival_rate=lambda_per_ac),

@@ -95,12 +95,6 @@ class RoadNetwork:
             stack.extend(neigh[nid] - seen)
         return len(seen) == len(self.nodes)
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    def link(self, link_id: int) -> Link:
-        return self.links[link_id]
-
     def has_signal(self, node_id: int) -> bool:
         return node_id in self._signal_nodes
 
@@ -299,8 +293,7 @@ def place_rsus(network: RoadNetwork, r_com: float) -> list[int]:
         raise ValidationError("network has no signals")
     if not r_com > 0:
         raise ValidationError("r_com must be > 0")
-    pos = {sid: network.node(s.node)
-           for sid, s in network.signals.items()}
+    pos = {sid: network.nodes[s.node] for sid, s in network.signals.items()}
     uncovered = set(network.signals)
     selected: list[int] = []
     while uncovered:
@@ -316,7 +309,7 @@ def place_rsus(network: RoadNetwork, r_com: float) -> list[int]:
 
 
 def signal_coverage_fraction(network: RoadNetwork, selected, r_com: float) -> float:
-    pos = {sid: network.node(s.node) for sid, s in network.signals.items()}
+    pos = {sid: network.nodes[s.node] for sid, s in network.signals.items()}
     chosen = [pos[sid] for sid in selected]
     covered = sum(
         1 for sid in network.signals
@@ -333,8 +326,8 @@ def link_length_coverage(network: RoadNetwork, index: "CoverageIndex") -> float:
     """
     total = covered = 0.0
     for link in network.links.values():
-        a = network.node(link.from_node)
-        b = network.node(link.to_node)
+        a = network.nodes[link.from_node]
+        b = network.nodes[link.to_node]
         hit = 0
         for i in range(COVERAGE_SAMPLES_PER_LINK):
             t = (i + 0.5) / COVERAGE_SAMPLES_PER_LINK
@@ -359,7 +352,7 @@ class CoverageIndex:
 
     def __init__(self, network: RoadNetwork, signal_ids, range_m: float):
         self.range_m = range_m
-        nodes = [network.node(network.signals[sid].node) for sid in signal_ids]
+        nodes = [network.nodes[network.signals[sid].node] for sid in signal_ids]
         self._xy = [(node.x, node.y) for node in nodes]
         self.ids = range(len(self._xy))
         self._buckets: dict[tuple[int, int], list[int]] = {}

@@ -38,6 +38,7 @@ def tiny_scenario(tmp_path):
 def test_exit_code_mapping():
     cases = [
         (ConfigurationError("x"), cli.EXIT_CONFIG),
+        (FileNotFoundError("x"), cli.EXIT_CONFIG),
         (ParseError("x"), cli.EXIT_VALIDATION),
         (ValidationError("x"), cli.EXIT_VALIDATION),
         (NoPathError("x"), cli.EXIT_VALIDATION),
@@ -148,6 +149,46 @@ def test_solve_mac_grid_one_record_per_point(tmp_path):
     assert len(rows) == 3
     assert rows[0][cols.index("stations")] == 5
     assert all(row[cols.index("p_col")] >= 0 for row in rows)
+
+
+GRID_COLUMNS = ("stations", "rate")
+
+
+@pytest.mark.parametrize("argv, table, code", [
+    pytest.param(["validate-mac", "--stations", "5,x"], None, cli.EXIT_CONFIG,
+                 id="validate-station-x"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
+                 (("stations",), [(5,)]), cli.EXIT_VALIDATION,
+                 id="grid-without-rate"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
+                 (GRID_COLUMNS, [("abc", 10.0)]), cli.EXIT_VALIDATION,
+                 id="grid-station-abc"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
+                 (GRID_COLUMNS, [(3.5, 10.0)]), cli.EXIT_VALIDATION,
+                 id="grid-station-3.5"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
+                 (GRID_COLUMNS, [(True, 10.0)]), cli.EXIT_VALIDATION,
+                 id="grid-station-true"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
+                 (GRID_COLUMNS, [(5, "fast")]), cli.EXIT_VALIDATION,
+                 id="grid-rate-fast"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/missing.tsv"], None,
+                 cli.EXIT_CONFIG, id="grid-missing"),
+    pytest.param(["solve-mac", "--params", "{tmp}/missing.txt"], None,
+                 cli.EXIT_CONFIG, id="params-missing"),
+    pytest.param(["place-rsus", "--network", "{tmp}/missing.txt"], None,
+                 cli.EXIT_CONFIG, id="network-missing"),
+])
+def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, table, code):
+    if table is not None:
+        records.write_table(tmp_path / "grid.tsv", "points", *table)
+    try:
+        got = cli.main(["--quiet"] + [a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:               # argparse refuses a bad flag value
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_gen_grid_place_rsus_roundtrip(tmp_path, capsys):
@@ -288,6 +329,42 @@ def test_sweep_aggregates(tiny_scenario, tmp_path):
         per_point[row[0]] = per_point.get(row[0], 0) + row[pcols.index("count")]
     _, _, summary_rows = records.read_table(out / "sweep_summary.tsv")
     assert per_point[1.0] > 0
+
+
+def test_sweep_pool_starts_no_idle_worker(tiny_scenario, tmp_path, monkeypatch):
+    made = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", InlinePool)
+    assert cli.main(["--quiet", "sweep", "--scenario", tiny_scenario,
+                     "--out", str(tmp_path / "sweep"), "--jobs", "64"]) == 0
+    assert made == [2]                       # the tiny scenario has two points
+
+
+def test_sweep_jobs_writes_the_same_tables(tiny_scenario, tmp_path):
+    tables = ("sweep_summary.tsv", "sweep_nfd.tsv", "drop_vs_odsf.tsv",
+              "delay_pdf.tsv")
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["--quiet", "sweep", "--scenario", tiny_scenario,
+                         "--out", str(out), "--jobs", jobs]) == 0
+        written.append([(out / name).read_bytes() for name in tables])
+    assert written[0] == written[1]
 
 
 def test_histogram_edges_open_their_bin():

@@ -7,6 +7,7 @@ produce a collision with probability 1/2, collisions carry two attempts
 and successes one, so colliding attempts / attempts = 1/(3/2) = 2/3.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -240,28 +241,60 @@ def test_pending_head_row_counts_its_attempts():
 
 
 # Seed 1, 20 s: (generated, delivered, rejected, retry_dropped, in_system,
-# attempts, air_collisions, internal_collisions) and the mean total delay,
-# pinned so that any change to the event loop that alters a result shows.
+# attempts, air_collisions, internal_collisions), the mean total delay,
+# (mean_service_time, mean_sojourn, accepted_rate) and the 95% half-widths
+# of (delivered_per_station, mean_total_delay, drop_rate), pinned so that
+# any change to the event loop that alters a result shows.
 GOLDEN = {
     "basic-1000B-N20-lam50": (
         dict(n=20, lam=50.0, payload_bits=8000),
-        (22072, 9376, 11416, 69, 1211, 17964, 8588, 0), 2.716844099379698),
+        (22072, 9376, 11416, 69, 1211, 17964, 8588, 0), 2.716844099379698,
+        (0.046286212424379226, 2.7239811251532156, 429.8),
+        (0.15344702139500804, 0.1860718986332639, 0.01572030317776522)),
     "rtscts-500B-N5-lam25": (
         dict(n=5, lam=25.0, payload_bits=4000, access_mode=ma.AccessMode.RTS_CTS),
-        (2822, 2821, 0, 0, 1, 2843, 22, 0), 0.002142722760610596),
+        (2822, 2821, 0, 0, 1, 2843, 22, 0), 0.002142722760610596,
+        (0.002093611832326079, 0.002142722760610596, 128.1),
+        (0.8842900556646379, 3.7829311432452784e-05, 0.0)),
     "basic-1000B-N40-lam100": (
         dict(n=40, lam=100.0, payload_bits=8000),
-        (88236, 8469, 76991, 227, 2549, 20103, 11634, 0), 5.705828532554676),
+        (88236, 8469, 76991, 227, 2549, 20103, 11634, 0), 5.705828532554676,
+        (0.10049474005884358, 5.724423471049415, 396.5),
+        (0.06870753742264535, 0.5751829986935536, 0.001115769704391961)),
     "four-ac-basic-500B-N5-lam50": (
         dict(n=5, lam=50.0, payload_bits=4000, ac_mode=des.AcMode.FOUR_AC),
-        (21836, 18625, 2531, 362, 318, 23667, 5042, 310), 0.35234480447350736),
+        (21836, 18625, 2531, 362, 318, 23667, 5042, 310), 0.35234480447350736,
+        (0.010274255615299224, 0.3460462437148375, 863.9),
+        (0.7611974293281538, 0.04477502151905057, 0.014303806764927795)),
 }
+
+
+def _golden_run(name, trace):
+    kw, counters, delay, means, halfwidths = GOLDEN[name]
+    s = des.simulate(config(seed=1, duration=20.0, collect_trace=trace, **kw))
+    assert (s.generated, s.delivered, s.rejected, s.retry_dropped, s.in_system,
+            s.attempts, s.air_collisions, s.internal_collisions) == counters
+    assert s.mean_total_delay == delay
+    assert (s.mean_service_time, s.mean_sojourn, s.accepted_rate) == means
+    hw = s.confidence_halfwidth
+    assert (hw["delivered_per_station"], hw["mean_total_delay"],
+            hw["drop_rate"]) == halfwidths
+    return s
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_counters(name):
-    kw, counters, delay = GOLDEN[name]
-    s = des.simulate(config(seed=1, duration=20.0, **kw))
-    assert (s.generated, s.delivered, s.rejected, s.retry_dropped, s.in_system,
-            s.attempts, s.air_collisions, s.internal_collisions) == counters
-    assert s.mean_total_delay == delay
+    assert _golden_run(name, trace=False).trace is None
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_counters_with_trace(name):
+    # collecting the trace must not change a single statistic
+    traced = _golden_run(name, trace=True)
+    assert traced.trace
+    assert dataclasses.replace(traced, trace=None) == _golden_run(name, trace=False)
+
+
+def test_t95_covers_every_batch_count():
+    # halfwidth reads _T95[n - 2] for n = 2 .. BATCH_COUNT batch means
+    assert len(des._T95) == des.BATCH_COUNT - 1

@@ -38,7 +38,7 @@ TOY = """\
 def test_toy_file_identity_ingestion(tmp_path):
     net = rn.load_network(write(tmp_path, TOY))
     assert set(net.nodes) == {1, 2}
-    assert net.link(1).length == 1000.0
+    assert net.links[1].length == 1000.0
 
 
 # One case per loader rule: a section header and one row that breaks the
@@ -194,7 +194,7 @@ def test_spatial_index_matches_naive_scan():
     reach = 220.0
     idx = rn.CoverageIndex(net, chosen, reach)
     # gen_grid puts signal i on node i
-    rsus = [(net.node(sid).x, net.node(sid).y) for sid in chosen]
+    rsus = [(net.nodes[sid].x, net.nodes[sid].y) for sid in chosen]
     positions = [(rng.uniform(-100, 900), rng.uniform(-100, 900))
                  for _ in range(500)]
 
