@@ -160,7 +160,10 @@ SCENARIO_KEYS = (
 
 # Owner argument named by a refusal (ValidationError.field) -> name in the
 # parsed dict, for the scenario values whose range their owner checks.
-_OWNER_ARGS = {"background_rate": "background_rate", "refresh": "refresh_s",
+_OWNER_ARGS = {"rows": "rows", "cols": "cols", "spacing": "spacing_m",
+               "free_speed": "free_speed_kmh", "jam_density": "jam_density",
+               "lanes": "lanes", "r_com": "rsu_range_m", "entries": "od",
+               "background_rate": "background_rate", "refresh": "refresh_s",
                "eta": "eta", "beta": "beta", "horizon": "horizon_s",
                "a_max": "a_max", "drain": "drain_s"}
 
@@ -181,17 +184,16 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
     An owner that refuses a scenario value raises ValidationError; it is
     re-raised naming the value's [section] key.
     """
-    if sc["net_path"]:
-        net = roadnet.load_network(sc["net_path"])
-    else:
-        net = roadnet.gen_grid(sc["rows"], sc["cols"], spacing=sc["spacing_m"],
-                               free_speed=sc["free_speed_kmh"],
-                               jam_density=sc["jam_density"], lanes=sc["lanes"])
-    chosen = roadnet.place_rsus(net, sc["rsu_range_m"])
-    index = roadnet.CoverageIndex(net, chosen, sc["rsu_range_m"])
-
     coeffs = energy.load_coefficients()
     try:
+        if sc["net_path"]:
+            net = roadnet.load_network(sc["net_path"])
+        else:
+            net = roadnet.gen_grid(sc["rows"], sc["cols"], spacing=sc["spacing_m"],
+                                   free_speed=sc["free_speed_kmh"],
+                                   jam_density=sc["jam_density"], lanes=sc["lanes"])
+        chosen = roadnet.place_rsus(net, sc["rsu_range_m"])
+        index = roadnet.CoverageIndex(net, chosen, sc["rsu_range_m"])
         table = ecorouting.TmcCostTable(net, coeffs, beta=sc["beta"])
         router = ecorouting.EcoRouter(net, table, eta=sc["eta"], seed=seed + 1)
         params = mac_analytic.MacParams(
@@ -370,6 +372,7 @@ def cmd_solve_mac(args) -> int:
             n_stations=args.stations, arrival_rate=args.rate,
             payload_bits=args.bytes * 8, queue_capacity=args.queue,
             access_mode=_access_mode(args.access))
+    base.validate()
     if args.grid:
         rows = []
         _, cols, table_rows = records.read_table(args.grid)
@@ -386,6 +389,10 @@ def cmd_solve_mac(args) -> int:
                 raise ParseError(f"rate {rate!r} is not a number", path=args.grid)
             params = dataclasses.replace(base, n_stations=n,
                                          arrival_rate=float(rate))
+            bad = params.problems()    # base is valid, so the row is at fault
+            if bad:
+                raise ParseError(f"row stations {n} rate {rate!r}: " + "; ".join(bad),
+                                 path=args.grid)
             sol = mac_analytic.solve(params)
             rows.append((params.n_stations, params.arrival_rate,
                          sol.throughput / params.n_stations, sol.t_serv,

@@ -74,8 +74,8 @@ class EcoRouter:
 
     def __init__(self, network: roadnet.RoadNetwork, table: TmcCostTable,
                  *, eta: float = ETA, seed: int = 0):
-        if eta < 0.0:
-            raise ValidationError(f"noise width {eta} must not be negative",
+        if not 0.0 <= eta < math.inf:
+            raise ValidationError(f"noise width {eta} must be finite and not negative",
                                   field="eta")
         self.network = network
         self.table = table
@@ -135,11 +135,13 @@ class CommModule:
                  refresh: float = CELL_REFRESH, seed: int = 0):
         if mode not in ("realistic", "ideal"):
             raise ValidationError(f"unknown comm mode {mode!r}")
-        if not background_rate > 0.0:
-            raise ValidationError(f"background_rate {background_rate} must be positive",
-                                  field="background_rate")
-        if not refresh > 0.0:
-            raise ValidationError(f"refresh {refresh} must be positive", field="refresh")
+        if not 0.0 < background_rate < math.inf:
+            raise ValidationError(
+                f"background_rate {background_rate} must be positive and finite",
+                field="background_rate")
+        if not 0.0 < refresh < math.inf:
+            raise ValidationError(f"refresh {refresh} must be positive and finite",
+                                  field="refresh")
         self.index = index
         self.table = table
         self.params = params

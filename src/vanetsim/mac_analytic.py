@@ -65,6 +65,11 @@ class MacParams:
     def problems(self) -> list[str]:
         """Every violated field constraint, not just the first."""
         bad = []
+        # the float fields, which the range checks below do not keep finite
+        for name in ("arrival_rate", "slot_time", "sifs", "data_rate",
+                     "propagation_delay"):
+            if not math.isfinite(getattr(self, name)):
+                bad.append(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_stations < 1:
             bad.append(f"n_stations must be >= 1, got {self.n_stations}")
         if not self.arrival_rate > 0:
@@ -350,35 +355,30 @@ def drop_probability(p_rej: float, p_last_state: float, p_col: float) -> float:
     return p_rej + p_exhaust - p_rej * p_exhaust
 
 
-def _initial_q0(params: MacParams, t_s: float, t_f: float) -> float:
-    """Queue-empty probability of an uncontended station (p_col = 0 start)."""
-    t_serv0, _, _ = _service_terms(0.0, 1.0, 0.0, 0.0, t_s, t_f, params)
-    rho0 = params.arrival_rate * t_serv0
-    q0, _, _, _ = mm1k_metrics(rho0, params.queue_capacity, 1.0 / t_serv0,
-                               params.arrival_rate)
-    return q0
-
-
-def solve(params: MacParams, *, exact_queue_wait: bool = False) -> MacSolution:
+def solve(params: MacParams) -> MacSolution:
     """Damped fixed-point solution of the coupled chain/queue system.
 
-    Iterates the vector (p_trans, p_col, p_idle, q0); each component is
-    relaxed as 0.5*new + 0.5*old (FIXED_POINT_DAMPING; plain iteration
-    oscillates under high load). Convergence is max component change
+    Iterates the vector (p_trans, p_col, p_idle, q0) from the uncontended
+    start p_col = 0, p_idle = 1; each component is relaxed as
+    0.5*new + 0.5*old (FIXED_POINT_DAMPING; plain iteration oscillates
+    under high load). Convergence is max component change
     < FIXED_POINT_TOL; ConvergenceError after FIXED_POINT_MAX_ITER
     iterations.
 
-    exact_queue_wait swaps the reported queue wait for the exact
-    finite-queue expectation; the fixed point itself is unaffected
-    (q0 does not depend on the wait formula).
+    The model is evaluated once per iterate. The report reads the channel,
+    service and queue terms of the last iterate, which were evaluated at
+    the converged (p_trans, p_col, p_idle); only p00 is computed after the
+    loop, at the converged q0.
     """
     params.validate()
     t_s, t_f = transmission_times(params)
     r = params.retry_stages
+    k = params.queue_capacity
     lam = params.arrival_rate
 
     p_col, p_idle = 0.0, 1.0
-    q0 = _initial_q0(params, t_s, t_f)
+    t_serv0, _, _ = _service_terms(p_col, p_idle, 0.0, 0.0, t_s, t_f, params)
+    q0, _, _, _ = mm1k_metrics(lam * t_serv0, k, 1.0 / t_serv0, lam)
     p_trans = normalize_p00(p_col, p_idle, q0, params)  # single live stage at start
 
     iterations = 0
@@ -389,14 +389,15 @@ def solve(params: MacParams, *, exact_queue_wait: bool = False) -> MacSolution:
         p_trans_raw = p00 * left_sum(p_col ** i for i in range(r))
         p_trans_new = damping * p_trans_raw + (1.0 - damping) * p_trans
 
-        p_col_raw, _, p_idle_raw, p_suc, p_fail = coupling_equations(p_trans_new, params)
+        p_col_raw, p_idle_slot, p_idle_raw, p_suc, p_fail = coupling_equations(
+            p_trans_new, params)
         p_col_new = damping * p_col_raw + (1.0 - damping) * p_col
         p_idle_new = damping * p_idle_raw + (1.0 - damping) * p_idle
 
-        t_serv, _, _ = _service_terms(p_col_new, p_idle_new, p_suc, p_fail,
-                                      t_s, t_f, params)
+        t_serv, t_w, t_tr_av = _service_terms(p_col_new, p_idle_new, p_suc, p_fail,
+                                              t_s, t_f, params)
         rho = lam * t_serv
-        q0_raw, _, _, _ = mm1k_metrics(rho, params.queue_capacity, 1.0 / t_serv, lam)
+        q0_raw, p_rej, lambda_eff, t_q = mm1k_metrics(rho, k, 1.0 / t_serv, lam)
         q0_new = damping * q0_raw + (1.0 - damping) * q0
 
         residual = max(abs(p_trans_new - p_trans), abs(p_col_new - p_col),
@@ -409,15 +410,8 @@ def solve(params: MacParams, *, exact_queue_wait: bool = False) -> MacSolution:
             "fixed point did not converge", iterations, residual,
             {"p_trans": p_trans, "p_col": p_col, "p_idle": p_idle, "q0": q0})
 
-    # One consistent evaluation at the converged iterate for the report.
     p00 = normalize_p00(p_col, p_idle, q0, params)
     p_last = p00 * p_col ** (r - 1)  # head state of the final retry stage
-    _, p_idle_slot, _, p_suc, p_fail = coupling_equations(p_trans, params)
-    t_serv, t_w, t_tr_av = _service_terms(p_col, p_idle, p_suc, p_fail, t_s, t_f, params)
-    mu = 1.0 / t_serv
-    rho = lam * t_serv
-    _, p_rej, lambda_eff, t_q = mm1k_metrics(rho, params.queue_capacity, mu, lam,
-                                             exact_wait=exact_queue_wait)
     p_drop = drop_probability(p_rej, p_last, p_col)
     thr_raw = (params.n_stations * (1.0 - q0)
                * (1.0 - p_last * p_col) * (1.0 - p_fail))
@@ -425,7 +419,7 @@ def solve(params: MacParams, *, exact_queue_wait: bool = False) -> MacSolution:
         p_trans=p_trans, p_col=p_col, p_idle_slot=p_idle_slot, p_idle=p_idle,
         p_suc=p_suc, p_fail=p_fail, q0=q0, p00=p00,
         t_s=t_s, t_f=t_f, t_w=t_w, t_tr_av=t_tr_av,
-        t_serv=t_serv, mu=mu, rho=rho, p_rej=p_rej, p_drop=p_drop,
+        t_serv=t_serv, mu=1.0 / t_serv, rho=rho, p_rej=p_rej, p_drop=p_drop,
         t_q=t_q, t_delay=None if t_q is None else t_serv + t_q,
         lambda_eff=lambda_eff,
         throughput=thr_raw / t_serv, throughput_raw=thr_raw,

@@ -80,8 +80,9 @@ class DesConfig:
 
     def validate(self) -> "DesConfig":
         bad = self.mac_params.problems()
-        if not self.measured_duration > 0:
-            bad.append(f"measured_duration must be > 0, got {self.measured_duration}")
+        if not 0 < self.measured_duration < math.inf:
+            bad.append(f"measured_duration must be finite and > 0, "
+                       f"got {self.measured_duration}")
         if self.min_delivered < 0:
             bad.append(f"min_delivered must be >= 0, got {self.min_delivered}")
         if bad:

@@ -112,6 +112,25 @@ _SCHEMA = {
 }
 
 
+def link_error(length: float, lanes: int, free_speed: float,
+               jam_density: float) -> tuple[str, str] | None:
+    """The first link rule the values break, as (Link field, reason), or None.
+
+    A link has a finite length, free-flow speed and jam density, each
+    > 0, and at least one lane. The file loader and gen_grid both apply
+    these rules, so a generated network always loads back.
+    """
+    if not 0 < length < math.inf:
+        return "length", f"link length must be > 0 and finite, got {length}"
+    if lanes < 1:
+        return "lanes", f"lanes must be >= 1, got {lanes}"
+    if not 0 < free_speed < math.inf:
+        return "free_speed", f"free-flow speed must be > 0 and finite, got {free_speed}"
+    if not 0 < jam_density < math.inf:
+        return "jam_density", f"jam density must be > 0 and finite, got {jam_density}"
+    return None
+
+
 def _row_error(section, fields, seen, nodes):
     """Domain check for one parsed row; returns a reason or None.
 
@@ -119,16 +138,13 @@ def _row_error(section, fields, seen, nodes):
     """
     if fields[0] in seen:
         return f"duplicate {section[:-1]} id {fields[0]}"
+    if section == "nodes" and not all(map(math.isfinite, fields[1:])):
+        return "node coordinates must be finite"
     if section == "links":
         _, a, b, length, lanes, vf, kjam = fields
-        if length <= 0:
-            return "link length must be > 0"
-        if lanes < 1:
-            return "lanes must be >= 1"
-        if vf <= 0:
-            return "free-flow speed must be > 0"
-        if kjam <= 0:
-            return "jam density must be > 0"
+        error = link_error(length, lanes, vf, kjam)
+        if error is not None:
+            return error[1]
         if a not in nodes or b not in nodes:
             return "link endpoint not a known node"
     if section == "signals" and fields[1] not in nodes:
@@ -152,9 +168,9 @@ def load_network(path) -> RoadNetwork:
     unknown section.
 
     A row that does not parse, or that breaks a domain rule (duplicate
-    id; non-positive length, lanes, speed or jam density; unknown
-    endpoint or signal node), raises ParseError with its line number;
-    violated network-level invariants raise ValidationError.
+    id; a node coordinate that is not finite; a link rule of `link_error`;
+    unknown endpoint or signal node), raises ParseError with its line
+    number; violated network-level invariants raise ValidationError.
     """
     spath = str(path)
     with open(path, encoding="utf-8") as fp:
@@ -218,9 +234,24 @@ def write_network(path, network: RoadNetwork) -> None:
 def gen_grid(rows: int = GRID_ROWS, cols: int = GRID_COLS,
              spacing: float = GRID_SPACING_M, free_speed: float = FREE_SPEED_KMH,
              jam_density: float = JAM_DENSITY, lanes: int = LANES) -> RoadNetwork:
-    """Manhattan grid: every intersection signalized, links both ways."""
-    if rows < 2 or cols < 2:
-        raise ValidationError("grid needs at least 2x2 nodes")
+    """Manhattan grid: every intersection signalized, links both ways.
+
+    Values that break a link rule (`link_error`), or that put a node
+    beyond float range, raise ValidationError whose field names the
+    refused argument.
+    """
+    if rows < 2:
+        raise ValidationError(f"grid needs at least 2 rows, got {rows}", field="rows")
+    if cols < 2:
+        raise ValidationError(f"grid needs at least 2 columns, got {cols}",
+                              field="cols")
+    error = link_error(spacing, lanes, free_speed, jam_density)
+    if error is not None:
+        name, reason = error
+        raise ValidationError(reason, field="spacing" if name == "length" else name)
+    if not math.isfinite((max(rows, cols) - 1) * spacing):
+        raise ValidationError(f"grid of {rows}x{cols} nodes at {spacing} m spacing "
+                              f"has coordinates beyond float range", field="spacing")
     nodes = [Node(id=r * cols + c + 1, x=c * spacing, y=r * spacing)
              for r in range(rows) for c in range(cols)]
     links = []
@@ -292,7 +323,7 @@ def place_rsus(network: RoadNetwork, r_com: float) -> list[int]:
     if not network.signals:
         raise ValidationError("network has no signals")
     if not r_com > 0:
-        raise ValidationError("r_com must be > 0")
+        raise ValidationError(f"r_com must be > 0, got {r_com}", field="r_com")
     pos = {sid: network.nodes[s.node] for sid, s in network.signals.items()}
     uncovered = set(network.signals)
     selected: list[int] = []

@@ -17,11 +17,9 @@ Speed lives in km/h and acceleration in km/h per second throughout,
 matching the engine-map conventions in :mod:`vanetsim.energy`. Engine
 rates are refreshed once per simulated second (every RATE_REFRESH / DT
 steps, counted in whole steps) and held in between, as per-step
-increments (rate times DT) that the burn adds as they are; by default
-the lookup quantizes speed and acceleration to 0.5-unit bins so the
-exp() evaluations amortize across the fleet, and
-``TrafficConfig(exact_energy=True)`` disables the binning when a test
-needs bit-exact hand arithmetic.
+increments (rate times DT) that the burn adds as they are. The lookup
+quantizes speed and acceleration to 0.5-unit bins so the exp()
+evaluations amortize across the fleet.
 
 ``Simulation.step`` moves the fleet in one loop body: move, burn and
 stop-line crossing run inline for each vehicle, and only the rare paths
@@ -114,12 +112,16 @@ class OdDemand:
         if not 0.0 <= self.odsf <= 1.0:
             raise ValidationError(f"odsf {self.odsf} outside [0, 1]")
         for e in self.entries:
-            if e.rate < 0.0:
-                raise ValidationError(f"negative rate for {e.origin}->{e.destination}")
-            if e.end <= e.start:
-                raise ValidationError(f"empty window for {e.origin}->{e.destination}")
+            trip = f"{e.origin}->{e.destination}"
+            if not 0.0 <= e.rate < math.inf:
+                raise ValidationError(f"rate {e.rate} for {trip} must be finite "
+                                      f"and not negative", field="entries")
+            if not -math.inf < e.start < e.end < math.inf:
+                raise ValidationError(f"window [{e.start}, {e.end}) for {trip} must be "
+                                      f"finite and not empty", field="entries")
             if e.origin == e.destination:
-                raise ValidationError(f"degenerate trip at node {e.origin}")
+                raise ValidationError(f"degenerate trip at node {e.origin}",
+                                      field="entries")
 
     def end_time(self) -> float:
         return max((e.end for e in self.entries), default=0.0)
@@ -225,15 +227,17 @@ class TrafficConfig:
     a_max: float = A_MAX
     horizon: float | None = None    # None: demand end + drain
     drain: float = 1800.0
-    exact_energy: bool = False
 
     def __post_init__(self):
-        if not self.a_max > 0.0:
-            raise ValidationError("a_max must be positive", field="a_max")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ValidationError("horizon must be positive", field="horizon")
-        if not self.drain >= 0.0:
-            raise ValidationError("drain must not be negative", field="drain")
+        if not 0.0 < self.a_max < math.inf:
+            raise ValidationError(f"a_max {self.a_max} must be positive and finite",
+                                  field="a_max")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValidationError(f"horizon {self.horizon} must be positive and finite",
+                                  field="horizon")
+        if not 0.0 <= self.drain < math.inf:
+            raise ValidationError(f"drain {self.drain} must be finite and not negative",
+                                  field="drain")
 
 
 @dataclass(frozen=True)
@@ -412,12 +416,9 @@ class Simulation:
             a = _A_LO
         elif a > _A_HI:
             a = _A_HI
-        if self.config.exact_energy:
-            key = (v, a)
-        else:
-            key = (round(v * 2.0), round(a * 2.0))
-            v = key[0] / 2.0
-            a = key[1] / 2.0
+        key = (round(v * 2.0), round(a * 2.0))
+        v = key[0] / 2.0
+        a = key[1] / 2.0
         got = self._rate_cache.get(key)
         if got is None:
             # per-step increments: the burn adds them as they are

@@ -94,6 +94,20 @@ def test_build_run_carries_owner_defaults(tmp_path):
     ("sim", "a_max", "0"),
     ("routing", "eta", "-0.1"),
     ("routing", "beta", "0"),
+    ("network", "rows", "1"),
+    ("network", "spacing_m", "0"),
+    ("network", "spacing_m", "inf"),
+    ("network", "spacing_m", "1e308"),
+    ("network", "free_speed_kmh", "-5"),
+    ("network", "jam_density", "0"),
+    ("network", "lanes", "0"),
+    ("rsu", "range_m", "0"),
+    ("comm", "background_rate", "inf"),
+    ("comm", "refresh_s", "inf"),
+    ("routing", "eta", "inf"),
+    ("sim", "a_max", "inf"),
+    ("sim", "horizon_s", "inf"),
+    ("sim", "drain_s", "inf"),
 ])
 def test_refused_value_names_its_key_and_writes_nothing(tmp_path, capsys,
                                                         section, key, value):
@@ -172,6 +186,20 @@ GRID_COLUMNS = ("stations", "rate")
     pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
                  (GRID_COLUMNS, [(5, "fast")]), cli.EXIT_VALIDATION,
                  id="grid-rate-fast"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
+                 (GRID_COLUMNS, [(3, -5.0)]), cli.EXIT_VALIDATION,
+                 id="grid-rate-negative"),
+    pytest.param(["solve-mac", "--grid", "{tmp}/grid.tsv"],
+                 (GRID_COLUMNS, [(3, math.inf)]), cli.EXIT_VALIDATION,
+                 id="grid-rate-inf"),
+    pytest.param(["solve-mac", "--stations", "3", "--rate", "inf"], None,
+                 cli.EXIT_CONFIG, id="solve-rate-inf"),
+    pytest.param(["validate-mac", "--rates", "inf"], None, cli.EXIT_CONFIG,
+                 id="validate-rate-inf"),
+    pytest.param(["gen-grid", "--spacing", "0", "--out", "{tmp}/net.txt"], None,
+                 cli.EXIT_VALIDATION, id="gen-grid-spacing-0"),
+    pytest.param(["gen-grid", "--spacing", "1e308", "--out", "{tmp}/net.txt"], None,
+                 cli.EXIT_VALIDATION, id="gen-grid-spacing-1e308"),
     pytest.param(["solve-mac", "--grid", "{tmp}/missing.tsv"], None,
                  cli.EXIT_CONFIG, id="grid-missing"),
     pytest.param(["solve-mac", "--params", "{tmp}/missing.txt"], None,
@@ -189,6 +217,10 @@ def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, table, code):
     err = capsys.readouterr().err
     assert got == code
     assert "error:" in err and "Traceback" not in err
+    if table is not None:
+        assert "grid.tsv" in err            # a refused table names its file
+    # nothing written but the input table
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["grid.tsv"] if table else [])
 
 
 def test_gen_grid_place_rsus_roundtrip(tmp_path, capsys):
@@ -398,7 +430,7 @@ def test_defaults_lists_tunables(capsys):
         assert key in names
     # each tunable once: under its scenario key where it has one
     assert len(names) == len(set(names))
-    # fixed traffic constants and the test-only exact_energy are not tunables
+    # fixed traffic constants are not tunables, and exact_energy is gone
     for gone in ("a_max", "drain", "horizon", "eta", "beta", "background_rate",
                  "cell_refresh", "sim.exact_energy", "exact_energy", "dt",
                  "signal_cycle", "green_share", "nfd_interval"):

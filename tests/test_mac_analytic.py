@@ -4,6 +4,7 @@ Golden values were derived by hand from the model definitions before the
 implementation existed; they are frozen here on purpose.
 """
 
+import math
 import random
 
 import pytest
@@ -26,6 +27,12 @@ def test_validate_collects_every_problem():
         bad.validate()
     msg = str(err.value)
     assert "n_stations" in msg and "arrival_rate" in msg and "w0" in msg
+    # every float field must be finite
+    with pytest.raises(ConfigurationError) as err:
+        params(arrival_rate=math.inf, slot_time=math.nan, data_rate=math.inf).validate()
+    msg = str(err.value)
+    assert ("arrival_rate must be finite" in msg and "slot_time must be finite" in msg
+            and "data_rate must be finite" in msg)
 
 
 def test_validate_returns_self_on_good_params():
@@ -291,14 +298,16 @@ def test_solve_throughput_consistency():
     assert sol.throughput == pytest.approx(want_raw / sol.t_serv, rel=1e-12)
 
 
-def test_solve_exact_queue_wait_flag_only_touches_wait():
+def test_exact_wait_at_solution_is_finite_and_below_reported():
+    # solve reports the infinite-queue wait; the exact finite-queue wait
+    # (mm1k_metrics' exact_wait) at the same solved point stays finite,
+    # and the reported wait is never below it
     p = params(n_stations=40, arrival_rate=100.0)
-    plain = ma.solve(p)
-    exact = ma.solve(p, exact_queue_wait=True)
-    assert exact.q0 == plain.q0 and exact.p_drop == plain.p_drop
-    assert exact.t_q is not None  # exact wait is finite even when saturated
-    if plain.t_q is not None:
-        assert exact.t_q <= plain.t_q * (1.0 + 1e-9)
+    sol = ma.solve(p)
+    *_, exact = ma.mm1k_metrics(sol.rho, p.queue_capacity, sol.mu, p.arrival_rate,
+                                exact_wait=True)
+    assert exact is not None and math.isfinite(exact)
+    assert exact <= sol.t_q
 
 
 def test_solution_record_field_order():
@@ -306,3 +315,91 @@ def test_solution_record_field_order():
     keys = list(sol.as_record())
     assert keys[0] == "p_trans"
     assert "throughput_raw" in keys and "iterations" in keys
+
+
+# Every as_record() field of solve at eight points, in field order, from the
+# model as it stood before its report was read from the last iterate. The
+# comparison is ==, so the values, iterations and residual are pinned bit for
+# bit. Basic access unless the point says rtscts.
+RTS = ma.AccessMode.RTS_CTS
+PINNED_SOLUTIONS = {
+    "n1-rate50": (dict(n_stations=1, arrival_rate=50.0), (
+        0.05482366431655706, 0.0, 0.945176335683443, 0.7129794912394908,
+        0.05482366431655706, 0.0, 0.8704841334758517, 0.054823664556778236,
+        0.0017386666666666664, 0.0014123333333333331, 0.00011355342123067694,
+        0.0017386666666666664, 0.002590317325896743, 386.0530870108007,
+        0.12951586629483716, 1.344098958890999e-57, 1.344098958890999e-57,
+        0.002975720321140392, 0.005566037647037135, 50.0, 50.00000008852626,
+        0.12951586652414826, 26, 9.182699045595655e-10)),
+    "n10-rate25-4000bit": (dict(n_stations=10, arrival_rate=25.0, payload_bits=4000), (
+        0.02212313216776785, 0.18236861238947305, 0.7995428206488504,
+        0.2612464316271973, 0.1808856725920538, 0.019571506759095803,
+        0.8917508729291084, 0.01808868862577998, 0.001072,
+        0.0007456666666666667, 0.000258264706459401, 0.0010124870428235688,
+        0.0043299650517995055, 230.9487462455168, 0.10824912629498763,
+        1.4236562107519508e-62, 1.213550178622593e-07, 0.0048555770220998305,
+        0.009185542073899336, 25.0, 245.10709532211607, 1.0613051566928526, 31,
+        7.759038966881349e-10)),
+    "n40-rate100": (dict(n_stations=40, arrival_rate=100.0), (
+        0.008924211964750578, 0.29503461677937376, 0.698674122906959,
+        0.11631827505920317, 0.25165042037677693, 0.049675456716264166,
+        7.200959925365877e-10, 0.006292484944122398, 0.0017386666666666664,
+        0.0014123333333333331, 0.0006194568185319756, 0.0016423870367243305,
+        0.013677924212515312, 73.11050890931236, 1.367792421251531,
+        0.26889491129437487, 0.268895806479421, 25806550.89628826,
+        25806550.909966186, 73.11050887056251, 2779.145034672817,
+        38.01293515984303, 32, 7.469727475450938e-10)),
+    "n40-rate250-saturated": (dict(n_stations=40, arrival_rate=250.0), (
+        0.00892421195395619, 0.2950346167896686, 0.6986741232113451,
+        0.11631827531296424, 0.25165042017928396, 0.049675456609370894,
+        1.2595167693992458e-10, 0.006292484957468914, 0.0017386666666666664,
+        0.0014123333333333331, 0.0006194568177938105, 0.0016423870367209712,
+        0.01367792419953318, 73.11050897870376, 3.4194810498832946,
+        0.7075579640851849, 0.7075583221592048, None, None, 73.11050897870378,
+        2779.1450392743936, 38.012935186703814, 32, 6.966807131192354e-10)),
+    "rtscts-n20-rate50": (dict(n_stations=20, arrival_rate=50.0, access_mode=RTS), (
+        0.014691246361789465, 0.24512597478820283, 0.7437839849366877,
+        0.16930934819706311, 0.22180080553045897, 0.034415209532853264,
+        0.408294022061082, 0.01109063004418603, 0.002404666666666667,
+        0.0003856666666666667, 0.0006234123322087936, 0.0019097573235692853,
+        0.011834119548112967, 84.50142792071566, 0.5917059774056483,
+        1.0610949319103034e-15, 5.897684764007826e-07, 0.02898430761468773,
+        0.040818427162800694, 49.99999999999994, 965.5842218659011,
+        11.426839115332708, 36, 5.332703167937325e-10)),
+    "k8-n15-rate200": (dict(n_stations=15, arrival_rate=200.0, queue_capacity=8), (
+        0.017955954008732213, 0.22405035874484722, 0.7620167253719582,
+        0.19578843023453812, 0.20899374112368382, 0.028989533504357956,
+        0.005332187566491399, 0.013933310994730486, 0.0017386666666666664,
+        0.0014123333333333331, 0.00047071153904778754, 0.0016655515662629314,
+        0.008641502266845194, 115.72061999412934, 1.7283004533690387,
+        0.424482120521841, 0.4244823477868929, 1.6206297125844475,
+        1.6292712148512927, 115.1035758956318, 1676.5009925458476,
+        14.487487127453159, 31, 9.854445037760229e-10)),
+    "k8-n60-rate200": (dict(n_stations=60, arrival_rate=200.0, queue_capacity=8), (
+        0.006574639253917181, 0.3223907588894507, 0.6731542057300645,
+        0.09304378751141752, 0.26730217929660044, 0.05954361497333516,
+        4.542872809968194e-05, 0.004456649495014092, 0.0017386666666666664,
+        0.0014123333333333331, 0.0006885639830650971, 0.0016334598156824089,
+        0.016690740934742404, 59.91345764156356, 3.338148186948481,
+        0.7004463207337948, 0.7004468039719628, 367.4055001765191,
+        367.42219091745386, 59.91073585324105, 3380.600590099059,
+        56.42472865318069, 33, 9.411251777891039e-10)),
+    "rtscts-k1-n5-rate10-4000bit": (dict(n_stations=5, arrival_rate=10.0, queue_capacity=1, payload_bits=4000,
+         access_mode=RTS), (
+        0.023620899710359605, 0.09118832278180887, 0.8873447275714812,
+        0.4881510631746614, 0.10733474739609147, 0.0053205250324273035,
+        0.9637236473424321, 0.02146695063497893, 0.001738,
+        0.0003856666666666667, 0.0002152308405823108, 0.0016146829914914004,
+        0.003764186217881289, 265.66167084126363, 0.03764186217881289,
+        0.036276352709762025, 0.03627635379443162, 0.0039058771967101632,
+        0.007670063414591453, 9.63723647290238, 47.92980645211846,
+        0.180416716872782, 47, 6.747389869055098e-10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SOLUTIONS))
+def test_solve_pinned_bit_for_bit(case):
+    kw, want = PINNED_SOLUTIONS[case]
+    got = ma.solve(ma.MacParams(**kw)).as_record()
+    assert len(got) == len(want)
+    assert got == dict(zip(got, want))

@@ -46,6 +46,7 @@ def test_toy_file_identity_ingestion(tmp_path):
 # row stops the load; it is never skipped.
 BAD_ROWS = {
     "duplicate-node": ("[nodes]\n2 5.0 5.0", "duplicate node id 2"),
+    "node-inf": ("[nodes]\n3 inf 5.0", "node coordinates must be finite"),
     "duplicate-link": ("[links]\n1 2 1 1000.0 1 50.0 120.0", "duplicate link id 1"),
     "length": ("[links]\n2 2 1 0.0 1 50.0 120.0", "link length must be > 0"),
     "lanes": ("[links]\n2 2 1 1000.0 0 50.0 120.0", "lanes must be >= 1"),
@@ -63,6 +64,21 @@ def test_bad_row_is_a_parse_error_at_its_line(tmp_path, case):
     with pytest.raises(ParseError, match=reason) as err:
         rn.load_network(write(tmp_path, TOY + extra + "\n"))
     assert err.value.line == 10
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("spacing", 0.0), ("spacing", math.inf), ("lanes", 0), ("free_speed", -5.0),
+    ("free_speed", math.inf), ("jam_density", 0.0), ("jam_density", math.nan)])
+def test_gen_grid_and_loader_refuse_the_same_link_values(tmp_path, arg, value):
+    with pytest.raises(ValidationError) as err:
+        rn.gen_grid(2, 2, **{arg: value})
+    assert err.value.field == arg
+    link = {"length": 1000.0, "lanes": 1, "free_speed": 50.0, "jam_density": 120.0}
+    link["length" if arg == "spacing" else arg] = value
+    row = "[links]\n2 2 1 {length!r} {lanes} {free_speed!r} {jam_density!r}\n"
+    with pytest.raises(ParseError) as loaded:
+        rn.load_network(write(tmp_path, TOY + row.format(**link)))
+    assert str(loaded.value).endswith(str(err.value))
 
 
 def test_parse_error_carries_line_number(tmp_path):

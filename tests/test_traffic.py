@@ -67,14 +67,22 @@ def test_demand_validation():
         traffic.OdDemand((traffic.OdEntry(1, 2, 1.0, 10.0, 10.0),))
     with pytest.raises(ValidationError):
         traffic.OdDemand((traffic.OdEntry(3, 3, 1.0, 0.0, 10.0),))
-    for a_max in (0.0, -3.6):
+    # an endless rate or window would draw departures without end
+    for entry in (traffic.OdEntry(1, 2, math.inf, 0.0, 10.0),
+                  traffic.OdEntry(1, 2, 1.0, 0.0, math.inf),
+                  traffic.OdEntry(1, 2, 1.0, -math.inf, 10.0)):
+        with pytest.raises(ValidationError) as err:
+            traffic.OdDemand((entry,))
+        assert err.value.field == "entries"
+    for a_max in (0.0, -3.6, math.inf):
         with pytest.raises(ValidationError):
             traffic.TrafficConfig(a_max=a_max)
-    for horizon in (0.0, -1.0):
+    for horizon in (0.0, -1.0, math.inf):
         with pytest.raises(ValidationError):
             traffic.TrafficConfig(horizon=horizon)
-    with pytest.raises(ValidationError):
-        traffic.TrafficConfig(drain=-200.0)
+    for drain in (-200.0, math.inf):
+        with pytest.raises(ValidationError):
+            traffic.TrafficConfig(drain=drain)
     assert traffic.TrafficConfig(drain=0.0).drain == 0.0
 
 
@@ -398,13 +406,29 @@ def test_preload_trips_shape_density_but_not_statistics():
 
 
 def test_quantized_energy_tracks_exact_mode():
+    # The reference is the step loop's lookup without the 0.5-unit bins,
+    # clamped to the envelope as the real one is, installed on the
+    # instance; step and _replay_idle both call self._lookup_rates.
+    (v_lo, v_hi), (a_lo, a_hi) = energy.ENVELOPE_V, energy.ENVELOPE_A
+
+    def exact_rates(sim):
+        def lookup(v, a):
+            v = min(max(v, v_lo), v_hi)
+            a = min(max(a, a_lo), a_hi)
+            return tuple(energy.vt_micro_rate(v, a, sim.coeffs, m) * traffic.DT
+                         for m in energy.MEASURES)
+        return lookup
+
     net = line_network([500.0, 500.0], signal_nodes=[2])
     fuels = []
     for exact in (True, False):
         sim = traffic.Simulation(
             net, schedule=[traffic.Departure(0.0, 1, 3)],
-            config=traffic.TrafficConfig(horizon=300.0, exact_energy=exact))
+            config=traffic.TrafficConfig(horizon=300.0))
+        if exact:
+            sim._lookup_rates = exact_rates(sim)
         sim.run()
         fuels.append(sim.vehicles[0].fuel)
     exact_fuel, quant_fuel = fuels
+    assert quant_fuel != exact_fuel
     assert quant_fuel == pytest.approx(exact_fuel, rel=0.03)
