@@ -353,10 +353,19 @@ def _params_from_record(path) -> mac_analytic.MacParams:
         if key not in fields:
             raise ParseError(f"unknown parameter field {key!r}", path=str(path))
         if key == "access_mode":
-            kwargs[key] = _access_mode(str(val))
+            try:
+                kwargs[key] = mac_analytic.AccessMode(val)
+            except ValueError:
+                raise ParseError(f"{key} must be basic or rtscts, got {val!r}",
+                                 path=str(path)) from None
         elif fields[key].type == "int":
-            kwargs[key] = int(val)
+            if type(val) is not int:
+                raise ParseError(f"{key} must be an integer, got {val!r}",
+                                 path=str(path))
+            kwargs[key] = val
         else:
+            if type(val) not in (int, float):
+                raise ParseError(f"{key} must be a number, got {val!r}", path=str(path))
             kwargs[key] = float(val)
     if "n_stations" not in kwargs or "arrival_rate" not in kwargs:
         raise ParseError("parameter file needs n_stations and arrival_rate",

@@ -13,8 +13,13 @@ each other through four coupled quantities
     p_idle   probability the medium stays idle for AIFS slots in a row
     q0       probability a station's system is empty
 
-which solve() settles by damped fixed-point iteration. Every function
-here is pure and deterministic: same inputs, bit-identical outputs.
+which solve() settles by damped fixed-point iteration. What depends on
+the parameters alone (t_s and t_f, in seconds and in slots, and the
+back-off decrements w_i - 1 of each stage) is computed once per solve;
+each iterate builds one list of the powers p_col ** i, which the
+normalisation, the p_trans sum and the service terms share. Every
+function here is pure and deterministic: same inputs, bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -219,22 +224,23 @@ def state_probabilities(p00: float, p_col: float, p_idle: float, q0: float,
     return StateDistribution(p00=p00, p_empty=p_empty, head=head, backoff=backoff)
 
 
-def normalize_p00(p_col: float, p_idle: float, q0: float, params: MacParams) -> float:
+def normalize_p00(powers: list[float], decrements: list[int], p_idle: float,
+                  q0: float) -> float:
     """p00 fixed by requiring the full state mass to sum to one.
 
-    Sums stage by stage; the per-stage back-off mass uses the exact
-    arithmetic-series identity sum_{j=1..w-1} (w-j)/w = (w-1)/2.
+    Takes the stage vectors: powers[i] = p_col ** i and decrements[i] =
+    w_i - 1. Sums stage by stage; the per-stage back-off mass uses the
+    exact arithmetic-series identity sum_{j=1..w-1} (w-j)/w = (w-1)/2.
     """
     if q0 >= 1.0:
         raise DegenerateInputError("q0 = 1 leaves no probability mass for the chain")
     if not p_idle > 0.0:
         raise DegenerateInputError("p_idle must be positive")
-    windows = window_sizes(params)
+    two_idle = 2.0 * p_idle
     mass = q0 / (1.0 - q0)
-    for i, w in enumerate(windows):
-        weight = p_col ** i
-        mass += weight                                # head state (i, 0)
-        mass += weight * (w - 1) / (2.0 * p_idle)     # back-off states (i, j>0)
+    for weight, dec in zip(powers, decrements):
+        mass += weight                        # head state (i, 0)
+        mass += weight * dec / two_idle       # back-off states (i, j>0)
     return 1.0 / mass
 
 
@@ -284,25 +290,25 @@ def coupling_equations(p_trans: float, params: MacParams
 
 
 def _service_terms(p_col: float, p_idle: float, p_suc: float, p_fail: float,
-                   t_s: float, t_f: float, params: MacParams
+                   powers: list[float], decrements: list[int],
+                   ts_slots: float, tf_slots: float, slot: float
                    ) -> tuple[float, float, float]:
     """(t_serv, t_w, t_tr_av) in seconds.
 
     Internally everything is counted in slots: one back-off decrement
-    costs t_w slots, one attempt costs t_tr_av slots, and a packet at
-    stage i spends (w_i-1)/2 decrements on average. The slot_time factor
-    at the end converts the expectation to seconds.
+    costs t_w slots, one attempt costs t_tr_av slots (ts_slots and
+    tf_slots are t_s and t_f in slots), and a packet at stage i spends
+    decrements[i]/2 decrements on average, weighted by powers[i] =
+    p_col ** i. The slot factor at the end converts the expectation to
+    seconds.
     """
     if not p_idle > 0.0:
         raise DegenerateInputError("p_idle must be positive")
-    slot = params.slot_time
-    ts_slots = t_s / slot
-    tf_slots = t_f / slot
     t_w = p_fail * tf_slots + p_suc * ts_slots + 1.0 / p_idle
     t_tr_av = p_col * tf_slots + (1.0 - p_col) * ts_slots
     total = 0.0
-    for i, w in enumerate(window_sizes(params)):
-        total += (p_col ** i) * (t_w * (w - 1) / 2.0 + t_tr_av)
+    for weight, dec in zip(powers, decrements):
+        total += weight * (t_w * dec / 2.0 + t_tr_av)
     return slot * total, slot * t_w, slot * t_tr_av
 
 
@@ -365,28 +371,38 @@ def solve(params: MacParams) -> MacSolution:
     < FIXED_POINT_TOL; ConvergenceError after FIXED_POINT_MAX_ITER
     iterations.
 
-    The model is evaluated once per iterate. The report reads the channel,
-    service and queue terms of the last iterate, which were evaluated at
-    the converged (p_trans, p_col, p_idle); only p00 is computed after the
-    loop, at the converged q0.
+    What depends on params alone is computed once per call: t_s and t_f,
+    both in slots, and the back-off decrements w_i - 1 of each stage. The
+    model is evaluated once per iterate, and each iterate builds one list
+    of powers p_col ** i. Its service terms read that list, and so do the
+    next iterate's normalisation and p_trans sum, which use the same
+    p_col. The report reads the channel, service and queue terms of the
+    last iterate, which were evaluated at the converged (p_trans, p_col,
+    p_idle); only p00 is computed after the loop, at the converged q0.
     """
     params.validate()
     t_s, t_f = transmission_times(params)
-    r = params.retry_stages
+    slot = params.slot_time
+    ts_slots = t_s / slot
+    tf_slots = t_f / slot
+    decrements = [w - 1 for w in window_sizes(params)]
+    stages = range(params.retry_stages)
     k = params.queue_capacity
     lam = params.arrival_rate
 
     p_col, p_idle = 0.0, 1.0
-    t_serv0, _, _ = _service_terms(p_col, p_idle, 0.0, 0.0, t_s, t_f, params)
+    powers = [p_col ** i for i in stages]
+    t_serv0, _, _ = _service_terms(p_col, p_idle, 0.0, 0.0, powers, decrements,
+                                   ts_slots, tf_slots, slot)
     q0, _, _, _ = mm1k_metrics(lam * t_serv0, k, 1.0 / t_serv0, lam)
-    p_trans = normalize_p00(p_col, p_idle, q0, params)  # single live stage at start
+    p_trans = normalize_p00(powers, decrements, p_idle, q0)  # one live stage at start
 
     iterations = 0
     residual = math.inf
     damping = FIXED_POINT_DAMPING
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
-        p00 = normalize_p00(p_col, p_idle, q0, params)
-        p_trans_raw = p00 * left_sum(p_col ** i for i in range(r))
+        p00 = normalize_p00(powers, decrements, p_idle, q0)
+        p_trans_raw = p00 * left_sum(powers)
         p_trans_new = damping * p_trans_raw + (1.0 - damping) * p_trans
 
         p_col_raw, p_idle_slot, p_idle_raw, p_suc, p_fail = coupling_equations(
@@ -394,8 +410,10 @@ def solve(params: MacParams) -> MacSolution:
         p_col_new = damping * p_col_raw + (1.0 - damping) * p_col
         p_idle_new = damping * p_idle_raw + (1.0 - damping) * p_idle
 
+        powers = [p_col_new ** i for i in stages]
         t_serv, t_w, t_tr_av = _service_terms(p_col_new, p_idle_new, p_suc, p_fail,
-                                              t_s, t_f, params)
+                                              powers, decrements,
+                                              ts_slots, tf_slots, slot)
         rho = lam * t_serv
         q0_raw, p_rej, lambda_eff, t_q = mm1k_metrics(rho, k, 1.0 / t_serv, lam)
         q0_new = damping * q0_raw + (1.0 - damping) * q0
@@ -410,8 +428,8 @@ def solve(params: MacParams) -> MacSolution:
             "fixed point did not converge", iterations, residual,
             {"p_trans": p_trans, "p_col": p_col, "p_idle": p_idle, "q0": q0})
 
-    p00 = normalize_p00(p_col, p_idle, q0, params)
-    p_last = p00 * p_col ** (r - 1)  # head state of the final retry stage
+    p00 = normalize_p00(powers, decrements, p_idle, q0)
+    p_last = p00 * powers[-1]  # head state of the final retry stage
     p_drop = drop_probability(p_rej, p_last, p_col)
     thr_raw = (params.n_stations * (1.0 - q0)
                * (1.0 - p_last * p_col) * (1.0 - p_fail))

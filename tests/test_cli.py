@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from vanetsim import cli, constants, ecorouting, records, traffic
+from vanetsim import cli, constants, ecorouting, mac_analytic, records, traffic
 from vanetsim.errors import (ConfigurationError, ConvergenceError,
                              DegenerateInputError, NoPathError, ParseError,
                              SimulationError, ValidationError)
@@ -204,11 +204,38 @@ GRID_COLUMNS = ("stations", "rate")
                  cli.EXIT_CONFIG, id="grid-missing"),
     pytest.param(["solve-mac", "--params", "{tmp}/missing.txt"], None,
                  cli.EXIT_CONFIG, id="params-missing"),
+    pytest.param(["solve-mac", "--params", "{tmp}/params.txt"],
+                 {"n_stations": "abc", "arrival_rate": 20.0}, cli.EXIT_VALIDATION,
+                 id="params-stations-abc"),
+    pytest.param(["solve-mac", "--params", "{tmp}/params.txt"],
+                 {"n_stations": math.inf, "arrival_rate": 20.0}, cli.EXIT_VALIDATION,
+                 id="params-stations-inf"),
+    pytest.param(["solve-mac", "--params", "{tmp}/params.txt"],
+                 {"n_stations": 2.7, "arrival_rate": 20.0}, cli.EXIT_VALIDATION,
+                 id="params-stations-2.7"),
+    pytest.param(["solve-mac", "--params", "{tmp}/params.txt"],
+                 {"n_stations": True, "arrival_rate": 20.0}, cli.EXIT_VALIDATION,
+                 id="params-stations-true"),
+    pytest.param(["solve-mac", "--params", "{tmp}/params.txt"],
+                 {"n_stations": 5, "arrival_rate": True}, cli.EXIT_VALIDATION,
+                 id="params-rate-true"),
+    pytest.param(["solve-mac", "--params", "{tmp}/params.txt"],
+                 {"n_stations": 5, "arrival_rate": None}, cli.EXIT_VALIDATION,
+                 id="params-rate-none"),
+    pytest.param(["solve-mac", "--params", "{tmp}/params.txt"],
+                 {"n_stations": 5, "arrival_rate": 20.0, "access_mode": True},
+                 cli.EXIT_VALIDATION, id="params-access-true"),
     pytest.param(["place-rsus", "--network", "{tmp}/missing.txt"], None,
                  cli.EXIT_CONFIG, id="network-missing"),
 ])
 def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, table, code):
-    if table is not None:
+    # table is a grid table's (columns, rows), or a --params record's mapping
+    given = []
+    if isinstance(table, dict):
+        given = ["params.txt"]
+        records.write_record(tmp_path / "params.txt", "mac_params", table)
+    elif table is not None:
+        given = ["grid.tsv"]
         records.write_table(tmp_path / "grid.tsv", "points", *table)
     try:
         got = cli.main(["--quiet"] + [a.format(tmp=tmp_path) for a in argv])
@@ -217,10 +244,18 @@ def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, table, code):
     err = capsys.readouterr().err
     assert got == code
     assert "error:" in err and "Traceback" not in err
-    if table is not None:
-        assert "grid.tsv" in err            # a refused table names its file
-    # nothing written but the input table
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["grid.tsv"] if table else [])
+    for name in given:
+        assert name in err                  # a refused input names its file
+    if isinstance(table, dict):             # and a refused record its field
+        assert any(f"{key} must be" in err for key in table)
+    # nothing written but the input
+    assert sorted(p.name for p in tmp_path.iterdir()) == given
+
+
+def test_solve_mac_exits_solver_at_the_iteration_cap(monkeypatch, capsys):
+    monkeypatch.setattr(mac_analytic, "FIXED_POINT_MAX_ITER", 3)
+    assert cli.main(["solve-mac", "--stations", "20", "--rate", "50"]) == cli.EXIT_SOLVER
+    assert "did not converge (iterations=3" in capsys.readouterr().err
 
 
 def test_gen_grid_place_rsus_roundtrip(tmp_path, capsys):

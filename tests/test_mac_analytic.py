@@ -10,13 +10,25 @@ import random
 import pytest
 
 from vanetsim import mac_analytic as ma
-from vanetsim.errors import ConfigurationError, DegenerateInputError
+from vanetsim.errors import ConfigurationError, ConvergenceError, DegenerateInputError
 
 
 def params(**kw):
     base = dict(n_stations=10, arrival_rate=25.0)
     base.update(kw)
     return ma.MacParams(**base)
+
+
+def stages(p_col, p):
+    """The stage vectors (p_col ** i, w_i - 1) that solve builds for p."""
+    return ([p_col ** i for i in range(p.retry_stages)],
+            [w - 1 for w in ma.window_sizes(p)])
+
+
+def slot_times(p):
+    """(t_s in slots, t_f in slots, slot) as solve hoists them for p."""
+    t_s, t_f = ma.transmission_times(p)
+    return t_s / p.slot_time, t_f / p.slot_time, p.slot_time
 
 
 # ---------------------------------------------------------------- parameters
@@ -75,20 +87,21 @@ def test_transmission_times_handshake_mode():
 def test_normalize_p00_single_stage_hand_value():
     # one stage, w0=2, empty state off: mass = 1 + 1/2 -> p00 = 2/3
     p = params(w0=2, m_stages=0, f_extra=1)
-    assert ma.normalize_p00(0.37, 1.0, 0.0, p) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    p00 = ma.normalize_p00(*stages(0.37, p), 1.0, 0.0)
+    assert p00 == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_state_mass_sums_to_one():
     p = params()
     for p_col, p_idle, q0 in [(0.0, 1.0, 0.5), (0.3, 0.2, 0.1), (0.9, 0.05, 0.7)]:
-        p00 = ma.normalize_p00(p_col, p_idle, q0, p)
+        p00 = ma.normalize_p00(*stages(p_col, p), p_idle, q0)
         dist = ma.state_probabilities(p00, p_col, p_idle, q0, p)
         assert dist.total_mass() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_state_distribution_shape_and_heads():
     p = params(w0=4, m_stages=1, f_extra=1)
-    p00 = ma.normalize_p00(0.5, 0.8, 0.2, p)
+    p00 = ma.normalize_p00(*stages(0.5, p), 0.8, 0.2)
     dist = ma.state_probabilities(p00, 0.5, 0.8, 0.2, p)
     assert len(dist.head) == 2 and len(dist.backoff) == 2
     assert dist.head[1] == pytest.approx(0.5 * p00)
@@ -110,7 +123,7 @@ def test_closed_form_matches_summation():
         p_col = rng.uniform(0.01, 0.45)  # away from 1/alpha and 1
         p_idle = rng.uniform(0.05, 1.0)
         q0 = rng.uniform(0.0, 0.95)
-        direct = ma.normalize_p00(p_col, p_idle, q0, p)
+        direct = ma.normalize_p00(*stages(p_col, p), p_idle, q0)
         closed = ma.normalize_p00_closed_form(p_col, p_idle, q0, p)
         assert closed == pytest.approx(direct, rel=1e-9)
 
@@ -118,11 +131,11 @@ def test_closed_form_matches_summation():
 def test_degenerate_inputs_rejected():
     p = params()
     with pytest.raises(DegenerateInputError):
-        ma.normalize_p00(0.2, 1.0, 1.0, p)
+        ma.normalize_p00(*stages(0.2, p), 1.0, 1.0)
     with pytest.raises(DegenerateInputError):
         ma.state_probabilities(0.1, 0.2, 0.0, 0.3, p)
     with pytest.raises(DegenerateInputError):
-        ma._service_terms(0.2, 0.0, 0.3, 0.1, 1e-3, 1e-3, p)
+        ma._service_terms(0.2, 0.0, 0.3, 0.1, *stages(0.2, p), *slot_times(p))
     with pytest.raises(DegenerateInputError):
         ma.normalize_p00_closed_form(0.5, 1.0, 0.2, p)  # p_col = 1/alpha
 
@@ -154,7 +167,7 @@ def test_service_time_no_collisions():
     p = params(w0=16)
     t_s, t_f = ma.transmission_times(p)
     slot = p.slot_time
-    got = ma._service_terms(0.0, 0.8, 0.3, 0.1, t_s, t_f, p)[0]
+    got = ma._service_terms(0.0, 0.8, 0.3, 0.1, *stages(0.0, p), *slot_times(p))[0]
     t_w = 0.1 * (t_f / slot) + 0.3 * (t_s / slot) + 1.0 / 0.8
     want = slot * (t_w * 7.5 + t_s / slot)  # (w0-1)/2 = 7.5, t_tr_av = t_s
     assert got == pytest.approx(want, rel=1e-12)
@@ -164,7 +177,7 @@ def test_service_time_all_collisions_counts_every_stage():
     p = params(w0=4, m_stages=2, f_extra=1)
     t_s, t_f = ma.transmission_times(p)
     slot = p.slot_time
-    got = ma._service_terms(1.0, 0.5, 0.0, 0.4, t_s, t_f, p)[0]
+    got = ma._service_terms(1.0, 0.5, 0.0, 0.4, *stages(1.0, p), *slot_times(p))[0]
     t_w = 0.4 * (t_f / slot) + 2.0
     t_tr = t_f / slot  # p_col = 1 -> every attempt fails
     want = slot * sum(t_w * (w - 1) / 2.0 + t_tr for w in (4, 8, 16))
@@ -317,10 +330,13 @@ def test_solution_record_field_order():
     assert "throughput_raw" in keys and "iterations" in keys
 
 
-# Every as_record() field of solve at eight points, in field order, from the
-# model as it stood before its report was read from the last iterate. The
-# comparison is ==, so the values, iterations and residual are pinned bit for
-# bit. Basic access unless the point says rtscts.
+# Every as_record() field of solve at ten points, in field order. The first
+# eight are from the model as it stood before its report was read from the
+# last iterate; the last two, on other stage shapes (AC_VO's two stages, and
+# a single stage), from the model as it stood before its per-cell constants
+# were hoisted out of the loop. The comparison is ==, so the values,
+# iterations and residual are pinned bit for bit. Basic access unless the
+# point says rtscts.
 RTS = ma.AccessMode.RTS_CTS
 PINNED_SOLUTIONS = {
     "n1-rate50": (dict(n_stations=1, arrival_rate=50.0), (
@@ -394,6 +410,26 @@ PINNED_SOLUTIONS = {
         0.036276352709762025, 0.03627635379443162, 0.0039058771967101632,
         0.007670063414591453, 9.63723647290238, 47.92980645211846,
         0.180416716872782, 47, 6.747389869055098e-10)),
+    "acvo-w4-m1-f1-aifs2": (dict(n_stations=10, arrival_rate=25.0, w0=4, m_stages=1,
+                                 f_extra=1, aifs_slots=2), (
+        0.06840235395921149, 0.4714872826277452, 0.4923612038565915,
+        0.2424195559396361, 0.3615151399868124, 0.14612365615659612,
+        0.8757130291114983, 0.046485181511227734, 0.0016866666666666664,
+        0.0013603333333333332, 0.0008621584530545275, 0.0015328046501024788,
+        0.004971478840748529, 201.14739135637868, 0.12428697101871322,
+        9.673874927180851e-59, 0.010333667828233332, 0.00567706391959456,
+        0.010648542760343088, 25.0, 211.26316711360124, 1.050290365134789, 28,
+        8.765240755437276e-10)),
+    "single-stage-m0-f1": (dict(n_stations=10, arrival_rate=25.0, m_stages=0,
+                                f_extra=1), (
+        0.024343273466610797, 0.1989246143782087, 0.7815745888212173,
+        0.22794107185921175, 0.19500797189017965, 0.02341743928860307,
+        0.8776888438043384, 0.024343273267859244, 0.0017386666666666664,
+        0.0014123333333333331, 0.00042915937478725524, 0.0016737509341745776,
+        0.004892446245078992, 204.3967270986039, 0.1223111561269748,
+        3.4767153963005074e-59, 0.004842476247512256, 0.005574237703067785,
+        0.010466683948146777, 25.0, 242.96337085079628, 1.1886852314107128, 29,
+        6.753287928873419e-10)),
 }
 
 
@@ -403,3 +439,12 @@ def test_solve_pinned_bit_for_bit(case):
     got = ma.solve(ma.MacParams(**kw)).as_record()
     assert len(got) == len(want)
     assert got == dict(zip(got, want))
+
+
+def test_solve_raises_at_the_iteration_cap(monkeypatch):
+    # solve reads the cap from the module on every call
+    monkeypatch.setattr(ma, "FIXED_POINT_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError) as err:
+        ma.solve(params(n_stations=20, arrival_rate=50.0))
+    assert err.value.iterations == 3
+    assert err.value.residual >= ma.FIXED_POINT_TOL
