@@ -99,9 +99,13 @@ def parse_scenario(path) -> dict:
     if not sc["odsf"]:
         raise ConfigurationError("odsf list is empty")
     for factor in sc["odsf"]:
-        if not 0.0 < factor <= 1.0:
-            raise ConfigurationError(f"odsf {factor:g} outside (0, 1]")
+        _check_odsf(factor)
     return sc
+
+
+def _check_odsf(factor: float) -> None:
+    if not 0.0 < factor <= 1.0:
+        raise ConfigurationError(f"odsf {factor:g} outside (0, 1]")
 
 
 def _parse_od(text: str) -> list[tuple]:
@@ -244,8 +248,7 @@ def execute_run(sc: dict, *, odsf: float, mode: str, seed: int, out_dir) -> dict
     summary["packet_drop_fraction"] = (fates["dropped"] / len(sim.updates)
                                        if sim.updates else None)
     for key, val in comm.as_record().items():
-        if key != "mode":
-            summary[f"comm_{key}"] = val
+        summary[f"comm_{key}"] = val
 
     records.write_record(out / "summary.txt", "run_summary", summary)
     records.write_table(out / "nfd.tsv", "nfd", sim.NFD_COLUMNS, sim.nfd_rows())
@@ -345,6 +348,16 @@ def _print_or_write(args, name: str, mapping: dict) -> None:
             print(f"{key} {records.fmt(val)}")
 
 
+def _print_or_write_table(args, name: str, cols, rows) -> None:
+    if args.out:
+        records.write_table(args.out, name, cols, rows)
+        print(args.out)
+    else:
+        print("\t".join(cols))
+        for row in rows:
+            print("\t".join(records.fmt(v) for v in row))
+
+
 def _params_from_record(path) -> mac_analytic.MacParams:
     _, mapping = records.read_record(path)
     kwargs = {}
@@ -408,13 +421,7 @@ def cmd_solve_mac(args) -> int:
                          sol.t_delay, sol.p_col, sol.p_drop))
         cols = ("stations", "rate", "throughput_per_station", "t_serv",
                 "t_delay", "p_col", "p_drop")
-        if args.out:
-            records.write_table(args.out, "mac_grid", cols, rows)
-            print(args.out)
-        else:
-            print("\t".join(cols))
-            for row in rows:
-                print("\t".join(records.fmt(v) for v in row))
+        _print_or_write_table(args, "mac_grid", cols, rows)
         return EXIT_OK
     sol = mac_analytic.solve(base)
     _print_or_write(args, "mac_solution", sol.as_record())
@@ -428,13 +435,7 @@ def cmd_validate_mac(args) -> int:
         [int(t) for t in args.bytes.split(",")],
         args.access.split(","),
         duration=args.duration, seed=args.seed, queue_capacity=args.queue)
-    if args.out:
-        records.write_table(args.out, "mac_validation", VALIDATION_COLUMNS, rows)
-        print(args.out)
-    else:
-        print("\t".join(VALIDATION_COLUMNS))
-        for row in rows:
-            print("\t".join(records.fmt(v) for v in row))
+    _print_or_write_table(args, "mac_validation", VALIDATION_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -468,8 +469,7 @@ def cmd_run(args) -> int:
     mode = args.mode or sc["mode"]
     seed = sc["seed"] if args.seed is None else args.seed
     odsf = sc["odsf"][0] if args.odsf is None else args.odsf
-    if not 0.0 < odsf <= 1.0:
-        raise ConfigurationError(f"odsf {odsf:g} outside (0, 1]")
+    _check_odsf(odsf)
     execute_run(sc, odsf=odsf, mode=mode, seed=seed, out_dir=args.out)
     print(str(Path(args.out) / "summary.txt"))
     return EXIT_OK

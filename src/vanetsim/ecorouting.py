@@ -6,11 +6,14 @@ link cost with trip-private multiplicative noise so identical vehicles
 do not all pile onto one path; with the noise width at zero the choice
 is the exact argmin, ties broken by smallest link-id sequence.
 
-The uplink is evaluated per roadside cell: the cell's station count and
-offered packet rate feed the channel fixed point, whose drop
-probability and delay then decide each report's fate. Solutions are
-cached per cell and memoized across cells on the (count, rate) pair,
-since solving the fixed point per packet would dominate the run.
+The uplink is evaluated per roadside cell on one recount clock: every
+``refresh`` seconds it counts the vehicles in each cell and solves the
+channel fixed point at that count and offered packet rate (background
+plus the reports the cell carried since the last recount). Each cell's
+solution, its drop probability and delay, then decides the fate of
+every report sent there until the next recount. Solutions are memoized
+across cells and recounts on the (count, rate) pair, since solving the
+fixed point per packet would dominate the run.
 
 ``mode="ideal"`` short-circuits all of it: every report lands in the
 table the instant it is created and leaves its carrier, which is the
@@ -23,7 +26,6 @@ import dataclasses
 import heapq
 import math
 import random
-from dataclasses import dataclass
 
 from . import energy, mac_analytic, roadnet
 from .errors import SimulationError, ValidationError
@@ -97,36 +99,20 @@ class EcoRouter:
         return [ln.id for ln in path]
 
 
-@dataclass
-class CommCellState:
-    n: int = 0
-    solution: mac_analytic.MacSolution | None = None
-    solved_at: float = -math.inf
-    sent_since: int = 0      # reports uplinked here since the last re-solve
-
-
-@dataclass
-class CommStats:
-    delivered: int = 0
-    dropped: int = 0
-    deferred_saturated: int = 0
-
-    def drop_fraction(self) -> float | None:
-        done = self.delivered + self.dropped
-        return self.dropped / done if done else None
-
-
 class CommModule:
     """Per-cell uplink between vehicles and the cost table.
 
-    One cell per RSU of the coverage index, keyed by RSU id. step() is
-    called by the simulation once per tick: due deliveries are applied
-    first, then every connected vehicle's queued reports face the current
-    cell drop probability. Reports from unconnected vehicles simply wait;
-    their delay is the mobility of the carrier. An index without RSUs
-    leaves every carrier unconnected. In ideal mode step() delivers each
-    new report at its creation time and empties every carrier's pending
-    list, so in both modes a carrier holds only undelivered reports.
+    ``cells[rid]`` is the solution of the cell around RSU ``rid`` of the
+    coverage index, as of the last recount (None before the first).
+    step() is called by the simulation once per tick: due deliveries are
+    applied first, then, once ``refresh`` seconds have passed since the
+    last recount, every cell is recounted and re-solved, then every
+    connected vehicle's queued reports face its cell's drop probability.
+    Reports from unconnected vehicles simply wait; their delay is the
+    mobility of the carrier. An index without RSUs leaves every carrier
+    unconnected. In ideal mode step() delivers each new report at its
+    creation time and empties every carrier's pending list, so in both
+    modes a carrier holds only undelivered reports.
     """
 
     def __init__(self, index: roadnet.CoverageIndex, table: TmcCostTable,
@@ -148,13 +134,16 @@ class CommModule:
         self.mode = mode
         self.background_rate = background_rate
         self.refresh = refresh
-        self.cells = {rid: CommCellState() for rid in index.ids}
-        self.stats = CommStats()
+        self.cells: list[mac_analytic.MacSolution | None] = [None] * len(index.ids)
+        self._sent = [0] * len(index.ids)   # reports per cell since the last recount
+        self.delivered = 0
+        self.dropped = 0
+        self.deferred_saturated = 0
         self._rng = random.Random(seed)
         self._heap: list[tuple[float, int, object]] = []
         self._heap_seq = 0
         self._seen = 0           # prefix of sim.updates already examined
-        self._recount_at = -math.inf
+        self._recounted_at = -math.inf
         self._solve_memo: dict[tuple[int, float], mac_analytic.MacSolution] = {}
 
     # -- shared plumbing ---------------------------------------------------
@@ -162,7 +151,7 @@ class CommModule:
     def _deliver(self, update, at: float) -> None:
         update.mark_delivered(at)
         self.table.apply_update(update)
-        self.stats.delivered += 1
+        self.delivered += 1
 
     def _solve_cell(self, n: int, rate: float) -> mac_analytic.MacSolution:
         # one station is always present: the reporting vehicle itself
@@ -178,11 +167,9 @@ class CommModule:
     # -- per-tick entry point ------------------------------------------------
 
     def step(self, sim, now: float) -> None:
-        new = sim.updates[self._seen:]
-        self._seen = len(sim.updates)
-
+        seen, self._seen = self._seen, len(sim.updates)
         if self.mode == "ideal":
-            for upd in new:
+            for upd in sim.updates[seen:]:
                 self._deliver(upd, upd.created_at)
             for veh in sim.carriers:
                 veh.pending = []
@@ -193,26 +180,24 @@ class CommModule:
             at, _, upd = heapq.heappop(heap)
             self._deliver(upd, at)
 
-        if now >= self._recount_at - 1e-9:
+        if now >= self._recounted_at + self.refresh - 1e-9:
             self._recount(sim, now)
-            self._recount_at = now + self.refresh
 
         for veh in sim.carriers:
             rsu = self.index.connected_rsu(*sim.position(veh))
             if rsu is None:
                 continue
-            cell = self.cells[rsu]
-            sol = cell.solution
+            sol = self.cells[rsu]
+            self._sent[rsu] += len(veh.pending)
             retained = []
             for upd in veh.pending:
-                cell.sent_since += 1
                 if self._rng.random() < sol.p_drop:
                     upd.mark_dropped()
-                    self.stats.dropped += 1
+                    self.dropped += 1
                 elif sol.t_delay is None:
                     # saturated queue: undeliverable until the next solve
                     retained.append(upd)
-                    self.stats.deferred_saturated += 1
+                    self.deferred_saturated += 1
                 else:
                     self._heap_seq += 1
                     heapq.heappush(heap, (now + sol.t_delay, self._heap_seq, upd))
@@ -221,16 +206,15 @@ class CommModule:
     def _recount(self, sim, now: float) -> None:
         positions = [sim.position(veh) for veh in sim.enroute]
         counts = self.index.count_per_rsu(positions)
-        for rid, cell in self.cells.items():
-            n = counts[rid]
-            window = now - cell.solved_at
+        window = now - self._recounted_at
+        sent = self._sent
+        for rid, n in counts.items():
             extra = 0.0
-            if cell.sent_since and window > 0.0 and math.isfinite(window):
-                extra = cell.sent_since / window / max(n, 1)
-            cell.n = n
-            cell.solution = self._solve_cell(n, self.background_rate + extra)
-            cell.solved_at = now
-            cell.sent_since = 0
+            if sent[rid] and window > 0.0 and math.isfinite(window):
+                extra = sent[rid] / window / max(n, 1)
+            self.cells[rid] = self._solve_cell(n, self.background_rate + extra)
+            sent[rid] = 0
+        self._recounted_at = now
 
     # -- reporting -------------------------------------------------------------
 
@@ -238,14 +222,13 @@ class CommModule:
         return len(self._heap)
 
     def as_record(self) -> dict:
-        s = self.stats
+        done = self.delivered + self.dropped
         return {
-            "mode": self.mode,
             "created": self._seen,
-            "delivered": s.delivered,
-            "dropped": s.dropped,
-            "deferred_saturated": s.deferred_saturated,
+            "delivered": self.delivered,
+            "dropped": self.dropped,
+            "deferred_saturated": self.deferred_saturated,
             "in_flight": len(self._heap),
-            "drop_fraction": s.drop_fraction(),
+            "drop_fraction": self.dropped / done if done else None,
             "solves": len(self._solve_memo),
         }

@@ -188,14 +188,14 @@ def test_drop_fraction_matches_cell_probability():
     sim = StubSim(carriers, (0.0, 0.0))
     module.step(sim, 0.1)
 
-    sol = module.cells[0].solution
-    assert module.cells[0].n == fleet
+    sol = module.cells[0]
+    assert sol is module._solve_cell(fleet, module.background_rate)
     assert sol.t_delay is not None
     total = per * fleet
     p = sol.p_drop
     sigma = math.sqrt(p * (1.0 - p) / total)
-    assert module.stats.dropped + module.in_flight() == total
-    assert abs(module.stats.dropped / total - p) <= 3.0 * sigma
+    assert module.dropped + module.in_flight() == total
+    assert abs(module.dropped / total - p) <= 3.0 * sigma
 
     # drain: everything left must land, in nondecreasing stamped order
     applied = []
@@ -203,8 +203,32 @@ def test_drop_fraction_matches_cell_probability():
     table.apply_update = lambda u: (applied.append(u.delivered_at), original(u))
     module.step(StubSim([], (0.0, 0.0)), 1e9)
     assert applied == sorted(applied)
-    assert module.stats.delivered + module.stats.dropped == total
+    assert module.delivered + module.dropped == total
     assert all(not c.pending for c in carriers)
+
+
+def test_recount_adds_the_cells_own_reports_to_its_load():
+    net, index = rsu_cell_network()
+    table = eco.TmcCostTable(net)
+    params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
+                                    payload_bits=8000, queue_capacity=64)
+    module = eco.CommModule(index, table, params, seed=5)
+    rate = module.background_rate
+
+    # the first recount has no window behind it: background load only
+    per, fleet = 30, 4
+    carriers = [StubCarrier([mkupdate(i * per + j + 1) for j in range(per)])
+                for i in range(fleet)]
+    module.step(StubSim(carriers, (0.0, 0.0)), 0.5)
+    assert module.cells[0] is module._solve_cell(fleet, rate)
+
+    # one refresh later: the reports sent since, per second per station
+    parked = [StubCarrier([]) for _ in range(fleet - 1)]
+    module.step(StubSim(parked, (0.0, 0.0)), 0.5 + module.refresh)
+    n, sent, window = fleet - 1, per * fleet, module.refresh
+    want = module._solve_cell(n, rate + sent / window / max(n, 1))
+    assert want is not module._solve_cell(n, rate)
+    assert module.cells[0] is want
 
 
 def test_saturated_cell_defers_survivors():
@@ -220,12 +244,12 @@ def test_saturated_cell_defers_survivors():
                 for i in range(40)]
     sim = StubSim(carriers, (0.0, 0.0))
     module.step(sim, 0.1)
-    assert module.stats.delivered == 0 and module.in_flight() == 0
-    assert module.stats.deferred_saturated > 0
-    assert module.stats.dropped > 0
+    assert module.delivered == 0 and module.in_flight() == 0
+    assert module.deferred_saturated > 0
+    assert module.dropped > 0
     left = sum(len(c.pending) for c in carriers)
-    assert left == module.stats.deferred_saturated
-    assert left + module.stats.dropped == 2000
+    assert left == module.deferred_saturated
+    assert left + module.dropped == 2000
 
 
 # --- closed loop ----------------------------------------------------------------
@@ -278,7 +302,7 @@ def test_unreachable_uplink_leaves_table_at_free_flow():
     od = traffic.OdDemand((traffic.OdEntry(1, 9, 300.0, 0.0, 180.0),))
     sim = traffic.Simulation(net, demand=od, seed=2, router=router, comm=comm)
     sim.run()
-    assert comm.stats.delivered == 0
+    assert comm.delivered == 0
     assert repr(table.costs) == initial
     assert sim.counts()[traffic.FINISHED] > 0
 
@@ -314,7 +338,7 @@ class CheckedIdealComm(eco.CommModule):
 def test_ideal_mode_empties_carriers_every_step():
     sim, _, comm = grid_scenario("ideal", comm_cls=CheckedIdealComm)
     assert comm.carried > 0
-    assert comm.stats.delivered == len(sim.updates) > 0
+    assert comm.delivered == len(sim.updates) > 0
 
 
 def test_position_interpolates_link_ends_bit_for_bit():
