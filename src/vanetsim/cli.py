@@ -297,6 +297,13 @@ def validation_rows(stations, rates, payload_bytes, accesses, *,
     rate; delay errors to the measured mean total delay. The event side
     is the reference, so its duration bounds the confidence, not the
     model's.
+
+    The last six columns split the delay into service (head of line to
+    departure) and queue wait (arrival to head of line). The service
+    error is signed and relative, (model - measured) / measured; the
+    wait error is signed and in seconds, model - measured. The model's
+    wait is none when its queue saturates; the measured wait is the
+    mean sojourn less the mean service time.
     """
     rows = []
     for access in accesses:
@@ -321,20 +328,32 @@ def validation_rows(stations, rates, payload_bytes, accesses, *,
                     err_delay = (abs(delay_model - delay_meas) / delay_meas
                                  if delay_model is not None and delay_meas
                                  else None)
+                    serv_meas = stats.mean_service_time
+                    err_serv = ((sol.t_serv - serv_meas) / serv_meas
+                                if serv_meas else None)
+                    wait_meas = (stats.mean_sojourn - serv_meas
+                                 if serv_meas is not None else None)
+                    err_wait = (sol.t_q - wait_meas
+                                if sol.t_q is not None and wait_meas is not None
+                                else None)
                     hw = stats.confidence_halfwidth
                     rows.append((access, bytes_, n, rate,
                                  thr_model, thr_meas, err_thr,
                                  hw.get("delivered_per_station"),
                                  delay_model, delay_meas, err_delay,
                                  hw.get("mean_total_delay"),
-                                 sol.p_drop, stats.drop_rate))
+                                 sol.p_drop, stats.drop_rate,
+                                 sol.t_serv, serv_meas, err_serv,
+                                 sol.t_q, wait_meas, err_wait))
     return rows
 
 
 VALIDATION_COLUMNS = ("access", "payload_bytes", "stations", "rate",
                       "thr_model", "thr_meas", "thr_rel_err", "thr_ci95",
                       "delay_model", "delay_meas", "delay_rel_err",
-                      "delay_ci95", "p_drop_model", "p_drop_meas")
+                      "delay_ci95", "p_drop_model", "p_drop_meas",
+                      "serv_model", "serv_meas", "serv_err",
+                      "wait_model", "wait_meas", "wait_err_s")
 
 
 # --- commands ------------------------------------------------------------------------

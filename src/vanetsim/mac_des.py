@@ -22,8 +22,10 @@ A + expiry - clock, and a busy period touches only its transmitters.
 An entity admitted at slot s of a phase counts from s + A on; if the
 phase ends before that, it gets a corrected entry with a higher version
 and the old one is skipped as stale. Empty entities wait in a heap
-keyed by (next arrival, idx). An idle step thus costs O(groups) and a
-busy period O(transmitters * log N). Ties go to the lowest idx.
+keyed by (next arrival, idx). A phase scans the groups once; an
+admission pushes one entry and can only bring the phase's firing slot
+forward, and a busy period costs O(transmitters * log N). Ties go to
+the lowest idx.
 
 Arrivals at non-empty stations cannot change contention state, so each
 station's Poisson stream is materialized lazily: pending packets are
@@ -31,9 +33,19 @@ folded in when that station's queue is next touched. So the number of
 loop steps follows channel events and admissions, not arrivals.
 
 Every departure, a delivery or a drop after the last retry, goes
-through one closure, `leave`: it folds in the station's arrivals,
-books the counters, batch sums, service and sojourn sums and the trace
-row, and hands the channel to the next packet in the queue.
+through one closure, `leave`: it folds in the station's arrivals, if
+one is due, books the counters, batch sums, service and sojourn sums
+and the trace row, and hands the channel to the next packet in the
+queue.
+
+All randomness comes from one `random.Random(seed)`, drawn by hand in
+the two forms the standard library uses, so the streams rest on the
+Mersenne Twister core alone. An exponential gap is
+-log(1.0 - random()) / lam, as `expovariate(lam)` computes it. A
+back-off in a window of w slots is getrandbits(k) with k =
+w.bit_length(), redrawn while it is >= w, as `randrange(w)` draws it
+(`_randbelow_with_getrandbits`, Python 3.10 to 3.13). The widths k are
+kept per retry stage on each entity.
 """
 
 from __future__ import annotations
@@ -126,9 +138,10 @@ class DesStats:
 class _Entity:
     """One contending queue: a station, or one AC of a station."""
 
-    __slots__ = ("idx", "station", "ac", "lam", "aifs", "windows", "max_stage",
-                 "queue", "backoff", "stage", "hol_start", "next_arrival",
-                 "empty_since", "last_sync", "attempts_hol", "group", "version")
+    __slots__ = ("idx", "station", "ac", "lam", "aifs", "windows", "bits",
+                 "max_stage", "queue", "backoff", "stage", "hol_start",
+                 "next_arrival", "empty_since", "last_sync", "attempts_hol",
+                 "group", "version")
 
     def __init__(self, idx, station, ac, lam, aifs, windows):
         self.idx = idx
@@ -137,6 +150,7 @@ class _Entity:
         self.lam = lam
         self.aifs = aifs
         self.windows = windows
+        self.bits = tuple(w.bit_length() for w in windows)  # per stage, for draws
         self.max_stage = len(windows)
         self.queue: list[float] = []     # birth times, FIFO
         self.backoff = 0                 # back-off left when its heap entry was pushed
@@ -179,8 +193,9 @@ def _build_entities(cfg: DesConfig, rng: Random) -> list[_Entity]:
         for ac, q in classes:
             ents.append(_Entity(len(ents), s, ac, p.arrival_rate,
                                 q.aifs_slots, window_sizes(q)))
+    random = rng.random
     for e in ents:
-        e.next_arrival = rng.expovariate(e.lam)
+        e.next_arrival = -math.log(1.0 - random()) / e.lam  # expovariate
     return ents
 
 
@@ -194,8 +209,10 @@ def simulate(config: DesConfig) -> DesStats:
     config.validate()
     p = config.mac_params
     rng = Random(config.seed)
-    expovariate = rng.expovariate
-    randrange = rng.randrange
+    random = rng.random
+    getrandbits = rng.getrandbits
+    log = math.log
+    ceil = math.ceil
     slot = p.slot_time
     t_s, t_f = transmission_times(p)
     t_aifs = p.aifs_slots * slot
@@ -227,14 +244,14 @@ def simulate(config: DesConfig) -> DesStats:
     ac_delivered = dict.fromkeys(constants.AC_PRIORITY, 0) if four_ac else None
     ac_delay_sum = dict.fromkeys(constants.AC_PRIORITY, 0.0) if four_ac else None
 
-    def window_overlap(a: float, b: float) -> float:
-        return max(0.0, min(b, horizon) - max(a, warmup))
-
-    def batch_of(t: float) -> int:
-        if warmup <= t < horizon:
-            b = int((t - warmup) / batch_len)
-            return b if b < BATCH_COUNT else BATCH_COUNT - 1
-        return -1
+    def draw_backoff(e: _Entity) -> int:
+        """Back-off for e's current stage, drawn as randrange(window) does."""
+        w = e.windows[e.stage]
+        k = e.bits[e.stage]
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        return r
 
     def sync_arrivals(e: _Entity, upto: float) -> None:
         """Fold e's Poisson stream into its queue through time `upto`.
@@ -244,15 +261,17 @@ def simulate(config: DesConfig) -> DesStats:
         """
         nonlocal generated, rejected, size_integral
         queue = e.queue
+        size = len(queue)
         lam = e.lam
         last = e.last_sync
         ta = e.next_arrival
+        integral = size_integral
         while ta <= upto:
-            # window_overlap(last, ta) and batch_of(ta), inlined
+            # the queue's size over [last, ta] inside the stats window
             lo = last if last > warmup else warmup
             hi = ta if ta < horizon else horizon
             if hi > lo:
-                size_integral += len(queue) * (hi - lo)
+                integral += size * (hi - lo)
             last = ta
             generated += 1
             in_window = warmup <= ta < horizon
@@ -261,7 +280,7 @@ def simulate(config: DesConfig) -> DesStats:
                 if b >= BATCH_COUNT:
                     b = BATCH_COUNT - 1
                 m_offered[b] += 1
-            if len(queue) >= cap:
+            if size >= cap:
                 rejected += 1
                 if in_window:
                     m_dropped[b] += 1
@@ -269,33 +288,11 @@ def simulate(config: DesConfig) -> DesStats:
                     trace.append([e.idx, ta, 0, "rejected", ta])
             else:
                 queue.append(ta)
-            ta += expovariate(lam)
+                size += 1
+            ta += -log(1.0 - random()) / lam
+        size_integral = integral
         e.last_sync = last
         e.next_arrival = ta
-
-    def push(e: _Entity, start: int = 0) -> None:
-        """Enter e in its group heap; it counts back-off from slot start + aifs."""
-        g = e.group
-        e.version += 1
-        heappush(g.heap, (g.clock + start + e.backoff, e.idx, e.version))
-
-    def admit_first(e: _Entity, pos: int) -> None:
-        """Arrival at an empty entity at phase slot pos: it becomes a contender."""
-        nonlocal generated, empty_time
-        ta = e.next_arrival
-        empty_time += window_overlap(e.empty_since, ta)
-        e.last_sync = ta
-        generated += 1
-        b = batch_of(ta)
-        if b >= 0:
-            m_offered[b] += 1
-        e.queue.append(ta)
-        e.hol_start = ta
-        e.stage = 0
-        e.attempts_hol = 0
-        e.backoff = randrange(e.windows[0])
-        e.next_arrival = ta + expovariate(e.lam)
-        push(e, pos)
 
     def leave(e: _Entity, now: float, fate: str) -> None:
         """e's head packet leaves at `now`, "delivered" or "dropped" after
@@ -306,7 +303,8 @@ def simulate(config: DesConfig) -> DesStats:
         """
         nonlocal delivered, retry_dropped, service_sum, sojourn_sum, left
         nonlocal size_integral
-        sync_arrivals(e, now)
+        if e.next_arrival <= now:
+            sync_arrivals(e, now)
         queue = e.queue
         birth = queue[0]
         delivery = fate == "delivered"
@@ -314,8 +312,10 @@ def simulate(config: DesConfig) -> DesStats:
             delivered += 1
         else:
             retry_dropped += 1
-        b = batch_of(now)
-        if b >= 0:
+        if warmup <= now < horizon:
+            b = int((now - warmup) / batch_len)
+            if b >= BATCH_COUNT:
+                b = BATCH_COUNT - 1
             if delivery:
                 if ac_delivered is not None:
                     ac_delivered[e.ac] += 1
@@ -329,14 +329,18 @@ def simulate(config: DesConfig) -> DesStats:
             left += 1
         if trace is not None:
             trace.append([e.idx, birth, e.attempts_hol, fate, now])
-        size_integral += len(queue) * window_overlap(e.last_sync, now)
+        last = e.last_sync
+        lo = last if last > warmup else warmup
+        hi = now if now < horizon else horizon
+        if hi > lo:
+            size_integral += len(queue) * (hi - lo)
         e.last_sync = now
         queue.pop(0)
         e.stage = 0
         e.attempts_hol = 0
         if queue:
             e.hol_start = now
-            e.backoff = randrange(e.windows[0])
+            e.backoff = draw_backoff(e)
         else:
             e.empty_since = now
 
@@ -349,23 +353,25 @@ def simulate(config: DesConfig) -> DesStats:
 
     t0 = 0.0  # start of the current idle phase
     while t0 < horizon:
-        # walk idle slots until a transmission fires inside the horizon
-        pos = 0
-        admitted: list[tuple[_Entity, int]] = []
-        while True:
-            fire = -1  # phase slot of the next transmission, -1 for none
-            for g in groups:
-                heap = g.heap
-                while heap and heap[0][2] != ents[heap[0][1]].version:
-                    heappop(heap)  # stale
-                if heap:
-                    f = g.aifs + heap[0][0] - g.clock
+        # phase slot of the next transmission, -1 for none
+        fire = -1
+        for g in groups:
+            heap = g.heap
+            while heap:
+                expiry, idx, version = heap[0]
+                if version == ents[idx].version:
+                    f = g.aifs + expiry - g.clock
                     if fire < 0 or f < fire:
                         fire = f
-            if not arrivals:
-                break  # only a transmission can come next, if anything
+                    break
+                heappop(heap)  # stale
+        # walk idle slots, admitting arrivals at empty entities, until a
+        # transmission fires inside the horizon
+        pos = 0
+        admitted: list[tuple[_Entity, int]] = []
+        while arrivals:
             arr_time, arr_idx = arrivals[0]
-            boundary = math.ceil((arr_time - t0) / slot - 1e-12)
+            boundary = ceil((arr_time - t0) / slot - 1e-12)
             rem_arr = boundary - pos if boundary > pos else 0
             if fire >= 0 and fire - pos <= rem_arr:
                 break
@@ -374,9 +380,29 @@ def simulate(config: DesConfig) -> DesStats:
                 break
             heappop(arrivals)
             pos += rem_arr
+            # the entity becomes a contender, counting back-off from
+            # pos + aifs; arr_time < horizon here, and its stage and
+            # attempts are 0 since it emptied
             e = ents[arr_idx]
-            admit_first(e, pos)
+            lo = e.empty_since if e.empty_since > warmup else warmup
+            if arr_time > lo:
+                empty_time += arr_time - lo
+            e.last_sync = arr_time
+            generated += 1
+            if warmup <= arr_time:
+                b = int((arr_time - warmup) / batch_len)
+                m_offered[b if b < BATCH_COUNT else BATCH_COUNT - 1] += 1
+            e.queue.append(arr_time)
+            e.hol_start = arr_time
+            e.backoff = draw_backoff(e)
+            e.next_arrival = arr_time + -log(1.0 - random()) / e.lam
+            g = e.group
+            e.version += 1
+            heappush(g.heap, (g.clock + pos + e.backoff, arr_idx, e.version))
             admitted.append((e, pos))
+            f = e.aifs + pos + e.backoff
+            if fire < 0 or f < fire:
+                fire = f
         if fire < 0:
             break
         now = t0 + fire * slot
@@ -392,15 +418,20 @@ def simulate(config: DesConfig) -> DesStats:
                 _, idx, version = heappop(heap)
                 e = ents[idx]
                 if e.version == version:
+                    # a loser of an internal collision spends a retry stage too
+                    e.attempts_hol += 1
                     e.backoff = 0
                     transmitters.append(e)
             if fire > g.aifs:
                 g.clock += fire - g.aifs
-        transmitters.sort(key=_by_idx)
+        if len(transmitters) > 1:
+            transmitters.sort(key=_by_idx)
         # admitted at slot s, an entity counts back-off from s + aifs only
         for e, s in admitted:
             if fire < s + e.aifs:
-                push(e)
+                g = e.group
+                e.version += 1
+                heappush(g.heap, (g.clock + e.backoff, e.idx, e.version))
 
         # internal collisions first: one winner per station takes the air
         if four_ac:
@@ -418,19 +449,17 @@ def simulate(config: DesConfig) -> DesStats:
             on_air = transmitters
             losers = []
 
-        success = len(on_air) == 1
+        n_air = len(on_air)
+        success = n_air == 1
         t_end = now + (dur_success if success else dur_collision)
         in_window = warmup <= now < horizon
-        attempts += len(on_air)
+        attempts += n_air
         if in_window:
-            m_attempts += len(on_air)
+            m_attempts += n_air
         if not success:
-            air_collisions += len(on_air)
+            air_collisions += n_air
             if in_window:
-                m_collisions += len(on_air)
-        # a loser of an internal collision spends a retry stage too
-        for e in transmitters:
-            e.attempts_hol += 1
+                m_collisions += n_air
 
         if success:
             leave(on_air[0], t_end, "delivered")
@@ -444,13 +473,15 @@ def simulate(config: DesConfig) -> DesStats:
             if e.stage >= e.max_stage:
                 leave(e, t_end, "dropped")
             else:
-                e.backoff = randrange(e.windows[e.stage])
+                e.backoff = draw_backoff(e)
 
         # the busy period restarts AIFS for everyone; only the
         # transmitters' back-off changed
         for e in transmitters:
             if e.queue:
-                push(e)
+                g = e.group
+                e.version += 1
+                heappush(g.heap, (g.clock + e.backoff, e.idx, e.version))
             else:
                 heappush(arrivals, (e.next_arrival, e.idx))
         t0 = t_end
@@ -459,9 +490,10 @@ def simulate(config: DesConfig) -> DesStats:
     for e in ents:
         if e.queue:
             sync_arrivals(e, horizon)
-            size_integral += len(e.queue) * window_overlap(e.last_sync, horizon)
+            size_integral += len(e.queue) * max(
+                0.0, horizon - max(e.last_sync, warmup))
         else:
-            empty_time += window_overlap(e.empty_since, horizon)
+            empty_time += max(0.0, horizon - max(e.empty_since, warmup))
         if trace is not None:
             # only the head has been attempted; the rest wait behind it
             for k, birth in enumerate(e.queue):

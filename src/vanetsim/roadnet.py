@@ -282,6 +282,10 @@ def shortest_path(network: RoadNetwork, origin: int, destination: int,
     once per query. Exact cost ties resolve to the lexicographically
     smallest link-id sequence, which makes route choice reproducible on
     symmetric networks.
+
+    A label costlier than the cheapest one already pushed for its node
+    can only pop after that node settles, so it is not pushed; a label
+    of equal cost is, since its link ids may win the tie.
     """
     if origin == destination:
         return []
@@ -290,6 +294,7 @@ def shortest_path(network: RoadNetwork, origin: int, destination: int,
     push, pop = heapq.heappush, heapq.heappop
     out, links = network._out, network.links
     heap = [(0.0, (), origin)]
+    best = {origin: 0.0}  # lowest cost pushed per node
     settled: set[int] = set()
     while heap:
         cost, seq, node = pop(heap)
@@ -305,7 +310,11 @@ def shortest_path(network: RoadNetwork, origin: int, destination: int,
             w = weight(link)
             if w < 0:
                 raise ValidationError(f"negative weight on link {link.id}")
-            push(heap, (cost + w, seq + (link.id,), to))
+            c = cost + w
+            if c > best.get(to, math.inf):
+                continue
+            best[to] = c
+            push(heap, (c, seq + (link.id,), to))
     raise NoPathError(f"no path {origin}->{destination}")
 
 

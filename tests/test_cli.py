@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from vanetsim import cli, constants, ecorouting, mac_analytic, records, traffic
+from vanetsim import (cli, constants, ecorouting, mac_analytic, mac_des, records,
+                      traffic)
 from vanetsim.errors import (ConfigurationError, ConvergenceError,
                              DegenerateInputError, NoPathError, ParseError,
                              SimulationError, ValidationError)
@@ -446,14 +447,40 @@ def test_histogram_edges_open_their_bin():
 
 def test_validate_mac_tiny_grid(tmp_path):
     out = tmp_path / "val.tsv"
-    assert cli.main(["validate-mac", "--stations", "5", "--rates", "10",
+    assert cli.main(["validate-mac", "--stations", "5", "--rates", "10,2000",
                      "--bytes", "500", "--access", "basic",
                      "--duration", "5", "--out", str(out)]) == 0
     _, cols, rows = records.read_table(out)
-    assert len(rows) == 1
-    row = dict(zip(cols, rows[0]))
-    assert math.isfinite(row["thr_rel_err"])
-    assert math.isfinite(row["delay_rel_err"])
+    assert len(rows) == 2
+    # the service and wait split is appended; earlier columns keep their place
+    assert cols[:14] == ["access", "payload_bytes", "stations", "rate",
+                         "thr_model", "thr_meas", "thr_rel_err", "thr_ci95",
+                         "delay_model", "delay_meas", "delay_rel_err",
+                         "delay_ci95", "p_drop_model", "p_drop_meas"]
+    assert cols[14:] == ["serv_model", "serv_meas", "serv_err",
+                         "wait_model", "wait_meas", "wait_err_s"]
+    light, saturated = (dict(zip(cols, row)) for row in rows)
+    assert math.isfinite(light["thr_rel_err"])
+    assert math.isfinite(light["delay_rel_err"])
+    for row in (light, saturated):
+        params = mac_analytic.MacParams(n_stations=5, arrival_rate=row["rate"],
+                                        payload_bits=4000)
+        sol = mac_analytic.solve(params)
+        stats = mac_des.simulate(mac_des.DesConfig(
+            mac_params=params, seed=1, measured_duration=5.0, min_delivered=0))
+        assert row["serv_model"] == sol.t_serv
+        assert row["serv_meas"] == stats.mean_service_time
+        assert row["serv_err"] == ((sol.t_serv - stats.mean_service_time)
+                                   / stats.mean_service_time)
+        assert row["wait_meas"] == stats.mean_sojourn - stats.mean_service_time
+        assert row["wait_model"] == sol.t_q
+    # signed: the model over-counts light-load contention, so both run long
+    assert light["serv_err"] > 0
+    assert light["wait_err_s"] == light["wait_model"] - light["wait_meas"]
+    assert light["wait_err_s"] > 0
+    # a saturated model queue has no finite wait to compare
+    assert saturated["wait_model"] is None and saturated["wait_err_s"] is None
+    assert saturated["wait_meas"] > 0
 
 
 def test_defaults_lists_tunables(capsys):

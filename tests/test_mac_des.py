@@ -8,6 +8,8 @@ and successes one, so colliding attempts / attempts = 1/(3/2) = 2/3.
 """
 
 import dataclasses
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -296,6 +298,27 @@ def test_golden_counters_with_trace(name):
     traced = _golden_run(name, trace=True)
     assert traced.trace
     assert dataclasses.replace(traced, trace=None) == _golden_run(name, trace=False)
+
+
+# sha256 over repr(DesStats) of every point of the grid below, trace off
+# then on, in grid order. The reprs are the same on Python 3.10 to 3.13:
+# the simulator draws from the Mersenne Twister core only.
+GRID_PIN = "49594d3be2da2508d27036f76b149c9adc33278e5f75d9dd1ad265e4512b1808"
+
+
+def test_grid_stats_pinned():
+    # N x rate x payload x access x AC mode: 96 configurations, 3 s each
+    digest = hashlib.sha256()
+    for n, lam, bits, access, ac_mode in itertools.product(
+            (1, 5, 20, 40), (10.0, 50.0, 200.0), (4000, 8000),
+            (ma.AccessMode.BASIC, ma.AccessMode.RTS_CTS),
+            (des.AcMode.SINGLE_AC, des.AcMode.FOUR_AC)):
+        for trace in (False, True):
+            stats = des.simulate(config(n=n, lam=lam, duration=3.0, seed=3,
+                                        payload_bits=bits, access_mode=access,
+                                        ac_mode=ac_mode, collect_trace=trace))
+            digest.update(repr(stats).encode())
+    assert digest.hexdigest() == GRID_PIN
 
 
 def test_t95_covers_every_batch_count():

@@ -7,6 +7,7 @@ is compared against. Spatial queries are checked against a naive scan
 over every RSU.
 """
 
+import heapq
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from vanetsim import roadnet as rn
-from vanetsim.errors import ParseError, ValidationError
+from vanetsim.errors import NoPathError, ParseError, ValidationError
 
 
 def write(tmp_path, text, name="net.txt"):
@@ -276,6 +277,71 @@ def test_shortest_path_tie_breaks_lexicographically(tmp_path):
 def test_shortest_path_trivial_and_unreachable(tmp_path):
     net = rn.load_network(write(tmp_path, DIAMOND))
     assert rn.shortest_path(net, 2, 2, lambda ln: 1.0) == []
-    from vanetsim.errors import NoPathError
     with pytest.raises(NoPathError):
         rn.shortest_path(net, 4, 1, lambda ln: 1.0)  # links are one-way
+
+
+def reference_shortest_path(network, origin, destination, weight):
+    """Label-setting search that pushes every label, pruned or not."""
+    if origin == destination:
+        return []
+    heap = [(0.0, (), origin)]
+    settled = set()
+    while heap:
+        cost, seq, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == destination:
+            return [network.links[lid] for lid in seq]
+        for link in sorted((ln for ln in network.links.values()
+                            if ln.from_node == node), key=lambda ln: ln.id):
+            if link.to_node not in settled:
+                heapq.heappush(heap, (cost + weight(link), seq + (link.id,),
+                                      link.to_node))
+    raise NoPathError(f"no path {origin}->{destination}")
+
+
+def random_network(rng, n_nodes, n_extra):
+    """Weakly connected: a random spanning tree plus extra links, some parallel."""
+    nodes = [rn.Node(i, float(i), 0.0) for i in range(1, n_nodes + 1)]
+    pairs = []
+    for i in range(2, n_nodes + 1):
+        j = rng.randint(1, i - 1)
+        pairs.append((i, j) if rng.random() < 0.5 else (j, i))
+    for _ in range(n_extra):
+        a, b = rng.sample(range(1, n_nodes + 1), 2)
+        pairs.append((a, b))
+    rng.shuffle(pairs)
+    links = [rn.Link(k, a, b, 100.0, 1, 50.0, 120.0)
+             for k, (a, b) in enumerate(pairs, start=1)]
+    return rn.RoadNetwork(nodes, links, [])
+
+
+def test_shortest_path_matches_reference_search():
+    # Integer weights, zero included, make exact cost ties common, so the
+    # lexicographic tie rule decides many of these queries.
+    rng = random.Random(12)
+    for _ in range(60):
+        n_nodes = rng.randint(2, 14)
+        net = random_network(rng, n_nodes, rng.randint(0, 3 * n_nodes))
+        cost = {lid: float(rng.randint(0, 3)) for lid in net.links}
+        for _ in range(8):
+            origin, destination = (rng.randint(1, n_nodes) for _ in range(2))
+            calls = {"fast": [], "reference": []}
+
+            def weight(ln, key):
+                calls[key].append(ln.id)
+                return cost[ln.id]
+
+            got = {}
+            for key, search in (("fast", rn.shortest_path),
+                                ("reference", reference_shortest_path)):
+                try:
+                    path = search(net, origin, destination,
+                                  lambda ln, key=key: weight(ln, key))
+                    got[key] = [ln.id for ln in path]
+                except NoPathError:
+                    got[key] = None
+            assert got["fast"] == got["reference"]
+            assert calls["fast"] == calls["reference"]
