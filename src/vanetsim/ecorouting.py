@@ -44,9 +44,7 @@ class TmcCostTable:
             raise ValidationError(f"beta {beta} outside (0, 1]", field="beta")
         coeffs = coeffs or energy.load_coefficients()
         self.beta = beta
-        self.costs = {
-            lid: energy.free_flow_link_fuel(ln.length, ln.free_speed, coeffs)
-            for lid, ln in network.links.items()}
+        self.costs = energy.free_flow_fuel(network.links.values(), coeffs)
 
     def apply_update(self, update) -> None:
         """Fold one delivered measurement into the link estimate.

@@ -132,8 +132,18 @@ def vt_micro_rate(v: float, a: float, coeffs: VtMicroCoefficients,
     return math.exp(exponent)
 
 
-def free_flow_link_fuel(length_m: float, free_speed_kmh: float,
-                        coeffs: VtMicroCoefficients) -> float:
-    """Fuel to cruise a link at its free-flow speed (liters)."""
-    seconds = (length_m / 1000.0) / free_speed_kmh * 3600.0
-    return seconds * vt_micro_rate(free_speed_kmh, 0.0, coeffs)
+def free_flow_fuel(links, coeffs: VtMicroCoefficients) -> dict[int, float]:
+    """Fuel to cruise each link at its free-flow speed (liters), by link id.
+
+    The cruise rate is evaluated once per distinct free-flow speed, so
+    an out-of-envelope speed warns once, not once per link.
+    """
+    rates: dict[float, float] = {}
+    fuel = {}
+    for link in links:
+        v = link.free_speed
+        if v not in rates:
+            rates[v] = vt_micro_rate(v, 0.0, coeffs)
+        seconds = (link.length / 1000.0) / v * 3600.0
+        fuel[link.id] = seconds * rates[v]
+    return fuel

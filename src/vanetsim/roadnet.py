@@ -6,11 +6,17 @@ Manhattan grids is included so experiments do not depend on external
 data. RSUs sit on signal nodes and are chosen by a greedy cover loop:
 repeatedly pick the signal whose communication disk covers the most
 still-uncovered signals (strictly closer than the range), lowest id on
-ties, until every signal is covered.
+ties, until every signal is covered. `place_rsus` builds each signal's
+cover set once, testing only the signals in the 3x3 block of grid
+cells around it, and keeps the greedy counts in a lazy heap that
+recounts a signal only when it comes to the top (Minoux's accelerated
+greedy). The picks, and their order, are those of recounting every
+uncovered signal in every round.
 
 The RSU layout lives in `CoverageIndex`: the placed signals, one
-shared range, and a uniform grid index whose cell size is that range,
-so any disk intersects at most the 3x3 cell neighborhood of its center.
+shared range, and a uniform grid index whose cells are at least that
+range wide (`_cell_size`), so any disk lies in the 3x3 cell
+neighborhood of its center.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ JAM_DENSITY = 120.0      # veh/km/lane
 LANES = 1
 RSU_RANGE_M = 250.0
 COVERAGE_SAMPLES_PER_LINK = 10   # interior points of link_length_coverage
+MIN_CELL_M = 1.0   # grid cells at least this wide keep every x / cell finite
 
 
 @dataclass(frozen=True)
@@ -318,33 +325,104 @@ def shortest_path(network: RoadNetwork, origin: int, destination: int,
     raise NoPathError(f"no path {origin}->{destination}")
 
 
+# --- grid cells ---------------------------------------------------------
+
+_CELL_MARGIN = 2.0 ** -20
+
+
+def _cell_size(range_m: float, xy) -> float:
+    """Side of the square cells that index the points xy for disks of range_m.
+
+    Two points whose computed distance is at most range_m get cell keys
+    (`_cell_key`) that differ by at most 1 in each axis, so the 3x3
+    block of cells around one holds every point in range of it. Why:
+    hypot is never below |fl(dx)|, so the exact |dx| is at most
+    range_m * (1 + 2u), u = 2**-53, and each computed quotient x / cell
+    is off by at most u * |x| / cell, where |x| is at most the largest
+    coordinate of xy plus range_m. The cell exceeds both range_m and
+    2**-20 times that largest coordinate by the factor 1 + 2**-20, which
+    keeps the difference of two computed quotients below 1 and that of
+    their floors at most 1, even where a quotient rounds onto a cell
+    edge.
+
+    The cell is also at least MIN_CELL_M wide, so x / cell stays finite
+    for every finite x, however small the range.
+    """
+    span = max((max(abs(x), abs(y)) for x, y in xy), default=0.0)
+    return max(range_m, span * _CELL_MARGIN, MIN_CELL_M) * (1.0 + _CELL_MARGIN)
+
+
+def _cell_key(x: float, y: float, cell: float) -> tuple[int, int]:
+    return math.floor(x / cell), math.floor(y / cell)
+
+
+def _bucket(xy, cell: float) -> dict[tuple[int, int], list[int]]:
+    """Indices of the points xy by cell key, each bucket in index order."""
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(xy):
+        buckets.setdefault(_cell_key(x, y, cell), []).append(i)
+    return buckets
+
+
+def _near(buckets, key):
+    """The indices in the 3x3 block of cells around key."""
+    cx, cy = key
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            yield from buckets.get((cx + dx, cy + dy), ())
+
+
 # --- RSU placement ------------------------------------------------------
 
 def place_rsus(network: RoadNetwork, r_com: float) -> list[int]:
     """Greedy signal cover; returns selected signal ids in pick order.
 
     A signal covers another iff their node distance is strictly below
-    r_com (a signal always covers itself). Each round recomputes cover
-    counts over the still-uncovered set, picks the uncovered signal
-    with the largest count (lowest id on ties), and removes its covered
-    set. Terminates with every signal covered.
+    r_com (a signal always covers itself). Each round picks the
+    uncovered signal that covers the most still-uncovered signals
+    (lowest id on ties) and removes its covered set. Terminates with
+    every signal covered.
+
+    Cover sets are built once: the signals are bucketed in grid cells
+    (`_cell_size`) and only pairs in neighboring cells are tested, each
+    pair once. The rounds keep a heap of (-count, rank in id order),
+    whose counts can only be too high, since covering signals only
+    lowers them. A popped signal that is still uncovered is recounted:
+    it is pushed back if its count fell and picked if not, because no
+    other entry can then beat it or tie it with a lower id. The picks
+    and their order are those of recounting every uncovered signal in
+    every round, at near-linear instead of cubic cost.
     """
     if not network.signals:
         raise ValidationError("network has no signals")
     if not r_com > 0:
         raise ValidationError(f"r_com must be > 0, got {r_com}", field="r_com")
-    pos = {sid: network.nodes[s.node] for sid, s in network.signals.items()}
-    uncovered = set(network.signals)
+    sids = sorted(network.signals)
+    nodes = [network.nodes[network.signals[sid].node] for sid in sids]
+    xy = [(node.x, node.y) for node in nodes]
+    buckets = _bucket(xy, _cell_size(r_com, xy))
+    cover = [{i} for i in range(len(sids))]
+    for key, members in buckets.items():
+        near = list(_near(buckets, key))
+        for i in members:
+            for j in near:
+                if j > i and _distance(nodes[i], nodes[j]) < r_com:
+                    cover[i].add(j)
+                    cover[j].add(i)
+    heap = [(-len(c), i) for i, c in enumerate(cover)]
+    heapq.heapify(heap)
+    uncovered = set(range(len(sids)))
     selected: list[int] = []
     while uncovered:
-        best_id, best_cover = None, None
-        for sid in sorted(uncovered):
-            cover = {other for other in uncovered
-                     if _distance(pos[sid], pos[other]) < r_com}
-            if best_cover is None or len(cover) > len(best_cover):
-                best_id, best_cover = sid, cover
-        selected.append(best_id)
-        uncovered -= best_cover
+        neg_count, i = heapq.heappop(heap)
+        if i not in uncovered:
+            continue
+        count = len(cover[i] & uncovered)
+        if count < -neg_count:
+            heapq.heappush(heap, (-count, i))
+        else:
+            selected.append(sids[i])
+            uncovered -= cover[i]
     return selected
 
 
@@ -386,8 +464,9 @@ class CoverageIndex:
     """The RSU layout and its uniform-grid spatial index.
 
     RSU i sits on the node of signal signal_ids[i]; every RSU reaches
-    range_m, which is also the grid's cell size. With no signal ids
-    every count map is empty and no position is connected.
+    range_m, and the grid's cells are at least that wide (`_cell_size`).
+    With no signal ids every count map is empty and no position is
+    connected.
     """
 
     def __init__(self, network: RoadNetwork, signal_ids, range_m: float):
@@ -395,25 +474,15 @@ class CoverageIndex:
         nodes = [network.nodes[network.signals[sid].node] for sid in signal_ids]
         self._xy = [(node.x, node.y) for node in nodes]
         self.ids = range(len(self._xy))
-        self._buckets: dict[tuple[int, int], list[int]] = {}
-        for rid, (x, y) in enumerate(self._xy):
-            self._buckets.setdefault(self._key(x, y), []).append(rid)
-
-    def _key(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self.range_m), math.floor(y / self.range_m))
-
-    def _near(self, x: float, y: float):
-        cx, cy = self._key(x, y)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                yield from self._buckets.get((cx + dx, cy + dy), ())
+        self._cell = _cell_size(range_m, self._xy)
+        self._buckets = _bucket(self._xy, self._cell)
 
     def connected_rsu(self, x: float, y: float) -> int | None:
         """Nearest in-range RSU id; ties within 1e-9 m go to lowest id."""
         best_id = None
         best_d = math.inf
         rng = self.range_m
-        for rid in self._near(x, y):
+        for rid in _near(self._buckets, _cell_key(x, y, self._cell)):
             rx, ry = self._xy[rid]
             d = math.hypot(x - rx, y - ry)
             if d > rng:
@@ -425,13 +494,14 @@ class CoverageIndex:
 
     def count_per_rsu(self, positions) -> dict[int, int]:
         """One bucketing pass, then per-RSU neighborhood counts."""
+        cell = self._cell
         buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
         for pos in positions:
-            buckets.setdefault(self._key(pos[0], pos[1]), []).append(pos)
+            buckets.setdefault(_cell_key(pos[0], pos[1], cell), []).append(pos)
         counts = {}
         rng = self.range_m
         for rid, (rx, ry) in enumerate(self._xy):
-            cx, cy = self._key(rx, ry)
+            cx, cy = _cell_key(rx, ry, cell)
             n = 0
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):

@@ -282,6 +282,27 @@ def test_gen_grid_place_rsus_roundtrip(tmp_path, capsys):
     ]
 
 
+# Coordinate / 1e-306 overflows to inf. The coverage grid's cells stay at
+# least a meter wide, so a range that small places an RSU on every signal.
+
+def test_tiny_rsu_range_puts_an_rsu_on_every_signal(tmp_path, capsys):
+    net_path = tmp_path / "net.txt"
+    assert cli.main(["gen-grid", "--out", str(net_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["place-rsus", "--network", str(net_path),
+                     "--range", "1e-306"]) == 0
+    plan = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert plan["rsu_count"] == "100"
+    assert plan["signal_ids"] == " ".join(str(sid) for sid in range(1, 101))
+
+
+def test_run_with_a_tiny_rsu_range(tmp_path):
+    scenario = tmp_path / "tiny-range.ini"
+    scenario.write_text(TINY_SCENARIO + "\n[rsu]\nrange_m = 1e-306\n")
+    assert cli.main(["--quiet", "run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o"), "--odsf", "0.5"]) == 0
+
+
 def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
     for sub in ("a", "b"):
         code = cli.main(["--quiet", "run", "--scenario", tiny_scenario,

@@ -8,6 +8,7 @@ real co-simulation end to end.
 """
 
 import collections
+import dataclasses
 import math
 import random
 
@@ -40,11 +41,16 @@ def mkupdate(uid, link_id=1, fuel=0.002, created_at=0.0):
 # --- cost table -------------------------------------------------------------
 
 def test_table_initializes_to_free_flow_fuel():
-    net = diamond()
+    # two free-flow speeds, so the table reuses each speed's cruise rate
+    base = diamond()
+    links = [dataclasses.replace(ln, free_speed=30.0 if ln.id % 2 else 50.0)
+             for ln in base.links.values()]
+    net = rn.RoadNetwork(base.nodes.values(), links, [])
     coeffs = energy.load_coefficients()
     table = eco.TmcCostTable(net, coeffs)
     for lid, link in net.links.items():
-        want = energy.free_flow_link_fuel(link.length, link.free_speed, coeffs)
+        seconds = (link.length / 1000.0) / link.free_speed * 3600.0
+        want = seconds * energy.vt_micro_rate(link.free_speed, 0.0, coeffs)
         assert table.costs[lid] == want > 0.0
 
 

@@ -6,10 +6,12 @@ idle fuel burn must equal exp of the [0][0] entry exactly.
 """
 
 import math
+import warnings
 
 import pytest
 
 from vanetsim import energy
+from vanetsim.roadnet import Link
 from vanetsim.errors import ParseError, ValidationError
 
 
@@ -75,10 +77,24 @@ def test_envelope_warning_not_error(coeffs):
 
 
 def test_free_flow_link_fuel_arithmetic(coeffs):
-    # 1000 m at 50 km/h is 72 s of cruising
-    fuel = energy.free_flow_link_fuel(1000.0, 50.0, coeffs)
-    assert fuel == pytest.approx(
-        72.0 * energy.vt_micro_rate(50.0, 0.0, coeffs), rel=1e-12)
+    # 1000 m at 50 km/h is 72 s of cruising, 500 m half that
+    links = [Link(1, 1, 2, 1000.0, 1, 50.0, 120.0),
+             Link(2, 2, 1, 500.0, 1, 50.0, 120.0)]
+    rate = energy.vt_micro_rate(50.0, 0.0, coeffs)
+    assert energy.free_flow_fuel(links, coeffs) == {
+        1: pytest.approx(72.0 * rate, rel=1e-12),
+        2: pytest.approx(36.0 * rate, rel=1e-12)}
+
+
+def test_free_flow_fuel_warns_once_per_speed(coeffs):
+    # three links beyond the envelope share one speed, so one rate and one warning
+    links = [Link(i, 1, 2, 100.0 * i, 1, 150.0, 120.0) for i in (1, 2, 3)]
+    links.append(Link(4, 2, 1, 100.0, 1, 50.0, 120.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fuel = energy.free_flow_fuel(links, coeffs)
+    assert [w.category for w in caught] == [energy.EnvelopeWarning]
+    assert list(fuel) == [1, 2, 3, 4]
 
 
 def test_loader_rejects_malformed_files(tmp_path, coeffs):

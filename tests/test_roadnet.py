@@ -3,8 +3,9 @@
 The placement oracle is exhaustive set-cover search: for 12 signals,
 every subset (smallest first) is checked for full cover under the same
 strict-inequality rule, giving the true minimum count the greedy result
-is compared against. Spatial queries are checked against a naive scan
-over every RSU.
+is compared against. The greedy's picks are checked against an
+all-pairs greedy that recounts every uncovered signal in every round.
+Spatial queries are checked against a naive scan over every RSU.
 """
 
 import heapq
@@ -170,6 +171,130 @@ def test_greedy_cover_against_exhaustive_minimum():
         optimum = brute_force_minimum_cover(pts, r_com)
         assert len(selected) >= optimum
         assert selected == rn.place_rsus(net, r_com)  # deterministic
+
+
+def reference_place_rsus(network, r_com):
+    """All-pairs greedy: every round recounts every uncovered signal's cover."""
+    pos = {sid: network.nodes[s.node] for sid, s in network.signals.items()}
+    uncovered = set(network.signals)
+    selected = []
+    while uncovered:
+        best_id, best_cover = None, None
+        for sid in sorted(uncovered):
+            cover = {other for other in uncovered
+                     if rn._distance(pos[sid], pos[other]) < r_com}
+            if best_cover is None or len(cover) > len(best_cover):
+                best_id, best_cover = sid, cover
+        selected.append(best_id)
+        uncovered -= best_cover
+    return selected
+
+
+def cover_instance(rng, layout):
+    """Signal points and a range that put the cover rule on one of its edges.
+
+    lattice: neighbors exactly r_com apart before rounding, at a spacing
+    such as 0.1 whose multiples round; below: a range under every
+    spacing; above: a range over the whole extent; scatter: uniform
+    points. Some signals share a node, and signal ids are sparse and
+    unordered against node ids.
+    """
+    n = rng.randint(1, 40)
+    ox, oy = rng.choice([0.0, -1000.0, 123.456]), rng.choice([0.0, -0.3, 1e6])
+    if layout == "lattice":
+        step = rng.choice([0.1, 0.3, 1.0, 150.0, 250.0, 3.7])
+        cols = rng.randint(1, 8)
+        pts = [(ox + (i % cols) * step, oy + (i // cols) * step)
+               for i in range(n)]
+        r_com = step * rng.choice([1, 2, 3])
+    else:
+        pts = [(ox + rng.uniform(0, 1000), oy + rng.uniform(0, 1000))
+               for _ in range(n)]
+        r_com = rng.uniform(20, 400)
+    nodes = [rn.Node(i + 1, x, y) for i, (x, y) in enumerate(pts)]
+    links = [rn.Link(i, i, i + 1, 10.0, 1, 50.0, 120.0) for i in range(1, n)]
+    hosts = list(range(1, n + 1)) + [rng.randint(1, n)
+                                     for _ in range(rng.randint(0, 4))]
+    sids = rng.sample(range(1, 10 * len(hosts)), len(hosts))
+    signals = [rn.Signal(sid, node) for sid, node in zip(sids, hosts)]
+    spread = [math.dist(a, b) for a, b in itertools.combinations(pts, 2)]
+    if layout == "below":
+        r_com = min((d for d in spread if d > 0), default=1.0) / 2
+    elif layout == "above":
+        r_com = 2 * max(spread, default=0.0) + 1.0
+    return rn.RoadNetwork(nodes, links, signals), r_com
+
+
+@pytest.mark.parametrize("layout", ["lattice", "below", "above", "scatter"])
+def test_place_rsus_matches_reference_greedy(layout):
+    rng = random.Random(layout)
+    for _ in range(80):
+        net, r_com = cover_instance(rng, layout)
+        picks = rn.place_rsus(net, r_com)
+        assert picks == reference_place_rsus(net, r_com)
+        if layout == "above":
+            assert picks == [min(net.signals)]
+        if layout == "below":  # only signals that share a node cover each other
+            assert len(picks) == len({s.node for s in net.signals.values()})
+
+
+@pytest.mark.parametrize("size", [10, 20])
+def test_place_rsus_matches_reference_greedy_on_grids(size):
+    net = rn.gen_grid(size, size)
+    assert rn.place_rsus(net, 250.0) == reference_place_rsus(net, 250.0)
+
+
+def test_place_rsus_distance_evaluations_grow_linearly(monkeypatch):
+    # the all-pairs greedy makes about 30,000 per signal on this grid
+    calls = 0
+    distance = rn._distance
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return distance(a, b)
+
+    net = rn.gen_grid(30, 30)
+    monkeypatch.setattr(rn, "_distance", counted)
+    rn.place_rsus(net, rn.RSU_RANGE_M)
+    assert 0 < calls <= 100 * len(net.signals)
+
+
+def test_points_in_range_have_neighboring_cell_keys():
+    # x = -5e-324 and x = r are computed exactly r apart, yet x / r puts
+    # them two cells apart; the cell's margin over the range joins them
+    for r in (1.0, 250.0, 1e6):
+        cell = rn._cell_size(r, [(-5e-324, 0.0), (r, 0.0)])
+        assert rn._cell_key(r, 0.0, cell)[0] - rn._cell_key(-5e-324, 0.0, cell)[0] <= 1
+    # magnitudes from 1e-3 to 1e300, ranges from below an ulp of the
+    # coordinates up past them, pairs at or just inside the range
+    rng = random.Random(11)
+    for _ in range(3000):
+        mag = 10.0 ** rng.randint(-3, 300)
+        ax, ay = rng.uniform(-mag, mag), rng.uniform(-mag, mag)
+        r = mag * 10.0 ** rng.uniform(-20, 1)
+        if rng.random() < 0.1:
+            r = 1e-306
+        angle = rng.uniform(0, 2 * math.pi)
+        bx, by = ax + r * math.cos(angle), ay + r * math.sin(angle)
+        if not math.hypot(ax - bx, ay - by) <= r:
+            continue
+        cell = rn._cell_size(r, [(ax, ay), (bx, by)])
+        (kax, kay), (kbx, kby) = rn._cell_key(ax, ay, cell), rn._cell_key(bx, by, cell)
+        assert abs(kax - kbx) <= 1 and abs(kay - kby) <= 1, (ax, ay, bx, by, r)
+
+
+def test_range_below_a_meter_keeps_cell_keys_finite():
+    # coordinate / range overflows to inf at 1e-306; each signal covers itself
+    net = rn.gen_grid(3, 3, spacing=150.0)
+    assert rn.place_rsus(net, 1e-306) == list(range(1, 10))
+    idx = rn.CoverageIndex(net, [1, 9], 1e-306)
+    assert idx.connected_rsu(0.0, 0.0) == 0
+    assert idx.connected_rsu(1e300, -1e300) is None
+    assert idx.count_per_rsu([(0.0, 0.0), (300.0, 300.0), (1.0, 0.0)]) == {0: 1, 1: 1}
+    alone = rn.CoverageIndex(net, [1], 1e-306)   # one RSU, at the origin
+    assert alone.connected_rsu(1e300, 0.0) is None
+    assert alone.count_per_rsu([(0.0, 0.0), (450.0, 450.0)]) == {0: 1}
 
 
 def test_connected_rsu_basics():
