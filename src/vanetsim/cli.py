@@ -8,7 +8,7 @@ the failure families so shell scripts can branch on them:
     0  success
     2  configuration (bad flags, missing files, malformed scenario)
     3  input validation (rejected values, unparseable data files, no path)
-    4  solver (fixed point diverged or degenerate)
+    4  solver (fixed point did not converge)
     5  simulation invariant violation
 
 Scenario files are INI. Single-value keys have defaults, printed by the
@@ -91,7 +91,7 @@ def parse_scenario(path) -> dict:
         if not net_file.is_file():
             raise ConfigurationError(f"network file not found: {net_file}")
         sc["net_path"] = str(net_file)
-    if not sc["od"]:
+    if not sc["entries"]:
         raise ConfigurationError("scenario demand table is empty")
     if sc["mode"] not in ("realistic", "ideal"):
         raise ConfigurationError(f"comm mode must be realistic or ideal, "
@@ -130,17 +130,19 @@ def _parse_od(text: str) -> list[tuple]:
 
 # One row per scenario key: section, key, name in the parsed dict, converter
 # of the INI text, and the default, read from the module that owns the value
-# (None: the key has no default).
+# (None: the key has no default). A value whose range its owner checks is
+# parsed under the owner's argument name, which a refusal gives as
+# ValidationError.field, so build_run finds the key by that name.
 SCENARIO_KEYS = (
     ("network", "path", "net_path", str, None),
     ("network", "rows", "rows", int, roadnet.GRID_ROWS),
     ("network", "cols", "cols", int, roadnet.GRID_COLS),
-    ("network", "spacing_m", "spacing_m", float, roadnet.GRID_SPACING_M),
-    ("network", "free_speed_kmh", "free_speed_kmh", float, roadnet.FREE_SPEED_KMH),
+    ("network", "spacing_m", "spacing", float, roadnet.GRID_SPACING_M),
+    ("network", "free_speed_kmh", "free_speed", float, roadnet.FREE_SPEED_KMH),
     ("network", "jam_density", "jam_density", float, roadnet.JAM_DENSITY),
     ("network", "lanes", "lanes", int, roadnet.LANES),
-    ("rsu", "range_m", "rsu_range_m", float, roadnet.RSU_RANGE_M),
-    ("demand", "od", "od", _parse_od, None),
+    ("rsu", "range_m", "r_com", float, roadnet.RSU_RANGE_M),
+    ("demand", "od", "entries", _parse_od, None),
     ("demand", "odsf", "odsf", lambda text: tuple(map(float, text.split())),
      (traffic.OdDemand.odsf,)),
     ("comm", "mode", "mode", str, "realistic"),
@@ -151,25 +153,16 @@ SCENARIO_KEYS = (
     ("comm", "queue_capacity", "queue_capacity", int,
      mac_analytic.MacParams.queue_capacity),
     ("comm", "access", "access", str, mac_analytic.MacParams.access_mode.value),
-    ("comm", "refresh_s", "refresh_s", float, ecorouting.CELL_REFRESH),
+    ("comm", "refresh_s", "refresh", float, ecorouting.CELL_REFRESH),
     ("routing", "eta", "eta", float, ecorouting.ETA),
     ("routing", "beta", "beta", float, ecorouting.BETA),
     ("sim", "seed", "seed", int, 1),
-    ("sim", "horizon_s", "horizon_s",
+    ("sim", "horizon_s", "horizon",
      lambda text: float(text) if text.strip() else None,
      traffic.TrafficConfig.horizon),
     ("sim", "a_max", "a_max", float, traffic.TrafficConfig.a_max),
-    ("sim", "drain_s", "drain_s", float, traffic.TrafficConfig.drain),
+    ("sim", "drain_s", "drain", float, traffic.TrafficConfig.drain),
 )
-
-# Owner argument named by a refusal (ValidationError.field) -> name in the
-# parsed dict, for the scenario values whose range their owner checks.
-_OWNER_ARGS = {"rows": "rows", "cols": "cols", "spacing": "spacing_m",
-               "free_speed": "free_speed_kmh", "jam_density": "jam_density",
-               "lanes": "lanes", "r_com": "rsu_range_m", "entries": "od",
-               "background_rate": "background_rate", "refresh": "refresh_s",
-               "eta": "eta", "beta": "beta", "horizon": "horizon_s",
-               "a_max": "a_max", "drain": "drain_s"}
 
 
 def _access_mode(name: str) -> mac_analytic.AccessMode:
@@ -186,18 +179,20 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
     """Network, table, comm, and simulation for one scenario point.
 
     An owner that refuses a scenario value raises ValidationError; it is
-    re-raised naming the value's [section] key.
+    re-raised naming the value's [section] key. MacParams refuses the
+    [comm] MAC values with ConfigurationError, which names its field.
+    Either way nothing has been written yet.
     """
     coeffs = energy.load_coefficients()
     try:
         if sc["net_path"]:
             net = roadnet.load_network(sc["net_path"])
         else:
-            net = roadnet.gen_grid(sc["rows"], sc["cols"], spacing=sc["spacing_m"],
-                                   free_speed=sc["free_speed_kmh"],
+            net = roadnet.gen_grid(sc["rows"], sc["cols"], spacing=sc["spacing"],
+                                   free_speed=sc["free_speed"],
                                    jam_density=sc["jam_density"], lanes=sc["lanes"])
-        chosen = roadnet.place_rsus(net, sc["rsu_range_m"])
-        index = roadnet.CoverageIndex(net, chosen, sc["rsu_range_m"])
+        chosen = roadnet.place_rsus(net, sc["r_com"])
+        index = roadnet.CoverageIndex(net, chosen, sc["r_com"])
         table = ecorouting.TmcCostTable(net, coeffs, beta=sc["beta"])
         router = ecorouting.EcoRouter(net, table, eta=sc["eta"], seed=seed + 1)
         params = mac_analytic.MacParams(
@@ -207,21 +202,19 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
             access_mode=_access_mode(sc["access"]))
         comm = ecorouting.CommModule(index, table, params, mode=mode,
                                      background_rate=sc["background_rate"],
-                                     refresh=sc["refresh_s"], seed=seed + 2)
+                                     refresh=sc["refresh"], seed=seed + 2)
         demand = traffic.OdDemand(
-            tuple(traffic.OdEntry(*row) for row in sc["od"]), odsf=odsf)
-        config = traffic.TrafficConfig(horizon=sc["horizon_s"], a_max=sc["a_max"],
-                                       drain=sc["drain_s"])
+            tuple(traffic.OdEntry(*row) for row in sc["entries"]), odsf=odsf)
+        config = traffic.TrafficConfig(horizon=sc["horizon"], a_max=sc["a_max"],
+                                       drain=sc["drain"])
         sim = traffic.Simulation(net, demand=demand, config=config, router=router,
                                  coeffs=coeffs, comm=comm, seed=seed)
     except ValidationError as exc:
-        name = _OWNER_ARGS.get(exc.field)
-        if name is None:
-            raise
-        sec, key = next((sec, key) for sec, key, parsed, *_ in SCENARIO_KEYS
-                        if parsed == name)
-        raise ValidationError(f"bad scenario value for [{sec}] {key}: {exc}",
-                              field=exc.field) from exc
+        for sec, key, name, *_ in SCENARIO_KEYS:
+            if name == exc.field:
+                raise ValidationError(f"bad scenario value for [{sec}] {key}: {exc}",
+                                      field=exc.field) from exc
+        raise
     return sim, table, comm
 
 
@@ -413,7 +406,6 @@ def cmd_solve_mac(args) -> int:
             n_stations=args.stations, arrival_rate=args.rate,
             payload_bits=args.bytes * 8, queue_capacity=args.queue,
             access_mode=_access_mode(args.access))
-    base.validate()
     if args.grid:
         rows = []
         _, cols, table_rows = records.read_table(args.grid)
@@ -428,12 +420,12 @@ def cmd_solve_mac(args) -> int:
                                  path=args.grid)
             if type(rate) not in (int, float):
                 raise ParseError(f"rate {rate!r} is not a number", path=args.grid)
-            params = dataclasses.replace(base, n_stations=n,
-                                         arrival_rate=float(rate))
-            bad = params.problems()    # base is valid, so the row is at fault
-            if bad:
-                raise ParseError(f"row stations {n} rate {rate!r}: " + "; ".join(bad),
-                                 path=args.grid)
+            try:
+                params = dataclasses.replace(base, n_stations=n,
+                                             arrival_rate=float(rate))
+            except ConfigurationError as exc:    # base is valid: the row is at fault
+                raise ParseError(f"row stations {n} rate {rate!r}: {exc}",
+                                 path=args.grid) from exc
             sol = mac_analytic.solve(params)
             rows.append((params.n_stations, params.arrival_rate,
                          sol.throughput / params.n_stations, sol.t_serv,

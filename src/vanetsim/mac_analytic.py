@@ -25,6 +25,7 @@ outputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -38,6 +39,7 @@ FIXED_POINT_MAX_ITER = 10_000
 RHO_UNIT_EPS = 1e-9        # relative threshold selecting the lambda == mu branch
 SATURATED_Q0_FLOOR = 1e-12  # below this the queue-wait expression has no float meaning
 _P_IDLE_FLOOR = 1e-300      # keeps 1/p_idle finite while iterates pass through 0
+_WINDOW_LOG2_CAP = sys.float_info.max_exp - 1  # windows stay below 2 ** this
 
 
 class AccessMode(Enum):
@@ -47,7 +49,11 @@ class AccessMode(Enum):
 
 @dataclass(frozen=True)
 class MacParams:
-    """Inputs of the cell model: population, load, and protocol timing."""
+    """Inputs of the cell model: population, load, and protocol timing.
+
+    Built means valid: construction raises ConfigurationError naming
+    every field out of range, so no consumer checks a MacParams again.
+    """
 
     n_stations: int
     arrival_rate: float                 # packets/s offered per station
@@ -91,6 +97,12 @@ class MacParams:
             bad.append(f"f_extra must be >= 0, got {self.f_extra}")
         if self.m_stages + self.f_extra < 1:
             bad.append("m_stages + f_extra must be >= 1 (a packet needs one attempt)")
+        # the largest window in logarithms, since its integer can be too
+        # large to build; one binade of margin absorbs the rounding of log2
+        if (self.w0 >= 2 and self.alpha >= 2 and self.m_stages
+                >= (_WINDOW_LOG2_CAP - math.log2(self.w0)) / math.log2(self.alpha)):
+            bad.append(f"w0 * alpha ** m_stages must be below 2 ** {_WINDOW_LOG2_CAP}, "
+                       f"got {self.w0} * {self.alpha} ** {self.m_stages}")
         if self.aifs_slots < 1:
             bad.append(f"aifs_slots must be >= 1, got {self.aifs_slots}")
         if not self.slot_time > 0:
@@ -113,6 +125,9 @@ class MacParams:
         if bad:
             raise ConfigurationError("invalid MacParams: " + "; ".join(bad))
         return self
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def retry_stages(self) -> int:
@@ -231,11 +246,12 @@ def normalize_p00(powers: list[float], decrements: list[int], p_idle: float,
     Takes the stage vectors: powers[i] = p_col ** i and decrements[i] =
     w_i - 1. Sums stage by stage; the per-stage back-off mass uses the
     exact arithmetic-series identity sum_{j=1..w-1} (w-j)/w = (w-1)/2.
+
+    q0 = 1 is the zero-load limit, where the chain holds no mass: p00 = 0.
+    p_idle is positive, as every iterate of solve keeps it.
     """
-    if q0 >= 1.0:
-        raise DegenerateInputError("q0 = 1 leaves no probability mass for the chain")
-    if not p_idle > 0.0:
-        raise DegenerateInputError("p_idle must be positive")
+    if q0 == 1.0:
+        return 0.0
     two_idle = 2.0 * p_idle
     mass = q0 / (1.0 - q0)
     for weight, dec in zip(powers, decrements):
@@ -300,10 +316,8 @@ def _service_terms(p_col: float, p_idle: float, p_suc: float, p_fail: float,
     tf_slots are t_s and t_f in slots), and a packet at stage i spends
     decrements[i]/2 decrements on average, weighted by powers[i] =
     p_col ** i. The slot factor at the end converts the expectation to
-    seconds.
+    seconds. p_idle is positive, as every iterate of solve keeps it.
     """
-    if not p_idle > 0.0:
-        raise DegenerateInputError("p_idle must be positive")
     t_w = p_fail * tf_slots + p_suc * ts_slots + 1.0 / p_idle
     t_tr_av = p_col * tf_slots + (1.0 - p_col) * ts_slots
     total = 0.0
@@ -319,10 +333,13 @@ def mm1k_metrics(rho: float, queue_capacity: int, mu: float, arrival_rate: float
     The default t_q is the infinite-queue expression 1/(mu - lambda_eff),
     evaluated through the flow-balance identity mu - lambda_eff = mu*q0
     because the literal subtraction cancels to float noise once rho
-    passes ~1.5. When q0 is below float resolution the expression has no
-    meaning and t_q is reported as None ("saturated"). exact_wait=True
-    returns instead the exact mean queueing wait Lq/lambda_eff of the
-    finite system, which stays finite at any load.
+    passes ~1.5. That expression is the M/M/1 mean sojourn, service
+    included, not the wait before service, so solve's t_delay = t_serv +
+    t_q counts the service time twice: at zero load t_q equals t_serv.
+    When q0 is below float resolution the expression has no meaning and
+    t_q is reported as None ("saturated"). exact_wait=True returns
+    instead the exact mean queueing wait Lq/lambda_eff of the finite
+    system, which stays finite at any load.
     """
     k = queue_capacity
     if abs(rho - 1.0) < RHO_UNIT_EPS:
@@ -379,8 +396,13 @@ def solve(params: MacParams) -> MacSolution:
     p_col. The report reads the channel, service and queue terms of the
     last iterate, which were evaluated at the converged (p_trans, p_col,
     p_idle); only p00 is computed after the loop, at the converged q0.
+
+    p_idle never falls below _P_IDLE_FLOOR / 2: it starts at 1 and each
+    iterate damps a value floored at _P_IDLE_FLOOR. At an arrival rate so
+    low that q0 rounds to 1, p00 and p_trans are 0 and the loop stops
+    after one iterate: p_col and throughput are 0, and p_drop is the
+    queue's p_rej alone.
     """
-    params.validate()
     t_s, t_f = transmission_times(params)
     slot = params.slot_time
     ts_slots = t_s / slot

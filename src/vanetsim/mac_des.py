@@ -83,6 +83,12 @@ class AcMode(Enum):
 
 @dataclass(frozen=True)
 class DesConfig:
+    """Inputs of one replication.
+
+    Built means valid: construction refuses a duration or a minimum out
+    of range. mac_params checked its own fields when it was built.
+    """
+
     mac_params: MacParams
     seed: int
     measured_duration: float
@@ -91,7 +97,7 @@ class DesConfig:
     collect_trace: bool = False
 
     def validate(self) -> "DesConfig":
-        bad = self.mac_params.problems()
+        bad = []
         if not 0 < self.measured_duration < math.inf:
             bad.append(f"measured_duration must be finite and > 0, "
                        f"got {self.measured_duration}")
@@ -100,6 +106,9 @@ class DesConfig:
         if bad:
             raise ConfigurationError("invalid DesConfig: " + "; ".join(bad))
         return self
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def warmup_time(self) -> float:
@@ -206,7 +215,6 @@ def simulate(config: DesConfig) -> DesStats:
     configuration error when fewer than config.min_delivered packets
     complete inside the measured window.
     """
-    config.validate()
     p = config.mac_params
     rng = Random(config.seed)
     random = rng.random

@@ -427,12 +427,23 @@ def place_rsus(network: RoadNetwork, r_com: float) -> list[int]:
 
 
 def signal_coverage_fraction(network: RoadNetwork, selected, r_com: float) -> float:
-    pos = {sid: network.nodes[s.node] for sid, s in network.signals.items()}
-    chosen = [pos[sid] for sid in selected]
-    covered = sum(
-        1 for sid in network.signals
-        if any(_distance(pos[sid], g) < r_com for g in chosen))
-    return covered / len(network.signals)
+    """Share of signals strictly closer than r_com to some selected signal.
+
+    The signals are bucketed in grid cells (`_cell_size`), so each pick
+    tests only the signals in the 3x3 block of cells around it, and only
+    those not yet covered.
+    """
+    nodes = [network.nodes[s.node] for s in network.signals.values()]
+    xy = [(node.x, node.y) for node in nodes]
+    cell = _cell_size(r_com, xy)
+    buckets = _bucket(xy, cell)
+    covered: set[int] = set()
+    for sid in selected:
+        pick = network.nodes[network.signals[sid].node]
+        for i in _near(buckets, _cell_key(pick.x, pick.y, cell)):
+            if i not in covered and _distance(nodes[i], pick) < r_com:
+                covered.add(i)
+    return len(covered) / len(network.signals)
 
 
 def link_length_coverage(network: RoadNetwork, index: "CoverageIndex") -> float:

@@ -301,6 +301,15 @@ class _LinkData:
         self.dx, self.dy = b.x - a.x, b.y - a.y
 
 
+def _check_nodes(network: roadnet.RoadNetwork, trips, field: str) -> None:
+    """Refuse the first trip (OdEntry or Departure) with an unknown node."""
+    for trip in trips:
+        for node in (trip.origin, trip.destination):
+            if node not in network.nodes:
+                raise ValidationError(f"trip {trip.origin}->{trip.destination} "
+                                      f"references unknown node {node}", field=field)
+
+
 class Simulation:
     """Single-run co-simulation shell around the vehicle step loop.
 
@@ -321,19 +330,21 @@ class Simulation:
                  schedule: list[Departure] | None = None,
                  config: TrafficConfig | None = None,
                  router=None, coeffs=None, comm=None, seed: int = 0):
+        # every trip's nodes are checked, also those of a demand row that
+        # the draw gives no vehicle
         if schedule is None:
             if demand is None:
                 raise ValidationError("need a demand description or a schedule")
+            _check_nodes(network, demand.entries, "entries")
             schedule = generate_demand(demand, seed)
+        else:
+            _check_nodes(network, schedule, "schedule")
         self.network = network
         self.config = config or TrafficConfig()
         self.router = router or free_flow_router(network)
         self.coeffs = coeffs or energy.load_coefficients()
         self.comm = comm
         self.vehicles = [Vehicle(i + 1, dep) for i, dep in enumerate(schedule)]
-        for veh in self.vehicles:
-            if veh.origin not in network.nodes or veh.destination not in network.nodes:
-                raise ValidationError(f"vehicle {veh.id} references unknown node")
 
         tables: dict[tuple, list[float]] = {}
         self._lk = {lid: _LinkData(link, network, tables)

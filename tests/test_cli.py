@@ -122,6 +122,44 @@ def test_refused_value_names_its_key_and_writes_nothing(tmp_path, capsys,
         assert not out.exists()
 
 
+# A demand row naming a missing node is refused whether or not the draw
+# gives it a vehicle: rate 0, and a one-second window at 1 veh/h, give none.
+@pytest.mark.parametrize("row", ["1 999 0 0 60", "999 1 1 0 1", "1 999 300 0 60"])
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+def test_demand_row_with_unknown_node_names_its_key_and_writes_nothing(
+        tmp_path, capsys, row, mode):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[network]\nrows = 4\ncols = 4\n\n[demand]\nod = {row}\n")
+    out = tmp_path / "o"
+    for cmd in ("run", "sweep"):
+        assert cli.main(["--quiet", cmd, "--scenario", str(path), "--out", str(out),
+                         "--mode", mode]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "[demand] od" in err and "unknown node 999" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+# MacParams checks the [comm] MAC values when build_run constructs it, so
+# both uplink modes stop before any output, the ideal one included.
+@pytest.mark.parametrize("key,value,refused", [
+    ("queue_capacity", "0", "queue_capacity must be >= 1, got 0"),
+    ("payload_bytes", "-5", "payload_bits must be >= 0, got -40"),
+])
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+def test_refused_mac_value_stops_before_any_output(tmp_path, capsys, key, value,
+                                                   refused, mode):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[demand]\nod = 1 4 300 0 60\n\n[comm]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    for cmd in ("run", "sweep"):
+        assert cli.main(["--quiet", cmd, "--scenario", str(path), "--out", str(out),
+                         "--mode", mode]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert refused in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_scenario_rejects_out_of_range_odsf(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(TINY_SCENARIO.replace("odsf = 0.5 1.0", "odsf = 0.0 1.0"))
@@ -251,6 +289,25 @@ def test_bad_input_exits_with_its_code(tmp_path, capsys, argv, table, code):
         assert any(f"{key} must be" in err for key in table)
     # nothing written but the input
     assert sorted(p.name for p in tmp_path.iterdir()) == given
+
+
+def test_window_beyond_float_range_is_refused(tmp_path, capsys):
+    # 16 * 2 ** 1030 has no float: the solver's window sums would overflow
+    path = tmp_path / "params.txt"
+    records.write_record(path, "mac_params", {"n_stations": 5, "arrival_rate": 20.0,
+                                              "alpha": 2, "m_stages": 1030})
+    assert cli.main(["--quiet", "solve-mac", "--params", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "m_stages must be below" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rate", ["1e-14", "1e-300"])
+def test_solve_mac_at_the_zero_load_limit(capsys, rate):
+    # q0 rounds to 1 here: no load, not a degenerate input
+    assert cli.main(["solve-mac", "--stations", "5", "--rate", rate]) == 0
+    out = dict(line.split(" ", 1) for line in
+               capsys.readouterr().out.strip().splitlines())
+    assert float(out["q0"]) == 1.0 and float(out["p_drop"]) == 0.0
 
 
 def test_solve_mac_exits_solver_at_the_iteration_cap(monkeypatch, capsys):

@@ -34,14 +34,13 @@ def slot_times(p):
 # ---------------------------------------------------------------- parameters
 
 def test_validate_collects_every_problem():
-    bad = ma.MacParams(n_stations=0, arrival_rate=-1.0, w0=1)
     with pytest.raises(ConfigurationError) as err:
-        bad.validate()
+        ma.MacParams(n_stations=0, arrival_rate=-1.0, w0=1)
     msg = str(err.value)
     assert "n_stations" in msg and "arrival_rate" in msg and "w0" in msg
     # every float field must be finite
     with pytest.raises(ConfigurationError) as err:
-        params(arrival_rate=math.inf, slot_time=math.nan, data_rate=math.inf).validate()
+        params(arrival_rate=math.inf, slot_time=math.nan, data_rate=math.inf)
     msg = str(err.value)
     assert ("arrival_rate must be finite" in msg and "slot_time must be finite" in msg
             and "data_rate must be finite" in msg)
@@ -115,11 +114,11 @@ def test_state_distribution_shape_and_heads():
 def test_closed_form_matches_summation():
     rng = random.Random(7)
     for _ in range(200):
-        p = params(w0=rng.choice([2, 4, 8, 16, 32]),
-                   m_stages=rng.randint(0, 6),
-                   f_extra=rng.randint(0, 2))
-        if p.retry_stages < 1:
+        w0, m_stages, f_extra = (rng.choice([2, 4, 8, 16, 32]), rng.randint(0, 6),
+                                 rng.randint(0, 2))
+        if m_stages + f_extra < 1:
             continue
+        p = params(w0=w0, m_stages=m_stages, f_extra=f_extra)
         p_col = rng.uniform(0.01, 0.45)  # away from 1/alpha and 1
         p_idle = rng.uniform(0.05, 1.0)
         q0 = rng.uniform(0.0, 0.95)
@@ -130,12 +129,10 @@ def test_closed_form_matches_summation():
 
 def test_degenerate_inputs_rejected():
     p = params()
-    with pytest.raises(DegenerateInputError):
-        ma.normalize_p00(*stages(0.2, p), 1.0, 1.0)
+    # q0 = 1 is the zero-load limit, not an error: the chain holds no mass
+    assert ma.normalize_p00(*stages(0.2, p), 1.0, 1.0) == 0.0
     with pytest.raises(DegenerateInputError):
         ma.state_probabilities(0.1, 0.2, 0.0, 0.3, p)
-    with pytest.raises(DegenerateInputError):
-        ma._service_terms(0.2, 0.0, 0.3, 0.1, *stages(0.2, p), *slot_times(p))
     with pytest.raises(DegenerateInputError):
         ma.normalize_p00_closed_form(0.5, 1.0, 0.2, p)  # p_col = 1/alpha
 
@@ -282,6 +279,24 @@ def test_solve_low_demand_limit():
     assert sols[0].q0 > 0.999
     assert sols[0].p_rej < 1e-12
     assert sols[0].throughput < sols[1].throughput < sols[2].throughput
+
+
+@pytest.mark.parametrize("rate", [1e-14, 1e-300])
+def test_solve_at_the_zero_load_limit(rate):
+    # q0 rounds to 1, so the chain holds no mass: one iterate settles it
+    sol = ma.solve(params(n_stations=5, arrival_rate=rate))
+    assert sol.q0 == 1.0 and sol.p00 == 0.0 and sol.p_trans == 0.0
+    assert sol.p_col == 0.0 and sol.throughput == 0.0 and sol.p_drop == 0.0
+    assert sol.iterations == 1 and sol.residual < ma.FIXED_POINT_TOL
+
+
+def test_window_beyond_float_range_is_refused():
+    with pytest.raises(ConfigurationError, match="m_stages must be below"):
+        params(alpha=2, m_stages=1030)
+    # checked in logarithms: an exponent this large is never built
+    with pytest.raises(ConfigurationError, match="m_stages must be below"):
+        params(m_stages=10 ** 400)
+    assert params(w0=2, alpha=2, m_stages=1021).retry_stages == 1022
 
 
 def test_solve_drop_monotone_in_population():

@@ -32,14 +32,17 @@ def config(n=1, lam=1.0, duration=60.0, seed=42, **kw):
                          measured_duration=duration, **kw)
 
 
-def test_config_validation_rolls_up_param_problems():
+def test_config_refuses_bad_values_at_construction():
+    # each owner checks its own fields when it is built, once
+    with pytest.raises(ConfigurationError, match="n_stations"):
+        ma.MacParams(n_stations=0, arrival_rate=1.0)
     with pytest.raises(ConfigurationError) as err:
-        des.DesConfig(mac_params=ma.MacParams(n_stations=0, arrival_rate=1.0),
-                      seed=1, measured_duration=-5.0).validate()
-    assert "n_stations" in str(err.value) and "measured_duration" in str(err.value)
+        des.DesConfig(mac_params=ma.MacParams(n_stations=1, arrival_rate=1.0),
+                      seed=1, measured_duration=-5.0, min_delivered=-1)
+    assert "measured_duration" in str(err.value) and "min_delivered" in str(err.value)
     # an endless horizon is refused before any event runs
     with pytest.raises(ConfigurationError, match="measured_duration"):
-        config(duration=math.inf).validate()
+        config(duration=math.inf)
 
 
 def test_default_warmup_is_tenth_of_horizon():

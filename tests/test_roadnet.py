@@ -260,6 +260,42 @@ def test_place_rsus_distance_evaluations_grow_linearly(monkeypatch):
     assert 0 < calls <= 100 * len(net.signals)
 
 
+def reference_coverage_fraction(network, selected, r_com):
+    """All-pairs scan: each signal against every pick."""
+    pos = {sid: network.nodes[s.node] for sid, s in network.signals.items()}
+    covered = sum(1 for sid in network.signals
+                  if any(rn._distance(pos[sid], pos[g]) < r_com for g in selected))
+    return covered / len(network.signals)
+
+
+@pytest.mark.parametrize("layout", ["lattice", "below", "above", "scatter"])
+def test_signal_coverage_matches_reference_scan(layout):
+    rng = random.Random(f"coverage {layout}")
+    for _ in range(80):
+        net, r_com = cover_instance(rng, layout)
+        # a random subset of signals, so partial coverage is checked too
+        picks = rng.sample(sorted(net.signals), rng.randint(0, len(net.signals)))
+        assert (rn.signal_coverage_fraction(net, picks, r_com)
+                == reference_coverage_fraction(net, picks, r_com))
+
+
+def test_signal_coverage_distance_evaluations_per_signal(monkeypatch):
+    # scanning every pick makes about 50 per signal on this grid
+    net = rn.gen_grid(30, 30)
+    picks = rn.place_rsus(net, rn.RSU_RANGE_M)
+    calls = 0
+    distance = rn._distance
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return distance(a, b)
+
+    monkeypatch.setattr(rn, "_distance", counted)
+    assert rn.signal_coverage_fraction(net, picks, rn.RSU_RANGE_M) == 1.0
+    assert 0 < calls <= 10 * len(net.signals)
+
+
 def test_points_in_range_have_neighboring_cell_keys():
     # x = -5e-324 and x = r are computed exactly r apart, yet x / r puts
     # them two cells apart; the cell's margin over the range joins them

@@ -86,6 +86,19 @@ def test_demand_validation():
     assert traffic.TrafficConfig(drain=0.0).drain == 0.0
 
 
+def test_unknown_trip_node_is_refused_before_any_draw():
+    net = line_network([500.0, 500.0])       # nodes 1, 2 and 3
+    # rate 0 draws no vehicle, so only a check of the entries sees node 9
+    demand = traffic.OdDemand((traffic.OdEntry(1, 3, 60.0, 0.0, 60.0),
+                               traffic.OdEntry(1, 9, 0.0, 0.0, 60.0)))
+    with pytest.raises(ValidationError, match="unknown node 9") as err:
+        traffic.Simulation(net, demand=demand)
+    assert err.value.field == "entries"
+    with pytest.raises(ValidationError, match="unknown node 9") as err:
+        traffic.Simulation(net, schedule=[traffic.Departure(0.0, 9, 3)])
+    assert err.value.field == "schedule"
+
+
 # --- kinematics -------------------------------------------------------------
 
 def test_free_flow_traversal_time():
