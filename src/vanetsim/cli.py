@@ -115,13 +115,12 @@ def _parse_od(text: str) -> list[tuple]:
         if not line:
             continue
         toks = line.split()
-        if len(toks) not in (5, 6):
+        if len(toks) not in (5, 6) or len(toks) == 6 and toks[5].lower() != "preload":
             raise ConfigurationError(
                 f"od line needs 'origin dest rate start end [preload]': {line!r}")
         try:
             row = (int(toks[0]), int(toks[1]), float(toks[2]),
-                   float(toks[3]), float(toks[4]),
-                   len(toks) == 6 and toks[5].lower() == "preload")
+                   float(toks[3]), float(toks[4]), len(toks) == 6)
         except ValueError as exc:
             raise ConfigurationError(f"bad od line {line!r}: {exc}") from exc
         out.append(row)
@@ -180,8 +179,9 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
 
     An owner that refuses a scenario value raises ValidationError; it is
     re-raised naming the value's [section] key. MacParams refuses the
-    [comm] MAC values with ConfigurationError, which names its field.
-    Either way nothing has been written yet.
+    [comm] MAC values with ConfigurationError; it is re-raised as a
+    ValidationError naming each key and its value as written. Either way
+    nothing has been written yet.
     """
     coeffs = energy.load_coefficients()
     try:
@@ -215,6 +215,13 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
                 raise ValidationError(f"bad scenario value for [{sec}] {key}: {exc}",
                                       field=exc.field) from exc
         raise
+    except ConfigurationError as exc:    # from MacParams: payload_bits is 8 bytes each
+        fed = {"queue_capacity": "queue_capacity", "payload_bits": "payload_bytes"}
+        keys = [f"[comm] {k} = {sc[k]}" for f, k in fed.items() if f in exc.fields]
+        if not keys:
+            raise
+        raise ValidationError(
+            f"bad scenario value for {' and '.join(keys)}: {exc}") from exc
     return sim, table, comm
 
 
@@ -295,8 +302,8 @@ def validation_rows(stations, rates, payload_bytes, accesses, *,
     departure) and queue wait (arrival to head of line). The service
     error is signed and relative, (model - measured) / measured; the
     wait error is signed and in seconds, model - measured. The model's
-    wait is none when its queue saturates; the measured wait is the
-    mean sojourn less the mean service time.
+    wait diverges as its queue saturates (inf at q0 = 0); the measured
+    wait is the mean sojourn less the mean service time.
     """
     rows = []
     for access in accesses:
@@ -316,24 +323,20 @@ def validation_rows(stations, rates, payload_bytes, accesses, *,
                     thr_meas = stats.delivered_per_station
                     err_thr = (abs(thr_model - thr_meas) / thr_meas
                                if thr_meas else None)
-                    delay_model = sol.t_delay
                     delay_meas = stats.mean_total_delay
-                    err_delay = (abs(delay_model - delay_meas) / delay_meas
-                                 if delay_model is not None and delay_meas
-                                 else None)
+                    err_delay = (abs(sol.t_delay - delay_meas) / delay_meas
+                                 if delay_meas else None)
                     serv_meas = stats.mean_service_time
                     err_serv = ((sol.t_serv - serv_meas) / serv_meas
                                 if serv_meas else None)
                     wait_meas = (stats.mean_sojourn - serv_meas
                                  if serv_meas is not None else None)
-                    err_wait = (sol.t_q - wait_meas
-                                if sol.t_q is not None and wait_meas is not None
-                                else None)
+                    err_wait = sol.t_q - wait_meas if wait_meas is not None else None
                     hw = stats.confidence_halfwidth
                     rows.append((access, bytes_, n, rate,
                                  thr_model, thr_meas, err_thr,
                                  hw.get("delivered_per_station"),
-                                 delay_model, delay_meas, err_delay,
+                                 sol.t_delay, delay_meas, err_delay,
                                  hw.get("mean_total_delay"),
                                  sol.p_drop, stats.drop_rate,
                                  sol.t_serv, serv_meas, err_serv,

@@ -105,7 +105,9 @@ class CommModule:
     step() is called by the simulation once per tick: due deliveries are
     applied first, then, once ``refresh`` seconds have passed since the
     last recount, every cell is recounted and re-solved, then every
-    connected vehicle's queued reports face its cell's drop probability.
+    connected vehicle hands all its queued reports to its cell, whose
+    load counts each once. Each is dropped with the cell's drop
+    probability or else delivered the cell's delay later (never if inf).
     Reports from unconnected vehicles simply wait; their delay is the
     mobility of the carrier. An index without RSUs leaves every carrier
     unconnected. In ideal mode step() delivers each new report at its
@@ -136,7 +138,6 @@ class CommModule:
         self._sent = [0] * len(index.ids)   # reports per cell since the last recount
         self.delivered = 0
         self.dropped = 0
-        self.deferred_saturated = 0
         self._rng = random.Random(seed)
         self._heap: list[tuple[float, int, object]] = []
         self._heap_seq = 0
@@ -187,19 +188,14 @@ class CommModule:
                 continue
             sol = self.cells[rsu]
             self._sent[rsu] += len(veh.pending)
-            retained = []
             for upd in veh.pending:
                 if self._rng.random() < sol.p_drop:
                     upd.mark_dropped()
                     self.dropped += 1
-                elif sol.t_delay is None:
-                    # saturated queue: undeliverable until the next solve
-                    retained.append(upd)
-                    self.deferred_saturated += 1
                 else:
                     self._heap_seq += 1
                     heapq.heappush(heap, (now + sol.t_delay, self._heap_seq, upd))
-            veh.pending = retained
+            veh.pending = []
 
     def _recount(self, sim, now: float) -> None:
         positions = [sim.position(veh) for veh in sim.enroute]
@@ -225,7 +221,6 @@ class CommModule:
             "created": self._seen,
             "delivered": self.delivered,
             "dropped": self.dropped,
-            "deferred_saturated": self.deferred_saturated,
             "in_flight": len(self._heap),
             "drop_fraction": self.dropped / done if done else None,
             "solves": len(self._solve_memo),

@@ -12,6 +12,10 @@ class VanetSimError(Exception):
 class ConfigurationError(VanetSimError):
     """Invalid parameter set, scenario field, or run configuration."""
 
+    def __init__(self, message: str, fields: tuple[str, ...] = ()):
+        self.fields = fields    # the refused parameters, if any (see cli.build_run)
+        super().__init__(message)
+
 
 class ParseError(VanetSimError):
     """Malformed input file. Carries the offending path/line when known."""

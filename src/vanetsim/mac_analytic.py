@@ -37,9 +37,9 @@ FIXED_POINT_TOL = 1e-9
 FIXED_POINT_DAMPING = 0.5
 FIXED_POINT_MAX_ITER = 10_000
 RHO_UNIT_EPS = 1e-9        # relative threshold selecting the lambda == mu branch
-SATURATED_Q0_FLOOR = 1e-12  # below this the queue-wait expression has no float meaning
 _P_IDLE_FLOOR = 1e-300      # keeps 1/p_idle finite while iterates pass through 0
 _WINDOW_LOG2_CAP = sys.float_info.max_exp - 1  # windows stay below 2 ** this
+_FMAX = sys.float_info.max  # int fields stay below it: the model makes floats of them
 
 
 class AccessMode(Enum):
@@ -74,27 +74,28 @@ class MacParams:
     access_mode: AccessMode = AccessMode.BASIC
 
     def problems(self) -> list[str]:
-        """Every violated field constraint, not just the first."""
+        """Every violated field constraint, not just the first, each led by its field."""
         bad = []
         # the float fields, which the range checks below do not keep finite
         for name in ("arrival_rate", "slot_time", "sifs", "data_rate",
                      "propagation_delay"):
             if not math.isfinite(getattr(self, name)):
                 bad.append(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n_stations < 1:
-            bad.append(f"n_stations must be >= 1, got {self.n_stations}")
+        if not 1 <= self.n_stations <= _FMAX:
+            bad.append(f"n_stations must be in [1, {_FMAX:.3}], got {self.n_stations}")
         if not self.arrival_rate > 0:
             bad.append(f"arrival_rate must be > 0, got {self.arrival_rate}")
-        if self.queue_capacity < 1:
-            bad.append(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.w0 < 2:
-            bad.append(f"w0 must be >= 2, got {self.w0}")
-        if self.alpha < 2:
-            bad.append(f"alpha must be >= 2, got {self.alpha}")
-        if self.m_stages < 0:
-            bad.append(f"m_stages must be >= 0, got {self.m_stages}")
-        if self.f_extra < 0:
-            bad.append(f"f_extra must be >= 0, got {self.f_extra}")
+        if not 1 <= self.queue_capacity <= _FMAX:
+            bad.append(f"queue_capacity must be in [1, {_FMAX:.3}], "
+                       f"got {self.queue_capacity}")
+        if not 2 <= self.w0 <= _FMAX:
+            bad.append(f"w0 must be in [2, {_FMAX:.3}], got {self.w0}")
+        if not 2 <= self.alpha <= _FMAX:
+            bad.append(f"alpha must be in [2, {_FMAX:.3}], got {self.alpha}")
+        if not 0 <= self.m_stages <= _FMAX:
+            bad.append(f"m_stages must be in [0, {_FMAX:.3}], got {self.m_stages}")
+        if not 0 <= self.f_extra <= _FMAX:
+            bad.append(f"f_extra must be in [0, {_FMAX:.3}], got {self.f_extra}")
         if self.m_stages + self.f_extra < 1:
             bad.append("m_stages + f_extra must be >= 1 (a packet needs one attempt)")
         # the largest window in logarithms, since its integer can be too
@@ -103,19 +104,17 @@ class MacParams:
                 >= (_WINDOW_LOG2_CAP - math.log2(self.w0)) / math.log2(self.alpha)):
             bad.append(f"w0 * alpha ** m_stages must be below 2 ** {_WINDOW_LOG2_CAP}, "
                        f"got {self.w0} * {self.alpha} ** {self.m_stages}")
-        if self.aifs_slots < 1:
-            bad.append(f"aifs_slots must be >= 1, got {self.aifs_slots}")
+        if not 1 <= self.aifs_slots <= _FMAX:
+            bad.append(f"aifs_slots must be in [1, {_FMAX:.3}], got {self.aifs_slots}")
         if not self.slot_time > 0:
             bad.append(f"slot_time must be > 0, got {self.slot_time}")
         if self.sifs < 0:
             bad.append(f"sifs must be >= 0, got {self.sifs}")
         if not self.data_rate > 0:
             bad.append(f"data_rate must be > 0, got {self.data_rate}")
-        if self.payload_bits < 0:
-            bad.append(f"payload_bits must be >= 0, got {self.payload_bits}")
-        for name in ("ack_bits", "rts_bits", "cts_bits"):
-            if getattr(self, name) < 0:
-                bad.append(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("payload_bits", "ack_bits", "rts_bits", "cts_bits"):
+            if not 0 <= getattr(self, name) <= _FMAX:
+                bad.append(f"{name} must be in [0, {_FMAX:.3}], got {getattr(self, name)}")
         if self.propagation_delay < 0:
             bad.append(f"propagation_delay must be >= 0, got {self.propagation_delay}")
         return bad
@@ -123,7 +122,8 @@ class MacParams:
     def validate(self) -> "MacParams":
         bad = self.problems()
         if bad:
-            raise ConfigurationError("invalid MacParams: " + "; ".join(bad))
+            raise ConfigurationError("invalid MacParams: " + "; ".join(bad),
+                                     fields=tuple(p.split(" ", 1)[0] for p in bad))
         return self
 
     def __post_init__(self):
@@ -137,7 +137,7 @@ class MacParams:
 
 @dataclass
 class MacSolution:
-    """Converged cell metrics. t_q/t_delay are None when the queue is saturated."""
+    """Converged cell metrics; t_q and t_delay diverge as the queue saturates."""
 
     p_trans: float
     p_col: float
@@ -156,8 +156,8 @@ class MacSolution:
     rho: float
     p_rej: float
     p_drop: float
-    t_q: float | None
-    t_delay: float | None
+    t_q: float
+    t_delay: float
     lambda_eff: float
     throughput: float        # packets/s for the whole cell, rate-scaled
     throughput_raw: float    # dimensionless form of the same quantity
@@ -327,7 +327,7 @@ def _service_terms(p_col: float, p_idle: float, p_suc: float, p_fail: float,
 
 
 def mm1k_metrics(rho: float, queue_capacity: int, mu: float, arrival_rate: float,
-                 exact_wait: bool = False) -> tuple[float, float, float, float | None]:
+                 exact_wait: bool = False) -> tuple[float, float, float, float]:
     """Finite-queue metrics (q0, p_rej, lambda_eff, t_q).
 
     The default t_q is the infinite-queue expression 1/(mu - lambda_eff),
@@ -336,10 +336,9 @@ def mm1k_metrics(rho: float, queue_capacity: int, mu: float, arrival_rate: float
     passes ~1.5. That expression is the M/M/1 mean sojourn, service
     included, not the wait before service, so solve's t_delay = t_serv +
     t_q counts the service time twice: at zero load t_q equals t_serv.
-    When q0 is below float resolution the expression has no meaning and
-    t_q is reported as None ("saturated"). exact_wait=True returns
-    instead the exact mean queueing wait Lq/lambda_eff of the finite
-    system, which stays finite at any load.
+    It diverges as the queue saturates, to inf where mu*q0 is 0.
+    exact_wait=True returns instead the exact mean queueing wait
+    Lq/lambda_eff of the finite system, which stays finite at any load.
     """
     k = queue_capacity
     if abs(rho - 1.0) < RHO_UNIT_EPS:
@@ -361,11 +360,9 @@ def mm1k_metrics(rho: float, queue_capacity: int, mu: float, arrival_rate: float
             probs = [p_rej * s ** (k - n) for n in range(k + 1)]
         mean_in_system = left_sum(n * p for n, p in enumerate(probs))
         mean_in_queue = mean_in_system - (1.0 - q0)
-        t_q = mean_in_queue / lambda_eff if lambda_eff > 0 else None
-        return q0, p_rej, lambda_eff, t_q
-    if q0 < SATURATED_Q0_FLOOR or mu <= 0.0:
-        return q0, p_rej, lambda_eff, None
-    return q0, p_rej, lambda_eff, 1.0 / (mu * q0)
+        # lambda_eff is 0 once p_rej rounds to 1; mu*(1-q0) equals it by flow balance
+        return q0, p_rej, lambda_eff, mean_in_queue / (lambda_eff or mu * (1.0 - q0))
+    return q0, p_rej, lambda_eff, 1.0 / (mu * q0) if mu * q0 else math.inf
 
 
 def drop_probability(p_rej: float, p_last_state: float, p_col: float) -> float:
@@ -460,7 +457,7 @@ def solve(params: MacParams) -> MacSolution:
         p_suc=p_suc, p_fail=p_fail, q0=q0, p00=p00,
         t_s=t_s, t_f=t_f, t_w=t_w, t_tr_av=t_tr_av,
         t_serv=t_serv, mu=1.0 / t_serv, rho=rho, p_rej=p_rej, p_drop=p_drop,
-        t_q=t_q, t_delay=None if t_q is None else t_serv + t_q,
+        t_q=t_q, t_delay=t_serv + t_q,
         lambda_eff=lambda_eff,
         throughput=thr_raw / t_serv, throughput_raw=thr_raw,
         iterations=iterations, residual=residual)

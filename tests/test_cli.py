@@ -141,10 +141,11 @@ def test_demand_row_with_unknown_node_names_its_key_and_writes_nothing(
 
 
 # MacParams checks the [comm] MAC values when build_run constructs it, so
-# both uplink modes stop before any output, the ideal one included.
+# both uplink modes stop before any output, the ideal one included; the
+# refusal names the scenario key and the value as written.
 @pytest.mark.parametrize("key,value,refused", [
-    ("queue_capacity", "0", "queue_capacity must be >= 1, got 0"),
-    ("payload_bytes", "-5", "payload_bits must be >= 0, got -40"),
+    ("queue_capacity", "0", "queue_capacity must be in [1, 1.8e+308], got 0"),
+    ("payload_bytes", "-5", "payload_bits must be in [0, 1.8e+308], got -40"),
 ])
 @pytest.mark.parametrize("mode", ["ideal", "realistic"])
 def test_refused_mac_value_stops_before_any_output(tmp_path, capsys, key, value,
@@ -154,8 +155,9 @@ def test_refused_mac_value_stops_before_any_output(tmp_path, capsys, key, value,
     out = tmp_path / "o"
     for cmd in ("run", "sweep"):
         assert cli.main(["--quiet", cmd, "--scenario", str(path), "--out", str(out),
-                         "--mode", mode]) == cli.EXIT_CONFIG
+                         "--mode", mode]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
+        assert f"[comm] {key} = {value}:" in err
         assert refused in err and "Traceback" not in err
         assert not out.exists()
 
@@ -310,6 +312,41 @@ def test_solve_mac_at_the_zero_load_limit(capsys, rate):
     assert float(out["q0"]) == 1.0 and float(out["p_drop"]) == 0.0
 
 
+def test_solve_mac_far_beyond_saturation(capsys):
+    # q0 underflows to 0: the queue delay is a number, inf, not "none"
+    assert cli.main(["solve-mac", "--stations", "5", "--rate", "1e300"]) == 0
+    out = dict(line.split(" ", 1) for line in
+               capsys.readouterr().out.strip().splitlines())
+    assert float(out["q0"]) == 0.0
+    assert float(out["t_q"]) == math.inf and float(out["t_delay"]) == math.inf
+
+
+@pytest.mark.parametrize("flag,field", [("--stations", "n_stations"),
+                                        ("--queue", "queue_capacity"),
+                                        ("--bytes", "payload_bits")])
+def test_solve_mac_int_beyond_float_range_is_refused(capsys, flag, field):
+    # 10 ** 400 has no float; the model would fail converting it
+    argv = ["--quiet", "solve-mac", "--rate", "5", "--stations", "1"]
+    assert cli.main(argv + [flag, "1" + "0" * 400]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{field} must be in" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["yes", "prelaod"])
+def test_od_line_sixth_token_must_be_preload(tmp_path, capsys, token):
+    line = f"1 4 300 0 60 {token}"
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[demand]\nod = {line}\n")
+    out = tmp_path / "o"
+    assert cli.main(["--quiet", "run", "--scenario", str(path),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(line) in err and "Traceback" not in err
+    assert not out.exists()
+    path.write_text("[demand]\nod = 1 4 300 0 60 Preload\n")
+    assert cli.parse_scenario(path)["entries"] == [(1, 4, 300.0, 0.0, 60.0, True)]
+
+
 def test_solve_mac_exits_solver_at_the_iteration_cap(monkeypatch, capsys):
     monkeypatch.setattr(mac_analytic, "FIXED_POINT_MAX_ITER", 3)
     assert cli.main(["solve-mac", "--stations", "20", "--rate", "50"]) == cli.EXIT_SOLVER
@@ -421,13 +458,13 @@ eta = 0.15
 # meant to keep results shows any byte it alters
 GOLDEN_RUN_SHA256 = {
     "ideal": {
-        "summary.txt": "7190373d33c7ad5058294fcd4a6957744c3d61f68b12a413f62726e657df7391",
+        "summary.txt": "e125818d39f117a5c422ec13888508cb9f55991020c9561097aa5cfb59410291",
         "nfd.tsv": "d012ed2096e705404c6d3810c8efa1cddf740de977c0db7fcd43c2774d38fa8f",
         "vehicles.tsv": "c79a1a30e1b213bcf09dd5289350c30258b806d9631eff9470f724563aa8a0fc",
         "packets.tsv": "e0e79de205084307d1d712b8620f091255fe529ab3351709df6b91fb34f1e9e6",
     },
     "realistic": {
-        "summary.txt": "d8955e804de0a6adb3f3ed50ed34caec77f1bd248e313eb1c47160b8bf14a4fd",
+        "summary.txt": "c5f9a9da0b8c12d092e826c7fa1f507b02ee2db17fe512feec18be5879ccf3de",
         "nfd.tsv": "ba699e3d9c7ed6e16f26a27bb7951762d1e16ecb284edaff9001a1682189b79a",
         "vehicles.tsv": "0cc73c44bc127d558be3375598920d19588032d6aeb5b1e37819efe9f019e1ea",
         "packets.tsv": "2013f1aef394fbad247a68447a64355b34399ceda629ab7292b0880a6db4c537",
@@ -556,9 +593,9 @@ def test_validate_mac_tiny_grid(tmp_path):
     assert light["serv_err"] > 0
     assert light["wait_err_s"] == light["wait_model"] - light["wait_meas"]
     assert light["wait_err_s"] > 0
-    # a saturated model queue has no finite wait to compare
-    assert saturated["wait_model"] is None and saturated["wait_err_s"] is None
-    assert saturated["wait_meas"] > 0
+    # a saturated model queue's wait diverges, but it is still a number
+    assert saturated["wait_model"] > 1e3 * saturated["wait_meas"] > 0
+    assert saturated["wait_err_s"] == saturated["wait_model"] - saturated["wait_meas"]
 
 
 def test_defaults_lists_tunables(capsys):

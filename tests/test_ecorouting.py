@@ -237,25 +237,31 @@ def test_recount_adds_the_cells_own_reports_to_its_load():
     assert module.cells[0] is want
 
 
-def test_saturated_cell_defers_survivors():
+def test_saturated_cell_takes_every_report_once():
     net, index = rsu_cell_network()
     table = eco.TmcCostTable(net)
     params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
                                     payload_bits=8000, queue_capacity=64)
     module = eco.CommModule(index, table, params, background_rate=200.0, seed=5)
     sol = module._solve_cell(40, 200.0)
-    assert sol.t_delay is None     # the queue really is saturated here
+    assert sol.t_delay > 1e9       # saturated: the delay outlasts any run
 
     carriers = [StubCarrier([mkupdate(i * 50 + j + 1) for j in range(50)])
                 for i in range(40)]
-    sim = StubSim(carriers, (0.0, 0.0))
-    module.step(sim, 0.1)
-    assert module.delivered == 0 and module.in_flight() == 0
-    assert module.deferred_saturated > 0
-    assert module.dropped > 0
-    left = sum(len(c.pending) for c in carriers)
-    assert left == module.deferred_saturated
-    assert left + module.dropped == 2000
+    module.step(StubSim(carriers, (0.0, 0.0)), 0.1)
+    assert module.cells[0] is sol
+    # each report is dropped or in flight, and no carrier keeps one
+    assert module.delivered == 0 and module.dropped > 0
+    assert module.dropped + module.in_flight() == 2000
+    assert all(not c.pending for c in carriers)
+
+    # a tick with nothing new to send, then the next recount: its offered
+    # load counts each of the 2000 reports once
+    module.step(StubSim(carriers, (0.0, 0.0)), 0.2)
+    module.step(StubSim(carriers, (0.0, 0.0)), 0.1 + module.refresh)
+    window = (0.1 + module.refresh) - 0.1
+    assert module.cells[0] is module._solve_cell(40, 200.0 + 2000 / window / 40)
+    assert module.dropped + module.in_flight() == 2000
 
 
 # --- closed loop ----------------------------------------------------------------

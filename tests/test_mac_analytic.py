@@ -6,6 +6,7 @@ implementation existed; they are frozen here on purpose.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -206,7 +207,16 @@ def test_queue_metrics_overload_stays_finite():
     # deep overload must not overflow
     q0, p_rej, _, t_q = ma.mm1k_metrics(50.0, 64, 10.0, 500.0)
     assert 0.0 <= q0 <= 1.0 and 0.97 < p_rej < 1.0
-    assert t_q is None  # saturated: q0 below float meaning
+    assert t_q == 1.0 / (10.0 * q0)  # saturated: the sojourn diverges, still a number
+
+
+def test_queue_metrics_where_q0_underflows():
+    q0, p_rej, lam_eff, t_q = ma.mm1k_metrics(1e300, 64, 10.0, 1e301)
+    assert q0 == 0.0 and p_rej == 1.0 and lam_eff == 0.0
+    assert t_q == math.inf
+    # the exact wait reads lambda_eff by flow balance, mu*(1 - q0): (K-1)/mu
+    *_, exact = ma.mm1k_metrics(1e300, 64, 10.0, 1e301, exact_wait=True)
+    assert exact == pytest.approx(63.0 / 10.0, rel=1e-12)
 
 
 def test_queue_wait_exact_variant():
@@ -270,8 +280,7 @@ def test_solve_probabilities_in_range_randomized():
             assert 0.0 <= v <= 1.0, f"{name}={v} out of range for {p}"
         assert sol.t_serv > 0.0 and sol.rho >= 0.0
         assert sol.throughput >= 0.0
-        if sol.t_q is not None:
-            assert sol.t_q > 0.0 and sol.t_delay > sol.t_serv
+        assert sol.t_q > 0.0 and sol.t_delay > sol.t_serv
 
 
 def test_solve_low_demand_limit():
@@ -288,6 +297,19 @@ def test_solve_at_the_zero_load_limit(rate):
     assert sol.q0 == 1.0 and sol.p00 == 0.0 and sol.p_trans == 0.0
     assert sol.p_col == 0.0 and sol.throughput == 0.0 and sol.p_drop == 0.0
     assert sol.iterations == 1 and sol.residual < ma.FIXED_POINT_TOL
+
+
+@pytest.mark.parametrize("field", ["n_stations", "queue_capacity", "w0", "alpha",
+                                   "f_extra", "aifs_slots", "payload_bits", "ack_bits",
+                                   "rts_bits", "cts_bits"])
+def test_int_beyond_float_range_is_refused(field):
+    # the model makes floats of every int field; 10 ** 400 has none
+    with pytest.raises(ConfigurationError, match=f"{field} must be in") as err:
+        params(**{field: 10 ** 400})
+    assert field in err.value.fields
+    big = int(sys.float_info.max)                # the largest int a float holds
+    with pytest.raises(ConfigurationError, match=f"{field} must be in"):
+        params(**{field: big + 2 ** 971})        # past it by one float spacing
 
 
 def test_window_beyond_float_range_is_refused():
@@ -310,7 +332,7 @@ def test_solve_delay_monotone_in_demand_below_saturation():
     delays = []
     for lam in (5.0, 10.0, 20.0):
         sol = ma.solve(params(n_stations=10, arrival_rate=lam))
-        assert sol.t_q is not None
+        assert math.isfinite(sol.t_delay)
         delays.append(sol.t_delay)
     for lo, hi in zip(delays, delays[1:]):
         assert hi >= lo - 1e-6
@@ -334,7 +356,7 @@ def test_exact_wait_at_solution_is_finite_and_below_reported():
     sol = ma.solve(p)
     *_, exact = ma.mm1k_metrics(sol.rho, p.queue_capacity, sol.mu, p.arrival_rate,
                                 exact_wait=True)
-    assert exact is not None and math.isfinite(exact)
+    assert math.isfinite(exact)
     assert exact <= sol.t_q
 
 
@@ -386,7 +408,8 @@ PINNED_SOLUTIONS = {
         1.2595167693992458e-10, 0.006292484957468914, 0.0017386666666666664,
         0.0014123333333333331, 0.0006194568177938105, 0.0016423870367209712,
         0.01367792419953318, 73.11050897870376, 3.4194810498832946,
-        0.7075579640851849, 0.7075583221592048, None, None, 73.11050897870378,
+        0.7075579640851849, 0.7075583221592048, 2.882113316642798e+32,
+        2.882113316642798e+32, 73.11050897870378,
         2779.1450392743936, 38.012935186703814, 32, 6.966807131192354e-10)),
     "rtscts-n20-rate50": (dict(n_stations=20, arrival_rate=50.0, access_mode=RTS), (
         0.014691246361789465, 0.24512597478820283, 0.7437839849366877,
