@@ -40,6 +40,10 @@ RHO_UNIT_EPS = 1e-9        # relative threshold selecting the lambda == mu branc
 _P_IDLE_FLOOR = 1e-300      # keeps 1/p_idle finite while iterates pass through 0
 _WINDOW_LOG2_CAP = sys.float_info.max_exp - 1  # windows stay below 2 ** this
 _FMAX = sys.float_info.max  # int fields stay below it: the model makes floats of them
+# attempt stages per packet, m_stages + f_extra, stay within the 802.11 MIB
+# range of dot11ShortRetryLimit and dot11LongRetryLimit (1..255); the model
+# builds lists of that length
+RETRY_STAGES_MAX = 255
 
 
 class AccessMode(Enum):
@@ -96,8 +100,10 @@ class MacParams:
             bad.append(f"m_stages must be in [0, {_FMAX:.3}], got {self.m_stages}")
         if not 0 <= self.f_extra <= _FMAX:
             bad.append(f"f_extra must be in [0, {_FMAX:.3}], got {self.f_extra}")
-        if self.m_stages + self.f_extra < 1:
-            bad.append("m_stages + f_extra must be >= 1 (a packet needs one attempt)")
+        if not 1 <= self.m_stages + self.f_extra <= RETRY_STAGES_MAX:
+            bad.append(f"m_stages + f_extra must be in [1, {RETRY_STAGES_MAX}] (one "
+                       f"attempt at least, 802.11's retry limit at most), got "
+                       f"{self.m_stages} + {self.f_extra}")
         # the largest window in logarithms, since its integer can be too
         # large to build; one binade of margin absorbs the rounding of log2
         if (self.w0 >= 2 and self.alpha >= 2 and self.m_stages

@@ -23,8 +23,8 @@ evaluations amortize across the fleet.
 
 ``Simulation.step`` moves the fleet in one loop body: move, burn and
 stop-line crossing run inline for each vehicle, and only the rare paths
-(crossing, replaying a parked vehicle's burns, leaving a link) are
-method calls. The Greenshields target speed is read from a per-link
+(crossing, putting a vehicle to sleep or replaying what it skipped,
+leaving a link) are method calls. The Greenshields target speed is read from a per-link
 table indexed by occupancy, built once per simulation and shared by
 links with the same speed, density and capacity.
 
@@ -44,8 +44,21 @@ an earlier one in the next. That is the first step at which the
 per-step loop could have crossed, so admission order, router draws and
 the competition for room do not change. A parked step would only have
 added the idle burn, so the skipped burns are replayed at the wake, and
-before anything reads fuel (``state_hash`` and the end of ``run``). The
-replay uses ``floats.add_repeated``, which gives the bits of the
+before anything reads fuel (``state_hash`` and the end of ``run``).
+
+A vehicle that holds its link's target speed is cruising, the second
+sleeping state. It enters at a step that kept its speed short of the
+stop line and looked its rates up at that speed, so each later step
+repeats it: the same target, the same increment of position and the same
+burn, for as long as the link's occupancy snapshot stays the same. The
+loop skips it until its wake: the step after any change of the link's
+occupancy (an entry, an exit or an admission), or at the latest the
+step that reaches the stop line, so every crossing and router draw
+happens where the per-step loop has it. The skipped moves and burns are
+replayed at the wake and before fuel is read, and ``position`` brings
+the position alone up to date, since the uplink reads it every second.
+
+Both replays use ``floats.add_repeated``, which gives the bits of the
 step-by-step sums; results are byte-identical to a loop that moves
 every vehicle every step.
 """
@@ -192,7 +205,7 @@ class Vehicle:
         "id", "origin", "destination", "depart", "preload", "state",
         "route", "pos", "speed", "entered_at", "finished_at",
         "distance", "ff_time", "fuel", "co", "hc", "nox", "link_fuel",
-        "pending", "rates", "rate_until", "decided", "wake", "burned_to")
+        "pending", "rates", "rate_until", "decided", "wake", "burned_to", "moved_to")
 
     def __init__(self, vid: int, dep: Departure):
         self.id = vid
@@ -217,8 +230,10 @@ class Vehicle:
         self.rates = None
         self.rate_until = 0       # step of the next engine-map lookup
         self.decided = False      # route tail already refreshed at this stop
-        self.wake = 0             # step the loop moves it again; 0: not parked
-        self.burned_to = 0        # parked: first step whose burn is not applied
+        self.wake = 0             # step the loop moves it again; 0: not asleep
+        self.burned_to = 0        # asleep: first step whose burn is not applied
+        self.moved_to = 0         # cruising: first step whose move is not applied;
+                                  # 0: not cruising
 
 
 @dataclass(frozen=True)
@@ -372,19 +387,23 @@ class Simulation:
         self.enroute: list[Vehicle] = []
         self.carriers: list[Vehicle] = []
         self._waiters: dict[int, list[Vehicle]] = {lid: [] for lid in network.links}
+        self._cruisers: dict[int, list[Vehicle]] = {}   # made on a link's first cruise
         self._counts = {WAITING: len(self.vehicles), EN_ROUTE: 0,
                         FINISHED: 0, DEFERRED: 0}
         self._n = 0
+        self._moved = 0           # steps the loop has moved the fleet through
         self._update_seq = 0
         self._rate_cache: dict = {}
         self.updates: list[LinkCostUpdate] = []
         self.nfd: list[NfdSample] = []
         self.finished: list[Vehicle] = []
-        # vehicle-steps in the loop, and the parked ones among them by the
-        # light at the stop line; the replay counts the parked ones
+        # vehicle-steps in the loop, the parked ones among them by the
+        # light at the stop line, and the cruising ones; the replay counts
+        # the parked and the cruising ones
         self.vehicle_steps = 0
         self.parked_red_steps = 0
         self.parked_full_steps = 0
+        self.cruise_steps = 0
 
     # -- clock and public state ------------------------------------------
 
@@ -409,7 +428,13 @@ class Simulation:
                 and all(not q for q in self._entry_queues.values()))
 
     def position(self, veh: Vehicle) -> tuple[float, float]:
-        """Plane coordinates of an en-route vehicle, interpolated along its link."""
+        """Plane coordinates of an en-route vehicle, interpolated along its link.
+
+        A cruiser's position is brought up to the steps moved so far; its
+        burns wait for its wake.
+        """
+        if veh.moved_to:
+            self._move_to(veh, self._moved)
         lk = self._lk[veh.route[0]]
         f = veh.pos / lk.length
         return lk.x0 + lk.dx * f, lk.y0 + lk.dy * f
@@ -455,7 +480,10 @@ class Simulation:
         The burn adds the held per-step increments (rate times DT) to the
         accumulators. They are looked up every RATE_REFRESH and held in
         between. A parked vehicle skips its held steps, each a burn at
-        v = a = 0; ``_replay_idle`` applies them later, bit for bit.
+        v = a = 0. A cruising one (see ``_cruise``) skips steps that each
+        move it by the same increment and burn the same rates. The loop
+        visits both in step order but costs them one wake comparison;
+        ``_replay`` applies what they skipped later, bit for bit.
         """
         n = self._n
         now = n * DT
@@ -478,11 +506,12 @@ class Simulation:
         lookup = self._lookup_rates
         try_cross = self._try_cross
         for veh in self.enroute:
-            # a parked vehicle keeps its place and is skipped until its wake
+            # a parked or cruising vehicle keeps its place and is skipped
+            # until its wake
             wake = veh.wake
             if wake and wake <= n:
-                self._replay_idle(veh, n)
-                veh.wake = wake = 0
+                self._replay(veh, n)
+                veh.wake = wake = veh.moved_to = 0
             if not wake:
                 lid = veh.route[0]
                 lk = lks[lid]
@@ -518,7 +547,8 @@ class Simulation:
                 veh.speed = v
 
                 # the burn of step n
-                if n >= veh.rate_until:
+                fresh = n >= veh.rate_until
+                if fresh:
                     veh.rates = lookup(v, a)
                     veh.rate_until = n + refresh
                 f, c, h, x = veh.rates
@@ -547,11 +577,14 @@ class Simulation:
                     else:
                         veh.pos = lk.length
                         veh.speed = 0.0
+                elif fresh and moving and not dv and own:
+                    self._cruise(veh, lid, n, occ_snap[lid])
             keep(veh)
             if veh.pending:
                 carry(veh)
         self.enroute = survivors
         self.carriers = carriers
+        self._moved = n + 1
 
         self._admit(now, now_end)
         if self.comm is not None:
@@ -576,43 +609,59 @@ class Simulation:
             self.step()
         self._settle()
 
-    # -- stop lines and parked vehicles ---------------------------------------
+    # -- stop lines, parked and cruising vehicles ------------------------------
 
-    def _replay_idle(self, veh, upto) -> None:
-        """Apply the held-step burns a parked vehicle skipped before ``upto``.
+    def _replay(self, veh, upto) -> None:
+        """Apply the steps a parked or cruising vehicle skipped before ``upto``.
 
-        Each skipped step is the burn at v = a = 0 (see ``step``): the
+        A parked step is the burn at v = a = 0 (see ``step``): the
         increments held since the last lookup until the next one is due,
-        then the idle ones, which every later lookup returns again. So the stretch is at
-        most two runs of constant rates (one, when the held rates are idle
-        already), and each accumulator jumps over a run with
-        ``add_repeated``, which gives the bits of the step-by-step sums.
+        then the idle ones, which every later lookup returns again. A
+        cruising step moves the vehicle by its constant increment and
+        burns the held rates, which are the lookup at its speed and a = 0
+        (see ``_cruise``), so every later lookup returns them again. So
+        the stretch is at most two runs of constant rates (one, when the
+        held rates are already those of the sleeping state), and each
+        accumulator jumps over a run with ``add_repeated``, which gives
+        the bits of the step-by-step sums.
         """
         start = veh.burned_to
         k = upto - start
         if k <= 0:
             return
         veh.burned_to = upto
-        lk = self._lk[veh.route[0]]
-        red = self._red_steps(lk, start, upto) if lk.to_signal else 0
-        self.parked_red_steps += red
-        self.parked_full_steps += k - red
+        if veh.moved_to:
+            self._move_to(veh, upto)
+            self.cruise_steps += k
+        else:
+            lk = self._lk[veh.route[0]]
+            red = self._red_steps(lk, start, upto) if lk.to_signal else 0
+            self.parked_red_steps += red
+            self.parked_full_steps += k - red
 
         rates = veh.rates
         held = min(veh.rate_until, upto) - start
         if held < k:
             # a lookup is due inside the stretch; it and every later one
-            # return the idle rates
-            idle = self._lookup_rates(0.0, 0.0)
+            # return the rates of the sleeping state
+            after = rates if veh.moved_to else self._lookup_rates(0.0, 0.0)
             p = self._refresh_steps
             veh.rate_until += ((upto - 1 - veh.rate_until) // p + 1) * p
-            veh.rates = idle
-            if rates == idle:
+            veh.rates = after
+            if rates == after:
                 held = k
             else:
                 self._add_burns(veh, rates, held)
-                rates, held = idle, k - held
+                rates, held = after, k - held
         self._add_burns(veh, rates, held)
+
+    @staticmethod
+    def _move_to(veh, upto) -> None:
+        """Apply a cruiser's moves of the steps before ``upto``."""
+        k = upto - veh.moved_to
+        if k > 0:
+            veh.pos = add_repeated(veh.pos, veh.speed / 3.6 * DT, k)
+            veh.moved_to = upto
 
     @staticmethod
     def _add_burns(veh, rates, k) -> None:
@@ -635,10 +684,62 @@ class Simulation:
         return before(upto) - before(start)
 
     def _settle(self) -> None:
-        """Bring the burns of every parked vehicle up to the clock."""
+        """Bring every parked or cruising vehicle up to the clock."""
         for veh in self.enroute:
             if veh.wake:
-                self._replay_idle(veh, self._n)
+                self._replay(veh, self._n)
+
+    def _cruise(self, veh, lid, n, occ) -> None:
+        """Let a vehicle that holds its link's target speed sleep from step n + 1.
+
+        Called after step n's move when it kept the speed (dv == 0), did
+        not reach the stop line, and looked its rates up at this speed and
+        a = 0 in this step. Each later step repeats it for as long as the
+        link's occupancy snapshot stays ``occ``, the one step n read: the
+        same target, speed, increment and rates. The vehicle wakes at the
+        first change of the link's occupancy (``_occupancy_changed``) or,
+        at the latest, in the step that reaches its stop line. That step
+        comes from a closed-form estimate, confirmed with ``add_repeated``
+        to be still short of the line one step before; a position that a
+        step no longer changes never reaches it.
+        """
+        if self._occ[lid] != occ:
+            return          # changed earlier in step n: the next target differs
+        pos = veh.pos
+        inc = veh.speed / 3.6 * DT
+        if pos + inc == pos:
+            wake = _NEVER
+        else:
+            line = self._lk[lid].length - _POS_EPS
+            steps = (line - pos) / inc
+            if not 2.0 <= steps < _NEVER:
+                return
+            k = int(steps)
+            if add_repeated(pos, inc, k - 1) >= line:
+                return
+            wake = n + k
+        veh.wake = wake
+        veh.moved_to = veh.burned_to = n + 1
+        cruisers = self._cruisers.get(lid)
+        if cruisers is None:
+            cruisers = self._cruisers[lid] = []
+        cruisers.append(veh)
+
+    def _occupancy_changed(self, lid) -> None:
+        """Wake lid's cruisers by the next step, whose snapshot shows the change.
+
+        One later in the step order may already be due at its stop line
+        in this step, so a wake only moves earlier. Every vehicle on the
+        list is on lid, since leaving lid clears it; a parked one keeps
+        its wake.
+        """
+        cruisers = self._cruisers.get(lid)
+        if cruisers:
+            nxt = self._n + 1
+            for veh in cruisers:
+                if veh.moved_to and veh.wake > nxt:
+                    veh.wake = nxt
+            cruisers.clear()
 
     def _try_cross(self, veh, n, now_end) -> bool:
         """Cross the stop line at step n, or park the vehicle there.
@@ -678,6 +779,7 @@ class Simulation:
         self._exit_link(veh, lid, lk, now_end)
         veh.route.pop(0)
         self._occ[nxt] += 1
+        self._occupancy_changed(nxt)
         veh.pos = 0.0
         veh.decided = False
         return True
@@ -691,6 +793,7 @@ class Simulation:
         veh.distance += lk.length
         veh.ff_time += lk.ff_time
         self._occ[lid] -= 1
+        self._occupancy_changed(lid)
         waiters = self._waiters[lid]
         if waiters:
             # room on lid: its waiters try again at their next turn, which
@@ -717,6 +820,7 @@ class Simulation:
                 veh = q.popleft()
                 occ = self._occ[lid]
                 self._occ[lid] = occ + 1
+                self._occupancy_changed(lid)
                 veh.state = EN_ROUTE
                 veh.entered_at = now_end
                 veh.pos = 0.0

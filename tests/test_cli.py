@@ -11,6 +11,9 @@ from vanetsim.errors import (ConfigurationError, ConvergenceError,
                              DegenerateInputError, NoPathError, ParseError,
                              SimulationError, ValidationError)
 
+# the data files of a run; meta.txt, with its wall times, is not one
+RUN_FILES = ("summary.txt", "nfd.tsv", "vehicles.tsv", "packets.tsv")
+
 TINY_SCENARIO = """\
 [network]
 rows = 4
@@ -192,6 +195,17 @@ def test_solve_mac_params_file_rejects_unknown_field(tmp_path, capsys):
                           "contention_window": 32})
     assert cli.main(["solve-mac", "--params", str(path)]) == cli.EXIT_VALIDATION
     assert "contention_window" in capsys.readouterr().err
+
+
+def test_solve_mac_params_past_the_retry_limit_is_refused(tmp_path, capsys):
+    # a million retry stages would solve over lists of a million windows
+    path = tmp_path / "params.txt"
+    records.write_record(path, "mac_params",
+                         {"n_stations": 5, "arrival_rate": 20.0, "f_extra": 1000000})
+    assert cli.main(["solve-mac", "--params", str(path)]) == cli.EXIT_CONFIG == 2
+    err = capsys.readouterr().err
+    assert "m_stages + f_extra must be in [1, 255]" in err
+    assert "got 6 + 1000000" in err and "Traceback" not in err
 
 
 def test_solve_mac_grid_one_record_per_point(tmp_path):
@@ -402,7 +416,7 @@ def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
         code = cli.main(["--quiet", "run", "--scenario", tiny_scenario,
                          "--out", str(tmp_path / sub), "--odsf", "1.0"])
         assert code == 0
-    for name in ("summary.txt", "nfd.tsv", "vehicles.tsv", "packets.tsv"):
+    for name in RUN_FILES:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
     # wall-clock timing lives only in the sidecar
@@ -414,10 +428,11 @@ def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
         fields = dict(line.split(" ", 1) for line in
                       (tmp_path / sub / "meta.txt").read_text().splitlines()[1:])
         counts.append([int(fields[key]) for key in
-                       ("vehicle_steps", "parked_red_steps", "parked_full_steps")])
+                       ("vehicle_steps", "parked_red_steps", "parked_full_steps",
+                        "cruise_steps")])
     assert counts[0] == counts[1]
-    steps, red, full = counts[0]
-    assert steps > red + full and red > 0
+    steps, red, full, cruise = counts[0]
+    assert steps >= red + full + cruise and red > 0 and cruise > 0
     summary = (tmp_path / "a" / "summary.txt").read_text()
     assert "wall" not in summary
 
@@ -472,16 +487,78 @@ GOLDEN_RUN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_RUN_SHA256))
-def test_run_golden_artifacts(mode, tmp_path):
+# criterion 4's 10x10 trend scenario (tests/test_acceptance.py, TREND_INI):
+# a city-sized run, whose vehicles cruise, park and cross for thousands of
+# steps, pinned the same way
+TREND_SCENARIO = """\
+[network]
+rows = 10
+cols = 10
+spacing_m = 150
+
+[rsu]
+range_m = 250
+
+[comm]
+background_rate = 200
+queue_capacity = 8
+payload_bytes = 1000
+
+[demand]
+od =
+    1 100 330 0 600
+    100 1 330 0 600
+    10 91 330 0 600
+    91 10 330 0 600
+    4 97 330 0 600
+    97 4 330 0 600
+    7 94 330 0 600
+    94 7 330 0 600
+    31 40 330 0 600
+    40 31 330 0 600
+    61 70 330 0 600
+    70 61 330 0 600
+odsf = 1.0
+
+[sim]
+seed = 1
+drain_s = 1800
+"""
+
+TREND_RUN_SHA256 = {
+    "ideal": {
+        "summary.txt": "54ab6d1fa0493cd14237e825be79f7b61478117090d20f2d22379c09ddbeb724",
+        "nfd.tsv": "6187e8a40affff99e3bf6c8f8624a95e31e979fce80c5f8041e6bfafeb6af82c",
+        "vehicles.tsv": "94e477aa70a65b548faccd847538cee0ef46f7e07a4ba546b60e21e95bcb12b0",
+        "packets.tsv": "8c0c9e71eb86b56f8ae511acdb43a71d8aad5c087c41c1049549e8ba0e2e0121",
+    },
+    "realistic": {
+        "summary.txt": "84ebad8f1d110b52cbdd1136adb73874aff544dc2798e801f2fba4c7f34245d6",
+        "nfd.tsv": "f9a5552f07755f781f82afd920fde32f3407939dc33bd0d7297bde6ba6965ae7",
+        "vehicles.tsv": "456177bb45074aa66d7c963f9cc0374ec5610473862b1f11cd05b5e9e322e7da",
+        "packets.tsv": "25cead826f38b27d2bbaf29d2c978c444d94fd8a9d77e93881ba49532b8552b2",
+    },
+}
+
+
+def run_digests(tmp_path, text, mode):
     scenario = tmp_path / "golden.ini"
-    scenario.write_text(GOLDEN_SCENARIO)
+    scenario.write_text(text)
     out = tmp_path / mode
     assert cli.main(["--quiet", "run", "--scenario", str(scenario),
                      "--out", str(out), "--mode", mode, "--seed", "1"]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in GOLDEN_RUN_SHA256[mode]}
-    assert got == GOLDEN_RUN_SHA256[mode]
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in RUN_FILES}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_RUN_SHA256))
+def test_run_golden_artifacts(mode, tmp_path):
+    assert run_digests(tmp_path, GOLDEN_SCENARIO, mode) == GOLDEN_RUN_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(TREND_RUN_SHA256))
+def test_run_trend_golden_artifacts(mode, tmp_path):
+    assert run_digests(tmp_path, TREND_SCENARIO, mode) == TREND_RUN_SHA256[mode]
 
 
 def test_run_mode_and_seed_overrides(tiny_scenario, tmp_path):

@@ -57,6 +57,15 @@ def test_zero_total_retries_rejected():
         params(m_stages=0, f_extra=0).validate()
 
 
+def test_retry_stages_stop_at_the_802_11_retry_limit():
+    # dot11ShortRetryLimit and dot11LongRetryLimit range over 1..255
+    assert params(m_stages=6, f_extra=249).retry_stages == 255
+    for f_extra in (250, 10 ** 9):
+        with pytest.raises(ConfigurationError, match="m_stages \\+ f_extra") as err:
+            params(m_stages=6, f_extra=f_extra)
+        assert f"got 6 + {f_extra}" in str(err.value)
+
+
 def test_window_sizes_double_then_cap():
     # defaults: w0=16, alpha=2, M=6, f=1 -> 7 stages, capped at 1024
     assert ma.window_sizes(params()) == (16, 32, 64, 128, 256, 512, 1024)
@@ -318,7 +327,14 @@ def test_window_beyond_float_range_is_refused():
     # checked in logarithms: an exponent this large is never built
     with pytest.raises(ConfigurationError, match="m_stages must be below"):
         params(m_stages=10 ** 400)
-    assert params(w0=2, alpha=2, m_stages=1021).retry_stages == 1022
+    # just below the cap, and one stage past it: 2 * 256 ** 127 is 2 ** 1017
+    assert params(w0=2, alpha=2 ** 8, m_stages=127, f_extra=0).retry_stages == 127
+    with pytest.raises(ConfigurationError, match="m_stages must be below"):
+        params(w0=2, alpha=2 ** 8, m_stages=128, f_extra=0)
+    # this window is in range, but 1022 stages are past 802.11's retry limit
+    with pytest.raises(ConfigurationError,
+                       match=r"m_stages \+ f_extra must be in \[1, 255\]"):
+        params(w0=2, alpha=2, m_stages=1021)
 
 
 def test_solve_drop_monotone_in_population():

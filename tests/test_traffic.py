@@ -362,6 +362,105 @@ def test_full_link_waiters_wake_in_step_order():
         "c7cc8cecdb0516751867b9418decb10612c1397b8aba56323415a631588d41b5")
 
 
+# --- cruising vehicles ----------------------------------------------------------
+#
+# A vehicle that holds its link's target speed sleeps until the link's
+# occupancy changes or its stop line is near; its moves and burns are
+# replayed. The pins below were taken from the plain per-step loop: at each
+# read time, the x bits of position() for every en-route vehicle and the
+# state hash; at the end, the state hash and the accumulator digest.
+
+CRUISE_PINS = {
+    # vehicle 1 cruises on the empty link until vehicle 2 is admitted onto it
+    "admission": (
+        [2000.0], [(0.0, 1, 2), (30.0, 1, 2)], (),
+        {
+            20.0: (["0x1.14638e38e38e1p+8"],
+                   "e648e1d925f45907d10629cef7ae11581234fd1532006719aff5c3d4dd755085"),
+            35.0: (["0x1.e46ed097b4285p+8", "0x1.149ed097b4262p+6"],
+                   "5cf7404ba54e293b1de300d279ee9b930a8f6341f5b33c32a96b737ff4284481"),
+        },
+        ("99d5f88fc8d4671224eb5a1f7ac3b7ba3eff649f61de4ecbd3be47bc22359935",
+         "125243d978aa8609b062ae7401ad6e39dfba64e8048388bac02698828ef2f3ee")),
+    # vehicle 2 cruises behind vehicle 1 until vehicle 1 leaves the link
+    "exit": (
+        [1000.0], [(0.0, 1, 2), (10.0, 1, 2)], (),
+        {
+            60.0: (["0x1.9d14598153cecp+9", "0x1.585425ed097aep+9"],
+                   "df9af4e09db358d969ca1b3a0f0e23bcb0fffd81fefa35a155d2bb12d6b87b41"),
+            80.0: (["0x1.e27b5aa49936cp+9"],
+                   "aa0eaa001527aeb8bd4d51e4e462e8e340d3ae39b5759f4213dde185d59e7d76"),
+        },
+        ("b53a88afb0d0e3df4ffea2cd35a0fb3001155ec20f5d280a45757e2da7db903f",
+         "fc49a20ec89d90acd916e6e72da65951bb506e1e103ddcb8a4aedcf4b285cfc8")),
+    # vehicle 2 cruises on link 2 until vehicle 1, earlier in the step
+    # order, enters it from upstream
+    "entry-earlier": (
+        [300.0, 2000.0], [(0.0, 1, 3), (5.0, 2, 3)], (),
+        {
+            15.0: (["0x1.9de38e38e38d6p+7", "0x1.b6e38e38e38e0p+8"],
+                   "af3416578fdc47e3e81bbb1f3209e514b8dbc3fc6a77f3db8a2937ce406b1a99"),
+            30.0: (["0x1.9ecc25ed097b8p+8", "0x1.435ef684bda0cp+9"],
+                   "30208c63f30c6e9d6cc617b446e8e670b5d585a3466f919c8634e454af2a5b78"),
+        },
+        ("86fc303503a990fac36dd002650e40cf941537182da9a7b8e7cfacab319cd824",
+         "a37ba58d9ab6aa9fa274a9e8d00f65856e2eae688d37cfa27aa30b2e1b691a6a")),
+    # vehicle 1 cruises on link 2 until vehicle 2, later in the step
+    # order, enters it from upstream
+    "entry-later": (
+        [300.0, 2000.0], [(0.0, 2, 3), (3.0, 1, 3)], (),
+        {
+            15.0: (["0x1.faf1c71c71c6bp+8", "0x1.4d5555555554bp+7"],
+                   "461f04f5d2b2888f898a5376e0a1459a8fa3947b1f9c8aa0e6803d09c9b56908"),
+            30.0: (["0x1.657b8e38e38eap+9", "0x1.76b0000000006p+8"],
+                   "9e18f7c2f656adbb1d1e0897fbb692b847ec6d837bff5a4ff8fabdaeb3b3e36c"),
+        },
+        ("e4a2f7825264a0701d61ff71728d75ceefe542637e07fda8394b0ada97361107",
+         "8c3ada0b736d53a35537127fed56a0af94d64be3449ede93c1743600de628da3")),
+    # released at the green, the three accelerate to the target; its first
+    # steady steps hold the rates of an accelerating step
+    "accelerating": (
+        [500.0, 500.0], [(0.0, 1, 3), (3.0, 1, 3), (7.5, 1, 3)], (2,),
+        {
+            70.0: (["0x1.1340000000000p+9", "0x1.1340000000000p+9", "0x1.1340000000000p+9"],
+                   "d45ad3bf943173113f4406ccc00b454d181f59cc7c27a5b2bd452d9092f81feb"),
+            85.0: (["0x1.75186a314dbefp+9", "0x1.75186a314dbefp+9", "0x1.75186a314dbefp+9"],
+                   "d4eb4b861516b8b01ad8e4d3cc75dcd2dc94463923848448afa9e1909fd2449f"),
+        },
+        ("8c1a047049eb5aeeddfe3486a6611702f0d24a180f981dd4d128edcb1aaf4ff0",
+         "af49e3a5aea172fc0af793c196b573020c971b05544abe7a914688bfb40a44fe")),
+}
+
+
+def cruise_sim(lengths, trips, signal_nodes):
+    net = line_network(lengths, signal_nodes)
+    sched = [traffic.Departure(t, o, d) for t, o, d in trips]
+    return traffic.Simulation(net, schedule=sched,
+                              config=traffic.TrafficConfig(horizon=400.0))
+
+
+@pytest.mark.parametrize("name", list(CRUISE_PINS))
+def test_cruise_matches_per_step_loop(name):
+    lengths, trips, signal_nodes, reads, final = CRUISE_PINS[name]
+    sim = cruise_sim(lengths, trips, signal_nodes)
+    for t, (xs, state) in reads.items():
+        while sim.now < t - 1e-9:
+            sim.step()
+        # position() first, which settles only the position
+        got = [sim.position(v) for v in sim.enroute]
+        assert [x.hex() for x, _ in got] == xs
+        assert all(y == 0.0 for _, y in got)
+        assert sim.state_hash() == state
+    sim.run()
+    assert (sim.state_hash(), accumulator_digest(sim)) == final
+    assert sim.cruise_steps > 0
+    # reading mid-cruise changes nothing that follows
+    quiet = cruise_sim(lengths, trips, signal_nodes)
+    quiet.run()
+    assert (quiet.state_hash(), accumulator_digest(quiet)) == final
+    assert quiet.cruise_steps == sim.cruise_steps
+
+
 # --- statistics ---------------------------------------------------------------
 
 def test_nfd_sample_arithmetic():
@@ -421,7 +520,7 @@ def test_preload_trips_shape_density_but_not_statistics():
 def test_quantized_energy_tracks_exact_mode():
     # The reference is the step loop's lookup without the 0.5-unit bins,
     # clamped to the envelope as the real one is, installed on the
-    # instance; step and _replay_idle both call self._lookup_rates.
+    # instance; step and _replay both call self._lookup_rates.
     (v_lo, v_hi), (a_lo, a_hi) = energy.ENVELOPE_V, energy.ENVELOPE_A
 
     def exact_rates(sim):
