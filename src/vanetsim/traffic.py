@@ -24,9 +24,9 @@ evaluations amortize across the fleet.
 ``Simulation.step`` moves the fleet in one loop body: move, burn and
 stop-line crossing run inline for each vehicle, and only the rare paths
 (crossing, putting a vehicle to sleep or replaying what it skipped,
-leaving a link) are method calls. The Greenshields target speed is read from a per-link
-table indexed by occupancy, built once per simulation and shared by
-links with the same speed, density and capacity.
+leaving a link) are method calls. The Greenshields target speed is read
+from a per-link table indexed by occupancy, built once per simulation
+and shared by links with the same speed, density and capacity.
 
 Blocking at a stop line is an instantaneous halt: the acceleration
 clamp shapes free driving, not the last half metre before a red light.
@@ -205,7 +205,8 @@ class Vehicle:
         "id", "origin", "destination", "depart", "preload", "state",
         "route", "pos", "speed", "entered_at", "finished_at",
         "distance", "ff_time", "fuel", "co", "hc", "nox", "link_fuel",
-        "pending", "rates", "rate_until", "decided", "wake", "burned_to", "moved_to")
+        "pending", "rates", "rate_until", "decided", "wake", "burned_to",
+        "moved_to")
 
     def __init__(self, vid: int, dep: Departure):
         self.id = vid
@@ -712,7 +713,7 @@ class Simulation:
         else:
             line = self._lk[lid].length - _POS_EPS
             steps = (line - pos) / inc
-            if not 2.0 <= steps < _NEVER:
+            if not 2.0 <= steps < math.inf:
                 return
             k = int(steps)
             if add_repeated(pos, inc, k - 1) >= line:
@@ -720,10 +721,7 @@ class Simulation:
             wake = n + k
         veh.wake = wake
         veh.moved_to = veh.burned_to = n + 1
-        cruisers = self._cruisers.get(lid)
-        if cruisers is None:
-            cruisers = self._cruisers[lid] = []
-        cruisers.append(veh)
+        self._cruisers.setdefault(lid, []).append(veh)
 
     def _occupancy_changed(self, lid) -> None:
         """Wake lid's cruisers by the next step, whose snapshot shows the change.
