@@ -12,7 +12,7 @@ come from the same sequence of roundings on every interpreter.
 
 from __future__ import annotations
 
-import math
+from math import ulp
 
 # multiples of one spacing below the next power of two: x/ulp(x) < 2**53
 _GRID = 1 << 53
@@ -33,17 +33,17 @@ def add_repeated(x: float, c: float, k: int) -> float:
     the floats around ``x`` are the multiples of u = ulp(x), and ``x + c``
     rounds to ``x + R*u``, where R is c/u rounded to the nearest integer.
     So j steps that stay below that power of two (x/u + j*R < 2**53) are
-    one multiplication. A tie (c/u ends in exactly one half) rounds to the
-    even multiple of u: from an even x/u every step then adds the even one
-    of floor(c/u) and floor(c/u) + 1, and from an odd x/u one single step
-    is taken. So is the step that leaves the power-of-two range, and a
-    step whose c/u has no room below 2**53 at all (from ``x == 0``, for
-    example). With R == 0, ``x`` no longer changes.
+    one multiplication, and the step after the last of them is the one
+    that leaves the power-of-two range, taken singly. A tie (c/u ends in
+    exactly one half) rounds to the even multiple of u: from an even x/u
+    every step then adds the even one of floor(c/u) and floor(c/u) + 1,
+    and from an odd x/u one single step is taken. So is a step whose c/u
+    has no room below 2**53 at all (from ``x == 0``, for example). With
+    R == 0, ``x`` no longer changes.
     """
     while k > 0:
-        u = math.ulp(x)
+        u = ulp(x)
         q = c / u
-        j = 0
         if q < _GRID:
             m = int(x / u)
             f = int(q)
@@ -56,11 +56,11 @@ def add_repeated(x: float, c: float, k: int) -> float:
             if r == 0:
                 return x
             if r:
-                j = min(k, (_GRID - 1 - m) // r)
-        if j:
-            x = (m + j * r) * u
-            k -= j
-        else:
-            x += c
-            k -= 1
+                j = (_GRID - 1 - m) // r
+                if j >= k:
+                    return (m + k * r) * u
+                x = (m + j * r) * u
+                k -= j
+        x += c
+        k -= 1
     return x
