@@ -261,7 +261,8 @@ def execute_run(sc: dict, *, odsf: float, mode: str, seed: int, out_dir) -> dict
                        vehicles=len(sim.vehicles), vehicle_steps=sim.vehicle_steps,
                        parked_red_steps=sim.parked_red_steps,
                        parked_full_steps=sim.parked_full_steps,
-                       cruise_steps=sim.cruise_steps)
+                       cruise_steps=sim.cruise_steps,
+                       visited_steps=sim.visited_steps)
     log.info("run odsf=%s mode=%s: %.1f sim-s in %.2f wall-s (%.4f wall-s per sim-s)",
              odsf, mode, sim_s, wall, wall / sim_s if sim_s else float("nan"))
 

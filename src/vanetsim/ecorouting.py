@@ -198,8 +198,7 @@ class CommModule:
             veh.pending = []
 
     def _recount(self, sim, now: float) -> None:
-        positions = [sim.position(veh) for veh in sim.enroute]
-        counts = self.index.count_per_rsu(positions)
+        counts = self.index.count_per_rsu(sim.fleet_points())
         window = now - self._recounted_at
         sent = self._sent
         for rid, n in counts.items():

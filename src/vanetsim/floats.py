@@ -16,6 +16,8 @@ from math import ulp
 
 # multiples of one spacing below the next power of two: x/ulp(x) < 2**53
 _GRID = 1 << 53
+# fewer steps than this are cheaper taken one by one than in closed form
+_FEW = 16
 
 
 def left_sum(values) -> float:
@@ -39,8 +41,13 @@ def add_repeated(x: float, c: float, k: int) -> float:
     every step then adds the even one of floor(c/u) and floor(c/u) + 1,
     and from an odd x/u one single step is taken. So is a step whose c/u
     has no room below 2**53 at all (from ``x == 0``, for example). With
-    R == 0, ``x`` no longer changes.
+    R == 0, ``x`` no longer changes. Fewer than ``_FEW`` steps are simply
+    taken.
     """
+    if k < _FEW:
+        for _ in range(k):
+            x += c
+        return x
     while k > 0:
         u = ulp(x)
         q = c / u

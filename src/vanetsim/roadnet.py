@@ -503,12 +503,16 @@ class CoverageIndex:
                 best_id, best_d = rid, d
         return best_id
 
-    def count_per_rsu(self, positions) -> dict[int, int]:
-        """One bucketing pass, then per-RSU neighborhood counts."""
+    def count_per_rsu(self, points) -> dict[int, int]:
+        """Vehicles in range of each RSU, from {(x, y): vehicles there}.
+
+        One bucketing pass, then per-RSU neighborhood counts, with one
+        distance test per point and RSU.
+        """
         cell = self._cell
-        buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
-        for pos in positions:
-            buckets.setdefault(_cell_key(pos[0], pos[1], cell), []).append(pos)
+        buckets: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+        for (x, y), k in points.items():
+            buckets.setdefault(_cell_key(x, y, cell), []).append((x, y, k))
         counts = {}
         rng = self.range_m
         for rid, (rx, ry) in enumerate(self._xy):
@@ -516,8 +520,8 @@ class CoverageIndex:
             n = 0
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
-                    for x, y in buckets.get((cx + dx, cy + dy), ()):
+                    for x, y, k in buckets.get((cx + dx, cy + dy), ()):
                         if math.hypot(x - rx, y - ry) <= rng:
-                            n += 1
+                            n += k
             counts[rid] = n
         return counts

@@ -33,18 +33,27 @@ clamp shapes free driving, not the last half metre before a red light.
 The engine map sees envelope-clamped kinematics for that step.
 
 The uplink reads the traffic through four names of ``Simulation``:
-``updates``, ``enroute``, ``carriers`` and ``position``.
+``updates``, ``carriers``, ``position`` and ``fleet_points``.
 
-A vehicle that fails to cross is parked: it keeps its place in the step
-order, but the loop skips it until its wake step. At a red light that
-is the next phase flip. Behind a full next link it is "never", until a
-vehicle leaves that link; then the waiter's wake is the current step,
-so a waiter later in the step order tries again in that same step and
-an earlier one in the next. That is the first step at which the
-per-step loop could have crossed, so admission order, router draws and
-the competition for room do not change. A parked step would only have
-added the idle burn, so the skipped burns are replayed at the wake, and
-before anything reads fuel (``state_hash`` and the end of ``run``).
+Step order is admission order, the order of ``enroute``. The loop visits
+only the vehicles that are awake or due: a sleeping vehicle keeps its
+place in the step order, but it is filed under its wake step in a
+calendar of per-step buckets (after Brown, "Calendar queues", CACM 1988),
+and each step merges its bucket into the awake vehicles in step order.
+So a sleeping vehicle costs nothing until it wakes.
+
+A vehicle that fails to cross is parked until its wake step. At a red
+light that is the next phase flip. Behind a full next link it is
+"never", until a vehicle leaves that link; then the waiter's wake is the
+current step, so a waiter later in the step order joins this step's
+order and tries again in that same step, and an earlier one in the next.
+That is the first step at which the per-step loop could have crossed, so
+admission order, router draws and the competition for room do not
+change. A parked step would only have added the idle burn, so the
+skipped burns are replayed at the wake, and before anything reads fuel
+(``state_hash`` and the end of ``run``). A parked vehicle stands at its
+stop line, so ``fleet_points`` counts the vehicles parked on a link at
+one point.
 
 A vehicle that holds its link's target speed is cruising, the second
 sleeping state. It enters at a step that kept its speed short of the
@@ -55,8 +64,9 @@ loop skips it until its wake: the step after any change of the link's
 occupancy (an entry, an exit or an admission), or at the latest the
 step that reaches the stop line, so every crossing and router draw
 happens where the per-step loop has it. The skipped moves and burns are
-replayed at the wake and before fuel is read, and ``position`` brings
-the position alone up to date, since the uplink reads it every second.
+replayed at the wake and before fuel is read, and ``position`` and
+``fleet_points`` bring the position alone up to date, since the uplink
+reads it every second.
 
 Both replays use ``floats.add_repeated``, which gives the bits of the
 step-by-step sums; results are byte-identical to a loop that moves
@@ -68,8 +78,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import ClassVar
 
 from . import energy, roadnet
@@ -87,6 +99,7 @@ _POS_EPS = 1e-6          # m, stop-line arrival tolerance
 _NEVER = math.inf        # wake of a vehicle waiting for room on a full link
 _V_LO, _V_HI = energy.ENVELOPE_V
 _A_LO, _A_HI = energy.ENVELOPE_A
+_by_seq = attrgetter("seq")   # step order
 
 WAITING = "waiting"
 EN_ROUTE = "enroute"
@@ -206,7 +219,7 @@ class Vehicle:
         "route", "pos", "speed", "entered_at", "finished_at",
         "distance", "ff_time", "fuel", "co", "hc", "nox", "link_fuel",
         "pending", "rates", "rate_until", "decided", "wake", "burned_to",
-        "moved_to")
+        "moved_to", "seq")
 
     def __init__(self, vid: int, dep: Departure):
         self.id = vid
@@ -235,6 +248,7 @@ class Vehicle:
         self.burned_to = 0        # asleep: first step whose burn is not applied
         self.moved_to = 0         # cruising: first step whose move is not applied;
                                   # 0: not cruising
+        self.seq = 0              # admission sequence number: the step order
 
 
 @dataclass(frozen=True)
@@ -316,6 +330,11 @@ class _LinkData:
         self.x0, self.y0 = a.x, a.y
         self.dx, self.dy = b.x - a.x, b.y - a.y
 
+    def point(self, pos: float) -> tuple[float, float]:
+        """Plane coordinates of ``pos`` metres along the link."""
+        f = pos / self.length
+        return self.x0 + self.dx * f, self.y0 + self.dy * f
+
 
 def _check_nodes(network: roadnet.RoadNetwork, trips, field: str) -> None:
     """Refuse the first trip (OdEntry or Departure) with an unknown node."""
@@ -336,9 +355,10 @@ class Simulation:
     answer is reused while the vehicle sits blocked. An optional comm
     object gets ``comm.step(sim, now)`` once per step after movement and
     admission. It reads ``updates`` (every report, in creation order),
-    ``enroute`` (the moving fleet), ``carriers`` (those of it that hold
-    pending reports, both in step order) and ``position(veh)``, and takes
-    what it sends out of ``veh.pending``.
+    ``carriers`` (the en-route vehicles that hold pending reports, asleep
+    or not, in step order), ``position(veh)`` and ``fleet_points()``, and
+    takes what it sends out of ``veh.pending``. ``enroute`` is the whole
+    en-route fleet in step order.
     """
 
     def __init__(self, network: roadnet.RoadNetwork, *,
@@ -387,6 +407,10 @@ class Simulation:
         self._entry_queues: dict[int, deque[Vehicle]] = {}
         self.enroute: list[Vehicle] = []
         self.carriers: list[Vehicle] = []
+        self._awake: list[Vehicle] = []   # en route and not asleep, in step order
+        self._calendar: dict[int, list[Vehicle]] = {}  # step -> vehicles due then
+        self._todo: list[Vehicle] = []    # the vehicles of the running step
+        self._admitted = 0
         self._waiters: dict[int, list[Vehicle]] = {lid: [] for lid in network.links}
         self._cruisers: dict[int, list[Vehicle]] = {}   # made on a link's first cruise
         self._counts = {WAITING: len(self.vehicles), EN_ROUTE: 0,
@@ -400,11 +424,13 @@ class Simulation:
         self.finished: list[Vehicle] = []
         # vehicle-steps in the loop, the parked ones among them by the
         # light at the stop line, and the cruising ones; the replay counts
-        # the parked and the cruising ones
+        # the parked and the cruising ones, and the loop the rest, the ones
+        # it visits
         self.vehicle_steps = 0
         self.parked_red_steps = 0
         self.parked_full_steps = 0
         self.cruise_steps = 0
+        self.visited_steps = 0
 
     # -- clock and public state ------------------------------------------
 
@@ -436,9 +462,36 @@ class Simulation:
         """
         if veh.moved_to:
             self._move_to(veh, self._moved)
-        lk = self._lk[veh.route[0]]
-        f = veh.pos / lk.length
-        return lk.x0 + lk.dx * f, lk.y0 + lk.dy * f
+        return self._lk[veh.route[0]].point(veh.pos)
+
+    def fleet_points(self) -> dict[tuple[float, float], int]:
+        """The en-route fleet as {(x, y): vehicles there}.
+
+        Each vehicle is located as ``position`` locates it. Those at a
+        link's stop line, every parked one among them, stand at the point
+        it gives at pos == length, so they are counted per link and that
+        point is located once.
+        """
+        lks = self._lk
+        moved = self._moved
+        ends: dict[int, int] = {}
+        points: dict[tuple[float, float], int] = {}
+        get = points.get
+        for veh in self.enroute:
+            lid = veh.route[0]
+            lk = lks[lid]
+            if veh.moved_to:
+                self._move_to(veh, moved)
+            elif veh.pos == lk.length:
+                ends[lid] = ends.get(lid, 0) + 1
+                continue
+            p = lk.point(veh.pos)
+            points[p] = get(p, 0) + 1
+        for lid, k in ends.items():
+            lk = lks[lid]
+            p = lk.point(lk.length)
+            points[p] = get(p, 0) + k
+        return points
 
     # -- engine-map plumbing ----------------------------------------------
 
@@ -469,7 +522,7 @@ class Simulation:
     def step(self) -> None:
         """Advance every vehicle one step, then admit, uplink and defer.
 
-        One loop body moves each en-route vehicle in step order: a stop
+        One loop body moves each awake or due vehicle in step order: a stop
         line reached in an earlier step is tried first, then the speed
         steps toward the link's Greenshields target for the occupancy at
         the start of the step (``_LinkData.target``), clamped to
@@ -483,8 +536,8 @@ class Simulation:
         between. A parked vehicle skips its held steps, each a burn at
         v = a = 0. A cruising one (see ``_cruise``) skips steps that each
         move it by the same increment and burn the same rates. The loop
-        visits both in step order but costs them one wake comparison;
-        ``_replay`` applies what they skipped later, bit for bit.
+        does not visit either until the step it is filed under in the
+        calendar, where ``_replay`` applies what it skipped, bit for bit.
         """
         n = self._n
         now = n * DT
@@ -494,97 +547,116 @@ class Simulation:
 
         occ_snap = dict(self._occ)
         self.vehicle_steps += len(self.enroute)
+        todo = self._awake
+        due = self._calendar.pop(n, None)
+        if due:
+            # a vehicle may be filed again under a step after its wake moved,
+            # or twice under one step; only one that is due now is visited,
+            # and once
+            todo = todo + list(dict.fromkeys(v for v in due if 0 < v.wake <= n))
+            todo.sort(key=_by_seq)
+        # _exit_link puts a waiter it wakes later in the step order into
+        # todo, ahead of the loop's iterator
+        self._todo = todo
         finished_now: list[Vehicle] = []
-        survivors = []
-        carriers = []
+        awake = []
+        carried = []
         occ_get = occ_snap.get
-        keep = survivors.append
-        carry = carriers.append
+        keep = awake.append
+        carry = carried.append
         lks = self._lk
         dv_max = self._dv_max
         dv_min = -dv_max
         refresh = self._refresh_steps
         lookup = self._lookup_rates
         try_cross = self._try_cross
-        for veh in self.enroute:
-            # a parked or cruising vehicle keeps its place and is skipped
-            # until its wake
-            wake = veh.wake
-            if wake and wake <= n:
+        for veh in todo:
+            if veh.wake:
+                # asleep until this step: apply what it skipped
                 self._replay(veh, n)
-                veh.wake = wake = veh.moved_to = 0
-            if not wake:
-                lid = veh.route[0]
-                lk = lks[lid]
-                own = 1          # the snapshot counts the vehicle on its link
-                moving = True
-                if veh.pos >= lk.length - _POS_EPS:
-                    # held at the stop line since an earlier step, and due again
-                    if not try_cross(veh, n, now_end):
-                        moving = False
-                    elif veh.state == FINISHED:
+                veh.wake = veh.moved_to = 0
+            lid = veh.route[0]
+            lk = lks[lid]
+            own = 1          # the snapshot counts the vehicle on its link
+            moving = True
+            if veh.pos >= lk.length - _POS_EPS:
+                # held at the stop line since an earlier step, and due again
+                if not try_cross(veh, n, now_end):
+                    moving = False
+                elif veh.state == FINISHED:
+                    finished_now.append(veh)
+                    continue
+                else:
+                    lid = veh.route[0]
+                    lk = lks[lid]
+                    own = 0
+            if moving:
+                k_cnt = occ_get(lid, 0) - own
+                if k_cnt < 0:
+                    k_cnt = 0
+                speed = veh.speed
+                dv = lk.target[k_cnt] - speed
+                if dv > dv_max:
+                    dv = dv_max
+                elif dv < dv_min:
+                    dv = dv_min
+                v = speed + dv
+                a = dv / DT
+                pos = veh.pos + v / 3.6 * DT
+                veh.pos = pos
+            else:
+                v = a = 0.0
+            veh.speed = v
+
+            # the burn of step n
+            fresh = n >= veh.rate_until
+            if fresh:
+                veh.rates = lookup(v, a)
+                veh.rate_until = n + refresh
+            f, c, h, x = veh.rates
+            veh.fuel += f
+            veh.link_fuel += f
+            veh.co += c
+            veh.hc += h
+            veh.nox += x
+
+            if moving and pos >= lk.length - _POS_EPS:
+                over = pos - lk.length
+                if over < 0.0:
+                    over = 0.0
+                if try_cross(veh, n, now_end):
+                    if veh.state == FINISHED:
                         finished_now.append(veh)
                         continue
-                    else:
-                        lid = veh.route[0]
-                        lk = lks[lid]
-                        own = 0
-                if moving:
-                    k_cnt = occ_get(lid, 0) - own
-                    if k_cnt < 0:
-                        k_cnt = 0
-                    speed = veh.speed
-                    dv = lk.target[k_cnt] - speed
-                    if dv > dv_max:
-                        dv = dv_max
-                    elif dv < dv_min:
-                        dv = dv_min
-                    v = speed + dv
-                    a = dv / DT
-                    pos = veh.pos + v / 3.6 * DT
-                    veh.pos = pos
+                    nlk = lks[veh.route[0]]
+                    if over >= nlk.length:
+                        raise SimulationError(
+                            f"position overrun: vehicle {veh.id} jumped past "
+                            f"link {veh.route[0]} ({over:.2f} m beyond entry)")
+                    veh.pos = over
+                    if veh.speed > nlk.free_speed:
+                        veh.speed = nlk.free_speed
                 else:
-                    v = a = 0.0
-                veh.speed = v
-
-                # the burn of step n
-                fresh = n >= veh.rate_until
-                if fresh:
-                    veh.rates = lookup(v, a)
-                    veh.rate_until = n + refresh
-                f, c, h, x = veh.rates
-                veh.fuel += f
-                veh.link_fuel += f
-                veh.co += c
-                veh.hc += h
-                veh.nox += x
-
-                if moving and pos >= lk.length - _POS_EPS:
-                    over = pos - lk.length
-                    if over < 0.0:
-                        over = 0.0
-                    if try_cross(veh, n, now_end):
-                        if veh.state == FINISHED:
-                            finished_now.append(veh)
-                            continue
-                        nlk = lks[veh.route[0]]
-                        if over >= nlk.length:
-                            raise SimulationError(
-                                f"position overrun: vehicle {veh.id} jumped past "
-                                f"link {veh.route[0]} ({over:.2f} m beyond entry)")
-                        veh.pos = over
-                        if veh.speed > nlk.free_speed:
-                            veh.speed = nlk.free_speed
-                    else:
-                        veh.pos = lk.length
-                        veh.speed = 0.0
-                elif fresh and moving and not dv and own:
-                    self._cruise(veh, lid, n, occ_snap[lid])
-            keep(veh)
+                    veh.pos = lk.length
+                    veh.speed = 0.0
+            elif fresh and moving and not dv and own:
+                self._cruise(veh, lid, n, occ_snap[lid])
+            if not veh.wake:
+                keep(veh)
             if veh.pending:
                 carry(veh)
-        self.enroute = survivors
-        self.carriers = carriers
+        self.visited_steps += len(todo)
+        self._awake = awake
+        if finished_now:
+            self.enroute = [v for v in self.enroute if v.state != FINISHED]
+        # a carrier the loop did not visit still holds what it held after
+        # the last uplink step
+        held = [v for v in self.carriers if v.pending and v.state == EN_ROUTE]
+        if held:
+            visited = set(carried)
+            carried += [v for v in held if v not in visited]
+            carried.sort(key=_by_seq)
+        self.carriers = carried
         self._moved = n + 1
 
         self._admit(now, now_end)
@@ -719,9 +791,14 @@ class Simulation:
             if add_repeated(pos, inc, k - 1) >= line:
                 return
             wake = n + k
+            self._file(veh, wake)
         veh.wake = wake
         veh.moved_to = veh.burned_to = n + 1
         self._cruisers.setdefault(lid, []).append(veh)
+
+    def _file(self, veh, n) -> None:
+        """Put a sleeping vehicle in the calendar under step n."""
+        self._calendar.setdefault(n, []).append(veh)
 
     def _occupancy_changed(self, lid) -> None:
         """Wake lid's cruisers by the next step, whose snapshot shows the change.
@@ -737,6 +814,7 @@ class Simulation:
             for veh in cruisers:
                 if veh.moved_to and veh.wake > nxt:
                     veh.wake = nxt
+                    self._file(veh, nxt)
             cruisers.clear()
 
     def _try_cross(self, veh, n, now_end) -> bool:
@@ -757,6 +835,7 @@ class Simulation:
         if lk.to_signal and flips % 2 != (0 if lk.is_ew else 1):
             veh.wake = (flips + 1) * self._phase_steps
             veh.burned_to = n + 1
+            self._file(veh, veh.wake)
             return False
         if to == veh.destination:
             self._exit_link(veh, lid, lk, now_end)
@@ -795,9 +874,15 @@ class Simulation:
         waiters = self._waiters[lid]
         if waiters:
             # room on lid: its waiters try again at their next turn, which
-            # for one later in the step order is this very step
+            # for one later in the step order than veh, the vehicle the loop
+            # is moving, is this very step
+            n = self._n
             for w in waiters:
-                w.wake = self._n
+                w.wake = n
+                if w.seq > veh.seq:
+                    insort(self._todo, w, key=_by_seq)
+                else:
+                    self._file(w, n + 1)
             waiters.clear()
 
     # -- admissions ----------------------------------------------------------
@@ -823,7 +908,10 @@ class Simulation:
                 veh.entered_at = now_end
                 veh.pos = 0.0
                 veh.speed = lk.target[occ]
+                veh.seq = self._admitted
+                self._admitted += 1
                 self.enroute.append(veh)
+                self._awake.append(veh)
                 self._counts[WAITING] -= 1
                 self._counts[EN_ROUTE] += 1
 

@@ -7,10 +7,13 @@ load, and queue size are sized so each trend is resolvable in minutes on
 one core, not to match any street network's absolute numbers.
 """
 
+import functools
 import itertools
 import math
+import multiprocessing
 import random
 import time
+from concurrent import futures
 
 import pytest
 
@@ -130,6 +133,30 @@ def _drop_and_delay(sim):
     return dropped / total, mean_delay
 
 
+def _pool_runs(fn, points, cost):
+    """{point: fn(*point)} for every point, from two worker processes.
+
+    The runs are independent and seeded, so where each one runs changes
+    no result. They are handed out in falling ``cost``, so that a long
+    run does not start last. Each worker returns only what the check
+    reads. Workers are spawned, not forked, since forking a process that
+    runs threads is unsafe.
+    """
+    ordered = sorted(points, key=cost, reverse=True)
+    with futures.ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(ordered, pool.map(fn, *zip(*ordered))))
+
+
+def _trend_point(sc, odsf, seed):
+    return _drop_and_delay(_run_point(sc, odsf, "realistic", seed))
+
+
+def _impact_point(sc, odsf, mode, seed):
+    sim = _run_point(sc, odsf, mode, seed)
+    return sim.counts(), sim.nfd_rows()
+
+
 def test_criterion_1_cell_model_vs_event_sim():
     """Fixed-point model tracks the event simulator within 20% (or 95% CI)."""
     t0 = time.perf_counter()
@@ -241,12 +268,14 @@ def test_criterion_4_monotone_channel_trends(tmp_path):
     seeds = (1, 2, 3, 4, 5)
     odsfs = [round(0.1 * i, 1) for i in range(1, 11)]
     t0 = time.perf_counter()
+    # the more demand, the longer the run
+    runs = _pool_runs(functools.partial(_trend_point, sc),
+                      itertools.product(odsfs, seeds), cost=lambda pt: pt[0])
     drop_curve, delay_curve = [], []
     for odsf in odsfs:
         drops, delays = [], []
         for seed in seeds:
-            sim = _run_point(sc, odsf, "realistic", seed)
-            dr, dl = _drop_and_delay(sim)
+            dr, dl = runs[odsf, seed]
             drops.append(dr)
             delays.append(dl)
         drop_curve.append(sum(drops) / len(drops))
@@ -270,19 +299,24 @@ def test_criterion_5_congestion_onset_ordering(tmp_path):
     """Channel-limited reporting hits the congested regime before ideal."""
     sc = _scenario(tmp_path, IMPACT_INI)
     odsfs = (0.4, 0.6, 0.7, 0.8, 0.9, 1.0)
+    seeds = (1, 2, 3)
+    modes = ("ideal", "realistic")
+    # the more demand, the longer the run; realistic runs gridlock first
+    runs = _pool_runs(functools.partial(_impact_point, sc),
+                      itertools.product(odsfs, modes, seeds),
+                      cost=lambda pt: (pt[0], pt[1] == "realistic"))
     all_ok = True
     lines = []
-    for seed in (1, 2, 3):
+    for seed in seeds:
         onset = {}
         first_deferred = {}
         top = {}
-        for mode in ("ideal", "realistic"):
+        for mode in modes:
             onset[mode] = math.inf
             first_deferred[mode] = math.inf
             for odsf in odsfs:
-                sim = _run_point(sc, odsf, mode, seed)
-                c = sim.counts()
-                if _congested(sim.nfd_rows()):
+                c, nfd_rows = runs[odsf, mode, seed]
+                if _congested(nfd_rows):
                     onset[mode] = min(onset[mode], odsf)
                 if c["deferred"] > 0:
                     first_deferred[mode] = min(first_deferred[mode], odsf)

@@ -429,10 +429,12 @@ def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
                       (tmp_path / sub / "meta.txt").read_text().splitlines()[1:])
         counts.append([int(fields[key]) for key in
                        ("vehicle_steps", "parked_red_steps", "parked_full_steps",
-                        "cruise_steps")])
+                        "cruise_steps", "visited_steps")])
     assert counts[0] == counts[1]
-    steps, red, full, cruise = counts[0]
-    assert steps >= red + full + cruise and red > 0 and cruise > 0
+    steps, red, full, cruise, visited = counts[0]
+    assert red > 0 and cruise > 0 and 0 < visited < steps
+    # each vehicle-step is visited by the loop or replayed, never both
+    assert visited + red + full + cruise == steps
     summary = (tmp_path / "a" / "summary.txt").read_text()
     assert "wall" not in summary
 
@@ -541,12 +543,28 @@ TREND_RUN_SHA256 = {
 }
 
 
-def run_digests(tmp_path, text, mode):
+# criterion 5's scenario (tests/test_acceptance.py, IMPACT_INI) at odsf 0.8 in
+# realistic mode, the benchmark's impact-realistic input: the run that wakes
+# full-link waiters mid-step at scale (2,249,418 parked_full_steps)
+IMPACT_SCENARIO = TREND_SCENARIO.replace(" 330 0 600", " 500 0 900") + """
+[routing]
+eta = 0.15
+"""
+
+IMPACT_RUN_SHA256 = {
+    "summary.txt": "8a0e821ceffc413a6d36d086a543b2dc3d9d48a34e89de1b72fbd80fa84dd012",
+    "nfd.tsv": "83337bece9858a9d25059b83430995e89b3df5b79288d8ca4873ece397fc61ba",
+    "vehicles.tsv": "f62d60538186102a410bd53b9ef2054e7a871fec65753a5db6f695aa9acd0042",
+    "packets.tsv": "137a2fa8fff13df405e9f91875c57855518e5577bf5f7158e87c07ab3456489e",
+}
+
+
+def run_digests(tmp_path, text, mode, *flags):
     scenario = tmp_path / "golden.ini"
     scenario.write_text(text)
     out = tmp_path / mode
     assert cli.main(["--quiet", "run", "--scenario", str(scenario),
-                     "--out", str(out), "--mode", mode, "--seed", "1"]) == 0
+                     "--out", str(out), "--mode", mode, "--seed", "1", *flags]) == 0
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in RUN_FILES}
 
@@ -559,6 +577,11 @@ def test_run_golden_artifacts(mode, tmp_path):
 @pytest.mark.parametrize("mode", sorted(TREND_RUN_SHA256))
 def test_run_trend_golden_artifacts(mode, tmp_path):
     assert run_digests(tmp_path, TREND_SCENARIO, mode) == TREND_RUN_SHA256[mode]
+
+
+def test_run_impact_golden_artifacts(tmp_path):
+    assert run_digests(tmp_path, IMPACT_SCENARIO, "realistic",
+                       "--odsf", "0.8") == IMPACT_RUN_SHA256
 
 
 def test_run_mode_and_seed_overrides(tiny_scenario, tmp_path):

@@ -161,16 +161,19 @@ class StubCarrier:
 
 
 class StubSim:
-    """Just enough surface for CommModule.step: a parked fleet."""
+    """Just enough surface for CommModule.step: a fleet parked at one point."""
 
     def __init__(self, fleet, xy):
         self.updates = []
-        self.enroute = fleet
+        self.fleet = fleet
         self.carriers = [c for c in fleet if c.pending]
         self.xy = xy
 
     def position(self, veh):
         return self.xy
+
+    def fleet_points(self):
+        return {self.xy: len(self.fleet)}
 
 
 def rsu_cell_network():
@@ -345,6 +348,28 @@ class CheckedIdealComm(eco.CommModule):
         super().step(sim, now)
         self.carried += len(sim.carriers)
         assert all(not veh.pending for veh in sim.enroute)
+
+
+class RecountParity(eco.CommModule):
+    """Realistic uplink that checks each recount against one point per vehicle."""
+
+    recounts = shared = 0
+
+    def _recount(self, sim, now):
+        points = sim.fleet_points()
+        assert sum(points.values()) == len(sim.enroute)
+        each = collections.Counter(sim.position(veh) for veh in sim.enroute)
+        assert self.index.count_per_rsu(points) == self.index.count_per_rsu(each)
+        self.recounts += 1
+        self.shared += len(sim.enroute) - len(points)
+        super()._recount(sim, now)
+
+
+def test_recount_counts_equal_a_count_of_every_position():
+    sim, _, comm = grid_scenario("realistic", comm_cls=RecountParity)
+    assert comm.recounts > 300 and comm.delivered > 0
+    # vehicles parked on one link were located once, at one point
+    assert comm.shared > 0
 
 
 def test_ideal_mode_empties_carriers_every_step():

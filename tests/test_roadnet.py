@@ -12,6 +12,7 @@ import heapq
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -327,10 +328,11 @@ def test_range_below_a_meter_keeps_cell_keys_finite():
     idx = rn.CoverageIndex(net, [1, 9], 1e-306)
     assert idx.connected_rsu(0.0, 0.0) == 0
     assert idx.connected_rsu(1e300, -1e300) is None
-    assert idx.count_per_rsu([(0.0, 0.0), (300.0, 300.0), (1.0, 0.0)]) == {0: 1, 1: 1}
+    assert idx.count_per_rsu(Counter([(0.0, 0.0), (300.0, 300.0), (1.0, 0.0)])) == {
+        0: 1, 1: 1}
     alone = rn.CoverageIndex(net, [1], 1e-306)   # one RSU, at the origin
     assert alone.connected_rsu(1e300, 0.0) is None
-    assert alone.count_per_rsu([(0.0, 0.0), (450.0, 450.0)]) == {0: 1}
+    assert alone.count_per_rsu(Counter([(0.0, 0.0), (450.0, 450.0)])) == {0: 1}
 
 
 def test_connected_rsu_basics():
@@ -355,13 +357,20 @@ def test_count_per_rsu_constructed():
     idx = rn.CoverageIndex(net, [1], 100.0)
     inside = [(0.0, 0.0), (99.0, 0.0), (0.0, 100.0)]   # boundary included
     outside = [(101.0, 0.0), (500.0, 500.0)]
-    assert idx.count_per_rsu(inside + outside) == {0: 3}
+    assert idx.count_per_rsu(Counter(inside + outside)) == {0: 3}
+
+
+def test_count_per_rsu_weighs_each_point_by_its_vehicles():
+    net = rn.gen_grid(2, 2, spacing=1000.0)
+    idx = rn.CoverageIndex(net, [1, 2], 100.0)   # at (0, 0) and (1000, 0)
+    points = {(0.0, 0.0): 4, (0.0, 100.0): 2, (101.0, 0.0): 7, (950.0, 0.0): 3}
+    assert idx.count_per_rsu(points) == {0: 6, 1: 3}
 
 
 def test_empty_index_counts_nothing_and_connects_nothing():
     idx = rn.CoverageIndex(rn.gen_grid(2, 2, spacing=100.0), [], 250.0)
     assert list(idx.ids) == []
-    assert idx.count_per_rsu([(0.0, 0.0), (50.0, 50.0)]) == {}
+    assert idx.count_per_rsu({(0.0, 0.0): 1, (50.0, 50.0): 2}) == {}
     assert idx.connected_rsu(0.0, 0.0) is None
 
 
@@ -375,6 +384,7 @@ def test_spatial_index_matches_naive_scan():
     rsus = [(net.nodes[sid].x, net.nodes[sid].y) for sid in chosen]
     positions = [(rng.uniform(-100, 900), rng.uniform(-100, 900))
                  for _ in range(500)]
+    positions += rng.choices(positions, k=200)     # vehicles that share a point
 
     def naive_connected(x, y):
         best, best_d = None, math.inf
@@ -387,7 +397,7 @@ def test_spatial_index_matches_naive_scan():
     for x, y in positions:
         assert idx.connected_rsu(x, y) == naive_connected(x, y)
 
-    counts = idx.count_per_rsu(positions)
+    counts = idx.count_per_rsu(Counter(positions))
     for rid, (rx, ry) in enumerate(rsus):
         naive = sum(1 for x, y in positions
                     if math.hypot(x - rx, y - ry) <= reach)

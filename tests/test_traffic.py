@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from vanetsim import energy, roadnet as rn, traffic
+from vanetsim import ecorouting as eco, energy, mac_analytic, roadnet as rn, traffic
 from vanetsim.errors import SimulationError, ValidationError
 
 
@@ -459,6 +459,96 @@ def test_cruise_matches_per_step_loop(name):
     quiet.run()
     assert (quiet.state_hash(), accumulator_digest(quiet)) == final
     assert quiet.cruise_steps == sim.cruise_steps
+
+
+# --- the wake calendar ----------------------------------------------------------
+#
+# The step loop visits only the vehicles that are awake or due; a sleeping one
+# is filed under its wake step. The pins below were taken from the loop that
+# visited every en-route vehicle every step.
+
+# position() x bits of the en-route vehicles and the state hash at each read
+# time, then the state hash and accumulator digest at the end
+RESUMED_CRUISE_READS = {
+    144.7: (["0x1.f40fed097b56dp+10", "0x1.e30c5ed097c72p+10", "0x0.0p+0"],
+            "5cfbe996ac57a5e3a9933382ab10412c4d84df426cbd14f3c72db8b88f3d5d0a"),
+    146.0: (["0x1.f8937b425ee51p+10", "0x1.e78b1c71c72fdp+10", "0x1.1faf684bda12ep+4"],
+            "138fe7a1bd990e97e83257de4361de2b758bcee3269f47f613d45e4e683e87ff"),
+    149.6: (["0x1.0289bda12f728p+11", "0x1.f3fdc71c71db9p+10", "0x1.0f1684bda12fap+6"],
+            "86b1bb3cda940c36a1bc3323b9a4bb418e7d230c232ab21693ec6eb6cfa08e7e"),
+    150.0: (["0x1.0339d159e2753p+11", "0x1.f55cfd585e22ep+10", "0x1.25497b425ed0cp+6"],
+            "844e9fa9b568179953510d3e245d5384a54b48594855180c9b64dd3056cc2eb7"),
+}
+RESUMED_CRUISE_FINAL = (
+    "519346b7146e2eb623867f1991d3ab4809bec7417c8fbdb3e0f01060002188ad",
+    "807921241c1d02eb74632c905df4852194610c9e27cb68a8849179273d52ad04")
+
+
+def test_cruise_cut_short_and_resumed_with_the_same_wake_steps_once():
+    # Vehicle 2 cruises behind vehicle 1 on link 1 from step 51, due at
+    # step 1495. In step 1446 vehicle 1 leaves the link and vehicle 3 is
+    # admitted onto it, which cuts the cruise short although the next
+    # snapshot holds the count it read. The cruise resumes at the next
+    # lookup, step 1450, with the same wake, so vehicle 2 is filed twice
+    # under step 1495; it must be moved once there.
+    net = line_network([2000.0, 500.0])
+    sched = [traffic.Departure(t, 1, 3) for t in (0.0, 5.0, 144.65)]
+    sim = traffic.Simulation(net, schedule=sched,
+                             config=traffic.TrafficConfig(horizon=400.0))
+    veh = sim.vehicles[1]
+    for t, (xs, state) in RESUMED_CRUISE_READS.items():
+        sim.run(until=t)
+        if t == 146.0:
+            assert veh.wake == 1495 and sim._calendar[1495].count(veh) == 2
+        assert [sim.position(v)[0].hex() for v in sim.enroute] == xs
+        assert sim.state_hash() == state
+    sim.run()
+    assert (sim.state_hash(), accumulator_digest(sim)) == RESUMED_CRUISE_FINAL
+    assert (sim.vehicle_steps, sim.cruise_steps) == (5425, 5361)
+    # every vehicle-step is either visited or replayed
+    assert sim.visited_steps == 5425 - 5361
+
+
+class CarrierLog(eco.CommModule):
+    """Realistic uplink that logs the carriers it is handed at each step.
+
+    At t = 80 s it empties the second carrier's pending list, as a delivery
+    would.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def step(self, sim, now):
+        self.log.append([v.id for v in sim.carriers])
+        assert sim.carriers == [v for v in sim.enroute if v.pending]
+        super().step(sim, now)
+        if abs(now - 80.0) < 1e-9:
+            sim.carriers[1].pending = []
+
+
+def test_parked_carrier_stays_in_step_order_until_emptied():
+    # Four trips carry the report of link 1 to the red light at node 3,
+    # where all four park from about 76 s to 90 s. The only RSU sits at
+    # node 1 and reaches 1e-306 m, so no carrier is ever connected, and
+    # only the emptying at 80 s (vehicle 2) or the end of a trip takes a
+    # sleeping carrier out of the list.
+    net = line_network([500.0, 500.0, 300.0], signal_nodes=[1, 3], vertical=True)
+    comm = CarrierLog(rn.CoverageIndex(net, [1], 1e-306), eco.TmcCostTable(net),
+                      mac_analytic.MacParams(n_stations=1, arrival_rate=1.0))
+    sched = [traffic.Departure(t, 1, 4) for t in (0.0, 1.0, 2.0, 3.0)]
+    sim = traffic.Simulation(net, schedule=sched, comm=comm,
+                             config=traffic.TrafficConfig(horizon=400.0))
+    sim.run()
+    assert comm.log[799:802] == [[1, 2, 3, 4], [1, 3, 4], [1, 3, 4]]
+    assert comm.log[899:901] == [[1, 3, 4], [1, 2, 3, 4]]
+    assert hashlib.sha256(repr(comm.log).encode()).hexdigest() == (
+        "6b4128a081959323d551ffd598b4e353b50d787fee9cc280767afe6853a23d9d")
+    assert (sim.state_hash(), accumulator_digest(sim)) == (
+        "f9bc026281fbd4385eafd91a3a886a05ce05c63a1dadcb5539fd9d6757c92066",
+        "8d01f1cb0bb16f5c85a41ad82138c84bfcb2bbfd5b585cca14b42b80ec4cfa45")
+    assert comm.delivered == 0
 
 
 # --- statistics ---------------------------------------------------------------
