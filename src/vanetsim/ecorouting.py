@@ -113,6 +113,12 @@ class CommModule:
     unconnected. In ideal mode step() delivers each new report at its
     creation time and empties every carrier's pending list, so in both
     modes a carrier holds only undelivered reports.
+
+    A recount takes the fleet as ``sim.cell_tallies(index)``, the vehicles
+    per cover (set of RSUs in range), which places each vehicle in its
+    link's coverage profile, and ``index.count_per_rsu`` turns that into
+    the vehicles per cell. A vehicle counts in every cell whose RSU is in
+    range of its point, as ``hypot(...) <= range_m`` decides.
     """
 
     def __init__(self, index: roadnet.CoverageIndex, table: TmcCostTable,
@@ -198,7 +204,7 @@ class CommModule:
             veh.pending = []
 
     def _recount(self, sim, now: float) -> None:
-        counts = self.index.count_per_rsu(sim.fleet_points())
+        counts = self.index.count_per_rsu(sim.cell_tallies(self.index))
         window = now - self._recounted_at
         sent = self._sent
         for rid, n in counts.items():

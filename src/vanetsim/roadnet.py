@@ -16,7 +16,11 @@ uncovered signal in every round.
 The RSU layout lives in `CoverageIndex`: the placed signals, one
 shared range, and a uniform grid index whose cells are at least that
 range wide (`_cell_size`), so any disk lies in the 3x3 cell
-neighborhood of its center.
+neighborhood of its center. It also builds, on first use, a coverage
+profile per link (`LinkProfile`): the sorted positions along the link
+where an RSU's disk starts or ends, each inside a guard band, so that a
+position outside every band is placed by bisection and gets the same
+RSUs as the exact distance test on its point.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoPathError, ParseError, ValidationError
 
@@ -471,6 +476,43 @@ def link_length_coverage(network: RoadNetwork, index: "CoverageIndex") -> float:
 
 # --- coverage index -----------------------------------------------------
 
+class LinkLine:
+    """A link as a line: ``pos`` metres along it lie at ``point(pos)``.
+
+    The point is interpolated between the link's end nodes by pos / length,
+    so pos == length is the to-node and every pos lies on the line through
+    both nodes, whatever the link's stated length.
+    """
+
+    __slots__ = ("length", "x0", "y0", "dx", "dy")
+
+    def __init__(self, link: Link, network: RoadNetwork):
+        a = network.nodes[link.from_node]
+        b = network.nodes[link.to_node]
+        self.length = link.length
+        self.x0, self.y0 = a.x, a.y
+        self.dx, self.dy = b.x - a.x, b.y - a.y
+
+    def point(self, pos: float) -> tuple[float, float]:
+        """Plane coordinates of ``pos`` metres along the link."""
+        f = pos / self.length
+        return self.x0 + self.dx * f, self.y0 + self.dy * f
+
+
+class LinkProfile(NamedTuple):
+    """Where along a link a position lies in range of which RSUs.
+
+    A pos falls in entry ``bisect_right(cuts, pos)`` of ``covers``: the id
+    of the set of RSUs whose range holds that pos's point (see
+    `CoverageIndex.cover_of`), or -1 inside a guard band, where only the
+    exact test on the point decides. ``cuts`` ends with the link's length,
+    so pos == length, the stop line, falls in the last entry, which the
+    exact test on the to-node decided once.
+    """
+    cuts: list[float]
+    covers: list[int]
+
+
 class CoverageIndex:
     """The RSU layout and its uniform-grid spatial index.
 
@@ -478,15 +520,24 @@ class CoverageIndex:
     range_m, and the grid's cells are at least that wide (`_cell_size`).
     With no signal ids every count map is empty and no position is
     connected.
+
+    A set of RSUs (in id order) that share a point's range is a cover,
+    known by a small integer id (`cover_of`). ``profiles`` holds each
+    link's `LinkProfile` once `profile` has built it.
     """
 
     def __init__(self, network: RoadNetwork, signal_ids, range_m: float):
         self.range_m = range_m
+        self.network = network
         nodes = [network.nodes[network.signals[sid].node] for sid in signal_ids]
         self._xy = [(node.x, node.y) for node in nodes]
         self.ids = range(len(self._xy))
+        self._span = max((max(abs(x), abs(y)) for x, y in self._xy), default=0.0)
         self._cell = _cell_size(range_m, self._xy)
         self._buckets = _bucket(self._xy, self._cell)
+        self._covers: list[tuple[int, ...]] = []      # cover id -> RSU ids
+        self._cover_ids: dict[tuple[int, ...], int] = {}
+        self.profiles: dict[int, LinkProfile] = {}
 
     def connected_rsu(self, x: float, y: float) -> int | None:
         """Nearest in-range RSU id; ties within 1e-9 m go to lowest id."""
@@ -503,25 +554,125 @@ class CoverageIndex:
                 best_id, best_d = rid, d
         return best_id
 
-    def count_per_rsu(self, points) -> dict[int, int]:
-        """Vehicles in range of each RSU, from {(x, y): vehicles there}.
-
-        One bucketing pass, then per-RSU neighborhood counts, with one
-        distance test per point and RSU.
-        """
-        cell = self._cell
-        buckets: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
-        for (x, y), k in points.items():
-            buckets.setdefault(_cell_key(x, y, cell), []).append((x, y, k))
-        counts = {}
+    def cover_of(self, x: float, y: float) -> int:
+        """Cover id of the RSUs in range of (x, y): hypot(x - rx, y - ry) <= range_m."""
         rng = self.range_m
-        for rid, (rx, ry) in enumerate(self._xy):
-            cx, cy = _cell_key(rx, ry, cell)
-            n = 0
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for x, y, k in buckets.get((cx + dx, cy + dy), ()):
-                        if math.hypot(x - rx, y - ry) <= rng:
-                            n += k
-            counts[rid] = n
+        xy = self._xy
+        cover = tuple(sorted(
+            rid for rid in _near(self._buckets, _cell_key(x, y, self._cell))
+            if math.hypot(x - xy[rid][0], y - xy[rid][1]) <= rng))
+        return self._cover_id(cover)
+
+    def count_per_rsu(self, tallies) -> dict[int, int]:
+        """Vehicles in range of each RSU, from {cover id: vehicles}."""
+        counts = dict.fromkeys(self.ids, 0)
+        covers = self._covers
+        for cid, k in tallies.items():
+            for rid in covers[cid]:
+                counts[rid] += k
         return counts
+
+    def profile(self, lid: int) -> LinkProfile:
+        """Build link lid's coverage profile and keep it in ``profiles``.
+
+        Each RSU near the link adds the cuts of `_disk_span`; between two
+        cuts every RSU is surely in range, surely not, or in its guard
+        band, and a stretch in no band gets the cover of the RSUs surely
+        in range. A stretch's state is read at its first pos, since its
+        cuts are where the states change.
+        """
+        line = LinkLine(self.network.links[lid], self.network)
+        length = line.length
+        spans = []
+        for rid in self._near_line(line):
+            span = _disk_span(line, *self._xy[rid], self.range_m)
+            if span is not None:
+                spans.append((rid, *span))
+        cuts = sorted({c for span in spans for c in span[1:] if 0.0 < c < length})
+        covers = []
+        for start in [0.0, *cuts]:
+            sure = tuple(rid for rid, _, _, ilo, ihi in spans if ilo <= start < ihi)
+            banded = any(lo <= start < hi and not ilo <= start < ihi
+                         for _, lo, hi, ilo, ihi in spans)
+            covers.append(-1 if banded else self._cover_id(sure))
+        cuts.append(length)
+        covers.append(self.cover_of(*line.point(length)))
+        prof = self.profiles[lid] = LinkProfile(cuts, covers)
+        return prof
+
+    def _cover_id(self, cover: tuple[int, ...]) -> int:
+        cid = self._cover_ids.get(cover)
+        if cid is None:
+            cid = self._cover_ids[cover] = len(self._covers)
+            self._covers.append(cover)
+        return cid
+
+    def _near_line(self, line: LinkLine):
+        """RSU ids, in id order, of every RSU whose disk may reach the line.
+
+        The grid cells of the line's bounding box, grown by twice the range
+        and guard band, hold them all: floor(x / cell) is monotone in x.
+        Where that box has more cells than there are RSUs, every RSU.
+        """
+        x0, y0, x1, y1 = line.x0, line.y0, line.x0 + line.dx, line.y0 + line.dy
+        big = max(abs(x0) + abs(line.dx), abs(y0) + abs(line.dy), self._span)
+        reach = 2.0 * (self.range_m + _CELL_MARGIN * (big + self.range_m))
+        lo = (min(x0, x1) - reach, min(y0, y1) - reach)
+        hi = (max(x0, x1) + reach, max(y0, y1) + reach)
+        if not all(map(math.isfinite, lo + hi)):
+            return self.ids
+        (kx0, ky0), (kx1, ky1) = _cell_key(*lo, self._cell), _cell_key(*hi, self._cell)
+        if (kx1 - kx0 + 1) * (ky1 - ky0 + 1) >= len(self._xy):
+            return self.ids
+        get = self._buckets.get
+        return sorted(rid for kx in range(kx0, kx1 + 1) for ky in range(ky0, ky1 + 1)
+                      for rid in get((kx, ky), ()))
+
+
+def _disk_span(line: LinkLine, rx: float, ry: float, range_m: float):
+    """Where along line the disk of range_m around (rx, ry) may reach.
+
+    Returns (lo, hi, ilo, ihi), or None where no pos along the line is in
+    range. The points of pos in [ilo, ihi) are in range, those of pos
+    outside [lo, hi) are not, and [lo, ilo) and [ihi, hi) are the guard
+    bands, where only the exact test decides. A disk that hardly reaches
+    the line, or a range within two bands of 0, has no [ilo, ihi): all
+    of its [lo, hi) is band.
+
+    Why the band holds: the exact distance from the line's point at pos
+    to the RSU is sqrt(h**2 + (s*pos - t)**2), with h the RSU's distance
+    from the line, t its foot along it and s = |d| / length. `point` and
+    hypot round that distance by well under 2**-40 * big, where big
+    bounds every coordinate and the range, so where the exact distance
+    is at most range_m - band or at least range_m + band, with band =
+    2**-20 * big (``_CELL_MARGIN``, as in `_cell_size`), the computed test
+    is sure. The cuts come from those two radii; their own rounding, in
+    coordinates scaled by a power of two to keep the squares finite, is
+    as small, and a near-tangent disk, whose cuts round the worst, gets
+    the widest band, since its inner radius falls short first.
+    """
+    big = max(abs(line.x0) + abs(line.dx), abs(line.y0) + abs(line.dy),
+              abs(rx), abs(ry)) + range_m
+    whole = (-math.inf, math.inf, 0.0, 0.0)     # all band
+    if not 0.0 < big < 2.0 ** 1000:
+        return whole
+    scale = 2.0 ** math.frexp(big)[1]
+    dx, dy = line.dx / scale, line.dy / scale
+    qx, qy = rx / scale - line.x0 / scale, ry / scale - line.y0 / scale
+    r = range_m / scale
+    band = _CELL_MARGIN * big / scale
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        return whole            # every pos is the from-node
+    t = (qx * dx + qy * dy) / norm
+    h = abs(qx * dy - qy * dx) / norm
+    outer = (r + band) ** 2 - h * h
+    if not outer > 0.0:
+        return None
+    w = math.sqrt(outer)
+    lo, hi = (t - w) / norm * line.length, (t + w) / norm * line.length
+    inner = (r - band) ** 2 - h * h
+    if r <= 2.0 * band or not inner > 0.0:
+        return lo, hi, 0.0, 0.0
+    w = math.sqrt(inner)
+    return lo, hi, (t - w) / norm * line.length, (t + w) / norm * line.length

@@ -33,7 +33,7 @@ clamp shapes free driving, not the last half metre before a red light.
 The engine map sees envelope-clamped kinematics for that step.
 
 The uplink reads the traffic through four names of ``Simulation``:
-``updates``, ``carriers``, ``position`` and ``fleet_points``.
+``updates``, ``carriers``, ``position`` and ``cell_tallies``.
 
 Step order is admission order, the order of ``enroute``. The loop visits
 only the vehicles that are awake or due: a sleeping vehicle keeps its
@@ -52,8 +52,8 @@ admission order, router draws and the competition for room do not
 change. A parked step would only have added the idle burn, so the
 skipped burns are replayed at the wake, and before anything reads fuel
 (``state_hash`` and the end of ``run``). A parked vehicle stands at its
-stop line, so ``fleet_points`` counts the vehicles parked on a link at
-one point.
+stop line, whose RSUs its link's coverage profile holds, so
+``cell_tallies`` places it without computing its point.
 
 A vehicle that holds its link's target speed is cruising, the second
 sleeping state. It enters at a step that kept its speed short of the
@@ -64,9 +64,10 @@ loop skips it until its wake: the step after any change of the link's
 occupancy (an entry, an exit or an admission), or at the latest the
 step that reaches the stop line, so every crossing and router draw
 happens where the per-step loop has it. The skipped moves and burns are
-replayed at the wake and before fuel is read, and ``position`` and
-``fleet_points`` bring the position alone up to date, since the uplink
-reads it every second.
+replayed at the wake and before fuel is read. ``position`` brings the
+position alone up to date, since the uplink reads it; ``cell_tallies``
+does so only for a cruiser whose estimated position falls in a guard
+band of its link's coverage profile.
 
 Both replays use ``floats.add_repeated``, which gives the bits of the
 step-by-step sums; results are byte-identical to a loop that moves
@@ -78,7 +79,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
@@ -97,6 +98,7 @@ RATE_REFRESH = 1.0       # s between engine-map lookups per vehicle
 
 _POS_EPS = 1e-6          # m, stop-line arrival tolerance
 _NEVER = math.inf        # wake of a vehicle waiting for room on a full link
+_ESTIMATE_STEPS = 2 ** 30  # most steps a cruiser's position is estimated over
 _V_LO, _V_HI = energy.ENVELOPE_V
 _A_LO, _A_HI = energy.ENVELOPE_A
 _by_seq = attrgetter("seq")   # step order
@@ -294,7 +296,7 @@ def free_flow_router(network: roadnet.RoadNetwork):
     return route
 
 
-class _LinkData:
+class _LinkData(roadnet.LinkLine):
     """A link as the step loop reads it.
 
     ``target[k]`` is the Greenshields speed at k vehicles on the link, for
@@ -302,12 +304,12 @@ class _LinkData:
     share one list, kept in ``tables``.
     """
 
-    __slots__ = ("length", "free_speed", "jam", "cap", "inv_len_lanes", "target",
-                 "to_node", "to_signal", "is_ew", "ff_time", "x0", "y0", "dx", "dy")
+    __slots__ = ("free_speed", "jam", "cap", "inv_len_lanes", "target",
+                 "to_node", "to_signal", "is_ew", "ff_time")
 
     def __init__(self, link: roadnet.Link, network: roadnet.RoadNetwork,
                  tables: dict[tuple, list[float]]):
-        self.length = link.length
+        roadnet.LinkLine.__init__(self, link, network)
         self.free_speed = link.free_speed
         self.jam = link.jam_density
         len_lanes_km = link.length / 1000.0 * link.lanes
@@ -322,18 +324,9 @@ class _LinkData:
         self.target = target
         self.to_node = link.to_node
         self.to_signal = network.has_signal(link.to_node)
-        a = network.nodes[link.from_node]
-        b = network.nodes[link.to_node]
         # approach axis decides which phase is green; ties read as east-west
-        self.is_ew = abs(b.x - a.x) >= abs(b.y - a.y)
+        self.is_ew = abs(self.dx) >= abs(self.dy)
         self.ff_time = link.length / (link.free_speed / 3.6)
-        self.x0, self.y0 = a.x, a.y
-        self.dx, self.dy = b.x - a.x, b.y - a.y
-
-    def point(self, pos: float) -> tuple[float, float]:
-        """Plane coordinates of ``pos`` metres along the link."""
-        f = pos / self.length
-        return self.x0 + self.dx * f, self.y0 + self.dy * f
 
 
 def _check_nodes(network: roadnet.RoadNetwork, trips, field: str) -> None:
@@ -356,7 +349,8 @@ class Simulation:
     object gets ``comm.step(sim, now)`` once per step after movement and
     admission. It reads ``updates`` (every report, in creation order),
     ``carriers`` (the en-route vehicles that hold pending reports, asleep
-    or not, in step order), ``position(veh)`` and ``fleet_points()``, and
+    or not, in step order), ``position(veh)`` and
+    ``cell_tallies(index)`` (the en-route fleet counted by RSU cover), and
     takes what it sends out of ``veh.pending``. ``enroute`` is the whole
     en-route fleet in step order.
     """
@@ -431,6 +425,10 @@ class Simulation:
         self.parked_full_steps = 0
         self.cruise_steps = 0
         self.visited_steps = 0
+        # vehicles the uplink's recounts located, and those of them whose
+        # point took the exact test (``cell_tallies``)
+        self.recount_located = 0
+        self.recount_exact = 0
 
     # -- clock and public state ------------------------------------------
 
@@ -464,34 +462,48 @@ class Simulation:
             self._move_to(veh, self._moved)
         return self._lk[veh.route[0]].point(veh.pos)
 
-    def fleet_points(self) -> dict[tuple[float, float], int]:
-        """The en-route fleet as {(x, y): vehicles there}.
+    def cell_tallies(self, index: roadnet.CoverageIndex) -> dict[int, int]:
+        """The en-route fleet as {cover id of ``index``: vehicles there}.
 
-        Each vehicle is located as ``position`` locates it. Those at a
-        link's stop line, every parked one among them, stand at the point
-        it gives at pos == length, so they are counted per link and that
-        point is located once.
+        Each vehicle's pos is placed in its link's profile
+        (``index.profile``, built the first time a tally meets the link),
+        and only a pos in a guard band takes the exact test on its point,
+        the one ``position`` gives. A cruiser is placed by its estimate
+        pos + inc * k, k the steps it has not applied yet: that is off by
+        at most k + 2 roundings of a pos, a small part of a band for k up
+        to ``_ESTIMATE_STEPS``, so an estimate outside every band gets the
+        cover of the settled position. The cruiser is settled (its moves
+        applied, as ``position`` does) only where the estimate falls in a
+        band, or at or past the stop line.
         """
+        profiles = index.profiles
+        build = index.profile
         lks = self._lk
         moved = self._moved
-        ends: dict[int, int] = {}
-        points: dict[tuple[float, float], int] = {}
-        get = points.get
+        tallies: dict[int, int] = {}
+        get = tallies.get
+        exact = 0
         for veh in self.enroute:
             lid = veh.route[0]
-            lk = lks[lid]
+            cuts, covers = profiles.get(lid) or build(lid)
+            pos = veh.pos
             if veh.moved_to:
-                self._move_to(veh, moved)
-            elif veh.pos == lk.length:
-                ends[lid] = ends.get(lid, 0) + 1
-                continue
-            p = lk.point(veh.pos)
-            points[p] = get(p, 0) + 1
-        for lid, k in ends.items():
-            lk = lks[lid]
-            p = lk.point(lk.length)
-            points[p] = get(p, 0) + k
-        return points
+                k = moved - veh.moved_to
+                est = pos + veh.speed / 3.6 * DT * k
+                cid = covers[bisect_right(cuts, est)]
+                if cid < 0 or est >= cuts[-1] or k > _ESTIMATE_STEPS:
+                    self._move_to(veh, moved)
+                    pos = veh.pos
+                    cid = covers[bisect_right(cuts, pos)]
+            else:
+                cid = covers[bisect_right(cuts, pos)]
+            if cid < 0:
+                exact += 1
+                cid = index.cover_of(*lks[lid].point(pos))
+            tallies[cid] = get(cid, 0) + 1
+        self.recount_located += len(self.enroute)
+        self.recount_exact += exact
+        return tallies
 
     # -- engine-map plumbing ----------------------------------------------
 

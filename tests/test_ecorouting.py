@@ -172,8 +172,8 @@ class StubSim:
     def position(self, veh):
         return self.xy
 
-    def fleet_points(self):
-        return {self.xy: len(self.fleet)}
+    def cell_tallies(self, index):
+        return {index.cover_of(*self.xy): len(self.fleet)}
 
 
 def rsu_cell_network():
@@ -269,16 +269,20 @@ def test_saturated_cell_takes_every_report_once():
 
 # --- closed loop ----------------------------------------------------------------
 
-def grid_scenario(mode, comm_cls=eco.CommModule):
-    net = rn.gen_grid(3, 3, spacing=150.0)
-    index = rn.CoverageIndex(net, [1, 5, 9], 160.0)
+GRID_OD = ((1, 9, 400.0, 0.0, 240.0), (3, 7, 400.0, 0.0, 240.0))
+
+
+def grid_scenario(mode, comm_cls=eco.CommModule, *, net=None, range_m=160.0,
+                  od_rows=GRID_OD):
+    """A 3x3 grid at 150 m spacing (or net) with RSUs on nodes 1, 5 and 9."""
+    net = net or rn.gen_grid(3, 3, spacing=150.0)
+    index = rn.CoverageIndex(net, [1, 5, 9], range_m)
     table = eco.TmcCostTable(net)
     router = eco.EcoRouter(net, table, eta=0.05, seed=21)
     params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
                                     payload_bits=8000, queue_capacity=64)
     comm = comm_cls(index, table, params, mode=mode, seed=4)
-    od = traffic.OdDemand((traffic.OdEntry(1, 9, 400.0, 0.0, 240.0),
-                           traffic.OdEntry(3, 7, 400.0, 0.0, 240.0)))
+    od = traffic.OdDemand(tuple(traffic.OdEntry(*row) for row in od_rows))
     sim = traffic.Simulation(net, demand=od, seed=17, router=router, comm=comm)
     sim.run()
     return sim, table, comm
@@ -351,28 +355,78 @@ class CheckedIdealComm(eco.CommModule):
 
 
 class RecountParity(eco.CommModule):
-    """Realistic uplink that checks each recount against every vehicle's position."""
+    """Realistic uplink that checks each recount against every vehicle's position.
 
-    recounts = shared = 0
+    It also counts the cruisers that the tally placed by an estimate
+    (``lagging``: moves not yet applied) and those it settled.
+    """
+
+    recounts = lagging = settled = 0
 
     def _recount(self, sim, now):
-        points = sim.fleet_points()
-        assert sum(points.values()) == len(sim.enroute)
+        lagging = [v for v in sim.enroute if 0 < v.moved_to < sim._moved]
+        tallies = sim.cell_tallies(self.index)
+        self.lagging += len(lagging)
+        self.settled += sum(v.moved_to == sim._moved for v in lagging)
+        assert sum(tallies.values()) == len(sim.enroute)
         xy = [sim.position(veh) for veh in sim.enroute]
         reach = self.index.range_m
         each = {rid: sum(math.hypot(x - rx, y - ry) <= reach for x, y in xy)
                 for rid, (rx, ry) in enumerate(self.index._xy)}
-        assert self.index.count_per_rsu(points) == each
+        assert self.index.count_per_rsu(tallies) == each
         self.recounts += 1
-        self.shared += len(sim.enroute) - len(points)
         super()._recount(sim, now)
 
 
 def test_recount_counts_equal_a_count_of_every_position():
     sim, _, comm = grid_scenario("realistic", comm_cls=RecountParity)
     assert comm.recounts > 300 and comm.delivered > 0
-    # some vehicles shared a point, as those parked on one link always do
-    assert comm.shared > 0
+    # cruisers were placed by their estimates, and parked vehicles by
+    # their link's stop line
+    assert comm.lagging > 0 and sim.parked_red_steps > 0
+    assert sim.recount_located > sim.recount_exact
+
+
+def _moved_grid(move):
+    """The 3x3 grid of grid_scenario with each node at move(x, y)."""
+    net = rn.gen_grid(3, 3, spacing=150.0)
+    nodes = [rn.Node(n.id, *move(n.x, n.y)) for n in net.nodes.values()]
+    return rn.RoadNetwork(nodes, net.links.values(), net.signals.values())
+
+
+def _turned(x, y, a=0.5):
+    return x * math.cos(a) - y * math.sin(a), x * math.sin(a) + y * math.cos(a)
+
+
+LOADED_OD = ((1, 9, 1500.0, 0.0, 240.0), (9, 1, 1500.0, 0.0, 240.0),
+             (3, 7, 1500.0, 0.0, 240.0), (7, 3, 1500.0, 0.0, 240.0))
+
+
+@pytest.mark.parametrize("case", ["range-on-nodes", "diagonal-loaded", "far",
+                                  "tiny-range"])
+def test_recount_counts_in_guard_bands(case):
+    """Recounts where positions fall in guard bands still count every position.
+
+    range-on-nodes: the range equals the spacing, so disk edges fall on
+    nodes, where parked vehicles stand and entering ones start.
+    diagonal-loaded: the grid turned by 0.5 rad and loaded until queues
+    form. far: the grid moved to about 1e6 m, where a band is about a metre
+    wide, so cruisers' estimates land in bands. tiny-range: a range of
+    1e-306 m, all band, in range only on an RSU's node.
+    """
+    kwargs = {
+        "range-on-nodes": {"range_m": 150.0},
+        "diagonal-loaded": {"net": _moved_grid(_turned), "od_rows": LOADED_OD},
+        "far": {"net": _moved_grid(lambda x, y: (x + 1e6, y + 1e6 + 0.3))},
+        "tiny-range": {"range_m": 1e-306},
+    }[case]
+    sim, _, comm = grid_scenario("realistic", comm_cls=RecountParity, **kwargs)
+    assert comm.recounts > 300
+    assert sim.recount_exact > 0 or case == "diagonal-loaded"
+    if case == "far":
+        assert comm.settled > 0
+    if case == "diagonal-loaded":
+        assert sim.parked_full_steps > 0
 
 
 def test_ideal_mode_empties_carriers_every_step():

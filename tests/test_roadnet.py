@@ -8,6 +8,7 @@ all-pairs greedy that recounts every uncovered signal in every round.
 Spatial queries are checked against a naive scan over every RSU.
 """
 
+import bisect
 import heapq
 import itertools
 import math
@@ -321,6 +322,14 @@ def test_points_in_range_have_neighboring_cell_keys():
         assert abs(kax - kbx) <= 1 and abs(kay - kby) <= 1, (ax, ay, bx, by, r)
 
 
+def tally(idx, points):
+    """{cover id: vehicles} from {(x, y): vehicles there}."""
+    out = Counter()
+    for (x, y), k in points.items():
+        out[idx.cover_of(x, y)] += k
+    return out
+
+
 def test_range_below_a_meter_keeps_cell_keys_finite():
     # coordinate / range overflows to inf at 1e-306; each signal covers itself
     net = rn.gen_grid(3, 3, spacing=150.0)
@@ -328,11 +337,12 @@ def test_range_below_a_meter_keeps_cell_keys_finite():
     idx = rn.CoverageIndex(net, [1, 9], 1e-306)
     assert idx.connected_rsu(0.0, 0.0) == 0
     assert idx.connected_rsu(1e300, -1e300) is None
-    assert idx.count_per_rsu(Counter([(0.0, 0.0), (300.0, 300.0), (1.0, 0.0)])) == {
-        0: 1, 1: 1}
+    assert idx.count_per_rsu(tally(idx, Counter([(0.0, 0.0), (300.0, 300.0),
+                                                (1.0, 0.0)]))) == {0: 1, 1: 1}
     alone = rn.CoverageIndex(net, [1], 1e-306)   # one RSU, at the origin
     assert alone.connected_rsu(1e300, 0.0) is None
-    assert alone.count_per_rsu(Counter([(0.0, 0.0), (450.0, 450.0)])) == {0: 1}
+    assert alone.count_per_rsu(tally(alone, Counter([(0.0, 0.0), (450.0, 450.0)]))) == {
+        0: 1}
 
 
 def test_connected_rsu_basics():
@@ -357,20 +367,20 @@ def test_count_per_rsu_constructed():
     idx = rn.CoverageIndex(net, [1], 100.0)
     inside = [(0.0, 0.0), (99.0, 0.0), (0.0, 100.0)]   # boundary included
     outside = [(101.0, 0.0), (500.0, 500.0)]
-    assert idx.count_per_rsu(Counter(inside + outside)) == {0: 3}
+    assert idx.count_per_rsu(tally(idx, Counter(inside + outside))) == {0: 3}
 
 
 def test_count_per_rsu_weighs_each_point_by_its_vehicles():
     net = rn.gen_grid(2, 2, spacing=1000.0)
     idx = rn.CoverageIndex(net, [1, 2], 100.0)   # at (0, 0) and (1000, 0)
     points = {(0.0, 0.0): 4, (0.0, 100.0): 2, (101.0, 0.0): 7, (950.0, 0.0): 3}
-    assert idx.count_per_rsu(points) == {0: 6, 1: 3}
+    assert idx.count_per_rsu(tally(idx, points)) == {0: 6, 1: 3}
 
 
 def test_empty_index_counts_nothing_and_connects_nothing():
     idx = rn.CoverageIndex(rn.gen_grid(2, 2, spacing=100.0), [], 250.0)
     assert list(idx.ids) == []
-    assert idx.count_per_rsu({(0.0, 0.0): 1, (50.0, 50.0): 2}) == {}
+    assert idx.count_per_rsu(tally(idx, {(0.0, 0.0): 1, (50.0, 50.0): 2})) == {}
     assert idx.connected_rsu(0.0, 0.0) is None
 
 
@@ -397,11 +407,123 @@ def test_spatial_index_matches_naive_scan():
     for x, y in positions:
         assert idx.connected_rsu(x, y) == naive_connected(x, y)
 
-    counts = idx.count_per_rsu(Counter(positions))
+    counts = idx.count_per_rsu(tally(idx, Counter(positions)))
     for rid, (rx, ry) in enumerate(rsus):
         naive = sum(1 for x, y in positions
                     if math.hypot(x - rx, y - ry) <= reach)
         assert counts[rid] == naive
+
+
+def _profile_instance(rng):
+    """A random diagonal link, near-tangent disks on it and distractors.
+
+    Returns (index, line, profile, RSU coordinates, range). Magnitudes go
+    from 1 m to 1e9 m; each disk meets the line at a distance from it of
+    range * (1 +- 10**-k), exactly range, or anywhere inside, and one in
+    three instances adds 40 RSUs around the link, so that the profile
+    finds its RSUs through the grid cells.
+    """
+    mag = 10.0 ** rng.choice([0, 2, 3, 6, 9])
+    ax, ay = rng.uniform(-mag, mag), rng.uniform(-mag, mag)
+    length = rng.uniform(1.0, 2000.0)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    ux, uy = math.cos(angle), math.sin(angle)
+    bx, by = ax + length * ux, ay + length * uy
+    r = rng.choice([1e-306, 10.0 ** rng.uniform(-3.0, 4.0), rng.uniform(1.0, 500.0)])
+    rsus = []
+    for _ in range(rng.randint(1, 4)):
+        foot = rng.uniform(-0.2, 1.2) * length
+        k = rng.randint(0, 17)
+        h = rng.choice([r, r * (1.0 - 10.0 ** -k), r * (1.0 + 10.0 ** -k),
+                        rng.uniform(0.0, r)])
+        side = rng.choice([-1.0, 1.0])
+        rsus.append((ax + foot * ux - side * h * uy, ay + foot * uy + side * h * ux))
+    if rng.random() < 1 / 3:
+        spread = length + 4.0 * r
+        rsus += [(ax + rng.uniform(-spread, spread), ay + rng.uniform(-spread, spread))
+                 for _ in range(40)]
+    nodes = [rn.Node(1, ax, ay), rn.Node(2, bx, by)]
+    nodes += [rn.Node(i + 3, x, y) for i, (x, y) in enumerate(rsus)]
+    # the link's stated length need not be the distance of its nodes
+    links = [rn.Link(1, 1, 2, length * rng.choice([1.0, 0.9, 1.1]), 1, 50.0, 120.0)]
+    links += [rn.Link(i + 2, 2, i + 3, 1.0, 1, 50.0, 120.0) for i in range(len(rsus))]
+    signals = [rn.Signal(i + 1, i + 3) for i in range(len(rsus))]
+    net = rn.RoadNetwork(nodes, links, signals)
+    idx = rn.CoverageIndex(net, [s.id for s in signals], r)
+    return idx, rn.LinkLine(net.links[1], net), idx.profile(1), rsus, r
+
+
+def _edge(line, rx, ry, r, lo, hi):
+    """A pos in [lo, hi] where the computed in-range test flips, by bisection."""
+    def inside(pos):
+        x, y = line.point(pos)
+        return math.hypot(x - rx, y - ry) <= r
+    if inside(lo) == inside(hi):
+        return None
+    want = inside(lo)
+    for _ in range(200):
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            break
+        if inside(mid) == want:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_profile_matches_the_exact_test_at_every_drawn_pos():
+    """Outside its guard bands the profile answers as the exact test does.
+
+    Positions are drawn uniformly, at and a few ulps around every cut,
+    and around every place inside a band where the computed test flips,
+    so a band narrower than the rounding of point and hypot would show.
+    """
+    rng = random.Random(2024)
+    decided = banded = edges = 0
+    for _ in range(400):
+        idx, line, prof, rsus, r = _profile_instance(rng)
+        length = line.length
+        draws = [rng.uniform(0.0, length) for _ in range(50)] + [0.0, length]
+        for i, cut in enumerate(prof.cuts):
+            draws += [cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf)]
+            if prof.covers[i] < 0:          # the band [cuts[i-1], cuts[i])
+                lo = prof.cuts[i - 1] if i else 0.0
+                for rx, ry in rsus:
+                    pos = _edge(line, rx, ry, r, lo, cut)
+                    if pos is not None:
+                        edges += 1
+                        for k in range(-40, 41):
+                            draws.append(pos + k * math.ulp(pos))
+                        draws += [pos + (cut - lo) * rng.uniform(-0.5, 0.5)
+                                  for _ in range(10)]
+        for pos in draws:
+            if not 0.0 <= pos <= length:
+                continue
+            cid = prof.covers[bisect.bisect_right(prof.cuts, pos)]
+            if cid < 0:
+                banded += 1
+                continue
+            decided += 1
+            x, y = line.point(pos)
+            want = {rid: int(math.hypot(x - rx, y - ry) <= r)
+                    for rid, (rx, ry) in enumerate(rsus)}
+            assert idx.count_per_rsu({cid: 1}) == want, (pos, length, r)
+    assert edges > 100 and decided > 0 and banded > 0
+
+
+def test_profile_is_built_on_first_use_and_kept():
+    net = rn.gen_grid(3, 3, spacing=150.0)
+    idx = rn.CoverageIndex(net, [1, 9], 150.0)
+    assert idx.profiles == {}
+    prof = idx.profile(1)              # node 1 (0, 0) to node 2 (150, 0)
+    assert idx.profiles == {1: prof}
+    # in range of RSU 0 from the from-node to the to-node, where the
+    # disk's edge falls: a guard band just before the stop line, whose
+    # own cover (the exact test at the to-node) has RSU 0
+    assert prof.cuts[-1] == 150.0 and prof.covers[-2] == -1
+    assert idx.count_per_rsu({prof.covers[0]: 1}) == {0: 1, 1: 0}
+    assert idx.count_per_rsu({prof.covers[-1]: 1}) == {0: 1, 1: 0}
 
 
 def test_coverage_metrics():
