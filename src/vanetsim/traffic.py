@@ -474,7 +474,8 @@ class Simulation:
         to ``_ESTIMATE_STEPS``, so an estimate outside every band gets the
         cover of the settled position. The cruiser is settled (its moves
         applied, as ``position`` does) only where the estimate falls in a
-        band, or at or past the stop line.
+        band, or at or past the stop line. ``index`` must be built on this
+        simulation's network, whose links its profiles are made from.
         """
         profiles = index.profiles
         build = index.profile
