@@ -263,8 +263,7 @@ def execute_run(sc: dict, *, odsf: float, mode: str, seed: int, out_dir) -> dict
                        parked_full_steps=sim.parked_full_steps,
                        cruise_steps=sim.cruise_steps,
                        visited_steps=sim.visited_steps,
-                       recount_located=sim.recount_located,
-                       recount_exact=sim.recount_exact)
+                       recount_exact=comm.index.exact_tests)
     log.info("run odsf=%s mode=%s: %.1f sim-s in %.2f wall-s (%.4f wall-s per sim-s)",
              odsf, mode, sim_s, wall, wall / sim_s if sim_s else float("nan"))
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -505,12 +506,18 @@ class LinkProfile(NamedTuple):
     A pos falls in entry ``bisect_right(cuts, pos)`` of ``covers``: the id
     of the set of RSUs whose range holds that pos's point (see
     `CoverageIndex.cover_of`), or -1 inside a guard band, where only the
-    exact test on the point decides. ``cuts`` ends with the link's length,
-    so pos == length, the stop line, falls in the last entry, which the
-    exact test on the to-node decided once.
+    exact test on ``line.point(pos)`` decides. ``cuts`` ends with the
+    link's length, so pos == length, the stop line, falls in the last
+    entry, which the exact test on the to-node decided once.
+
+    `CoverageIndex.cover_at` reads a profile so. `Simulation.cell_tallies`
+    repeats its bisection inline, calling ``cover_at`` only for a pos in
+    a band, because a call per vehicle costs about a fifth of the
+    tally's time.
     """
     cuts: list[float]
     covers: list[int]
+    line: LinkLine
 
 
 class CoverageIndex:
@@ -523,7 +530,8 @@ class CoverageIndex:
 
     A set of RSUs (in id order) that share a point's range is a cover,
     known by a small integer id (`cover_of`). ``profiles`` holds each
-    link's `LinkProfile` once `profile` has built it.
+    link's `LinkProfile` once `profile` has built it, and ``exact_tests``
+    counts the positions `cover_at` has sent to the exact test.
     """
 
     def __init__(self, network: RoadNetwork, signal_ids, range_m: float):
@@ -532,12 +540,12 @@ class CoverageIndex:
         nodes = [network.nodes[network.signals[sid].node] for sid in signal_ids]
         self._xy = [(node.x, node.y) for node in nodes]
         self.ids = range(len(self._xy))
-        self._span = max((max(abs(x), abs(y)) for x, y in self._xy), default=0.0)
         self._cell = _cell_size(range_m, self._xy)
         self._buckets = _bucket(self._xy, self._cell)
         self._covers: list[tuple[int, ...]] = []      # cover id -> RSU ids
         self._cover_ids: dict[tuple[int, ...], int] = {}
         self.profiles: dict[int, LinkProfile] = {}
+        self.exact_tests = 0
 
     def connected_rsu(self, x: float, y: float) -> int | None:
         """Nearest in-range RSU id; ties within 1e-9 m go to lowest id."""
@@ -572,19 +580,31 @@ class CoverageIndex:
                 counts[rid] += k
         return counts
 
+    def cover_at(self, lid: int, pos: float) -> int:
+        """Cover id of ``pos`` metres along link lid, as `cover_of` its point.
+
+        The link's profile decides, and in a guard band the exact test does.
+        """
+        cuts, covers, line = self.profiles.get(lid) or self.profile(lid)
+        cid = covers[bisect_right(cuts, pos)]
+        if cid < 0:
+            self.exact_tests += 1
+            cid = self.cover_of(*line.point(pos))
+        return cid
+
     def profile(self, lid: int) -> LinkProfile:
         """Build link lid's coverage profile and keep it in ``profiles``.
 
-        Each RSU near the link adds the cuts of `_disk_span`; between two
-        cuts every RSU is surely in range, surely not, or in its guard
-        band, and a stretch in no band gets the cover of the RSUs surely
-        in range. A stretch's state is read at its first pos, since its
-        cuts are where the states change.
+        Each RSU adds the cuts of `_disk_span` (none where its disk misses
+        the link); between two cuts every RSU is surely in range, surely
+        not, or in its guard band, and a stretch in no band gets the cover
+        of the RSUs surely in range. A stretch's state is read at its first
+        pos, since its cuts are where the states change.
         """
         line = LinkLine(self.network.links[lid], self.network)
         length = line.length
         spans = []
-        for rid in self._near_line(line):
+        for rid in self.ids:
             span = _disk_span(line, *self._xy[rid], self.range_m)
             if span is not None:
                 spans.append((rid, *span))
@@ -597,7 +617,7 @@ class CoverageIndex:
             covers.append(-1 if banded else self._cover_id(sure))
         cuts.append(length)
         covers.append(self.cover_of(*line.point(length)))
-        prof = self.profiles[lid] = LinkProfile(cuts, covers)
+        prof = self.profiles[lid] = LinkProfile(cuts, covers, line)
         return prof
 
     def _cover_id(self, cover: tuple[int, ...]) -> int:
@@ -606,27 +626,6 @@ class CoverageIndex:
             cid = self._cover_ids[cover] = len(self._covers)
             self._covers.append(cover)
         return cid
-
-    def _near_line(self, line: LinkLine):
-        """RSU ids, in id order, of every RSU whose disk may reach the line.
-
-        The grid cells of the line's bounding box, grown by twice the range
-        and guard band, hold them all: floor(x / cell) is monotone in x.
-        Where that box has more cells than there are RSUs, every RSU.
-        """
-        x0, y0, x1, y1 = line.x0, line.y0, line.x0 + line.dx, line.y0 + line.dy
-        big = max(abs(x0) + abs(line.dx), abs(y0) + abs(line.dy), self._span)
-        reach = 2.0 * (self.range_m + _CELL_MARGIN * (big + self.range_m))
-        lo = (min(x0, x1) - reach, min(y0, y1) - reach)
-        hi = (max(x0, x1) + reach, max(y0, y1) + reach)
-        if not all(map(math.isfinite, lo + hi)):
-            return self.ids
-        (kx0, ky0), (kx1, ky1) = _cell_key(*lo, self._cell), _cell_key(*hi, self._cell)
-        if (kx1 - kx0 + 1) * (ky1 - ky0 + 1) >= len(self._xy):
-            return self.ids
-        get = self._buckets.get
-        return sorted(rid for kx in range(kx0, kx1 + 1) for ky in range(ky0, ky1 + 1)
-                      for rid in get((kx, ky), ()))
 
 
 def _disk_span(line: LinkLine, rx: float, ry: float, range_m: float):

@@ -17,6 +17,7 @@ import pytest
 from vanetsim import ecorouting as eco
 from vanetsim import energy, mac_analytic, roadnet as rn, traffic
 from vanetsim.errors import SimulationError, ValidationError
+from vanetsim.floats import add_repeated
 
 
 def diamond():
@@ -357,15 +358,17 @@ class CheckedIdealComm(eco.CommModule):
 class RecountParity(eco.CommModule):
     """Realistic uplink that checks each recount against every vehicle's position.
 
-    It also counts the cruisers that the tally placed by an estimate
-    (``lagging``: moves not yet applied) and those it settled.
+    It also counts the vehicles the tallies located, the cruisers among
+    them that a tally placed by an estimate (``lagging``: moves not yet
+    applied) and those it settled.
     """
 
-    recounts = lagging = settled = 0
+    recounts = located = lagging = settled = 0
 
     def _recount(self, sim, now):
         lagging = [v for v in sim.enroute if 0 < v.moved_to < sim._moved]
         tallies = sim.cell_tallies(self.index)
+        self.located += len(sim.enroute)
         self.lagging += len(lagging)
         self.settled += sum(v.moved_to == sim._moved for v in lagging)
         assert sum(tallies.values()) == len(sim.enroute)
@@ -384,7 +387,7 @@ def test_recount_counts_equal_a_count_of_every_position():
     # cruisers were placed by their estimates, and parked vehicles by
     # their link's stop line
     assert comm.lagging > 0 and sim.parked_red_steps > 0
-    assert sim.recount_located > sim.recount_exact
+    assert comm.located > comm.index.exact_tests
 
 
 def _moved_grid(move):
@@ -422,11 +425,41 @@ def test_recount_counts_in_guard_bands(case):
     }[case]
     sim, _, comm = grid_scenario("realistic", comm_cls=RecountParity, **kwargs)
     assert comm.recounts > 300
-    assert sim.recount_exact > 0 or case == "diagonal-loaded"
+    assert 0 < comm.index.exact_tests <= comm.located or case == "diagonal-loaded"
     if case == "far":
         assert comm.settled > 0
     if case == "diagonal-loaded":
         assert sim.parked_full_steps > 0
+
+
+def test_cruiser_estimate_at_the_stop_line_is_settled():
+    """A cruiser whose estimate reaches the stop line, but not its moves.
+
+    Link 6 runs from (300, 0) to node 2 at (150, 0), the edge of RSU 0's
+    150 m disk: the to-node is in range, every pos short of it is not,
+    and the stretch before the stop line is a guard band. The estimate
+    pos + inc * k rounds up to the link's length while the k moves stop
+    short of it, so only the settled pos gets the exact answer.
+    """
+    net = rn.gen_grid(3, 3, spacing=150.0)
+    index = rn.CoverageIndex(net, [1], 150.0)
+    sim = traffic.Simulation(net, schedule=[])
+    rng = random.Random(5)
+    for _ in range(10_000):
+        speed, k = rng.uniform(20.0, 50.0), rng.randint(10, 50)
+        inc = speed / 3.6 * traffic.DT
+        pos = 150.0 - inc * k + rng.uniform(-1e-12, 1e-12)
+        if pos + inc * k >= 150.0 > add_repeated(pos, inc, k):
+            break
+    else:
+        pytest.fail("no estimate overshoots the stop line")
+    veh = traffic.Vehicle(1, traffic.Departure(0.0, 3, 2))
+    veh.route, veh.pos, veh.speed, veh.moved_to = [6], pos, speed, 1
+    sim.enroute.append(veh)
+    sim._moved = 1 + k
+    assert index.count_per_rsu(sim.cell_tallies(index)) == {0: 0}
+    assert veh.moved_to == sim._moved and veh.pos < 150.0
+    assert index.exact_tests == 1
 
 
 def test_ideal_mode_empties_carriers_every_step():

@@ -420,8 +420,8 @@ def _profile_instance(rng):
     Returns (index, line, profile, RSU coordinates, range). Magnitudes go
     from 1 m to 1e9 m; each disk meets the line at a distance from it of
     range * (1 +- 10**-k), exactly range, or anywhere inside, and one in
-    three instances adds 40 RSUs around the link, so that the profile
-    finds its RSUs through the grid cells.
+    three instances adds 40 RSUs around the link, most of whose disks
+    miss it.
     """
     mag = 10.0 ** rng.choice([0, 2, 3, 6, 9])
     ax, ay = rng.uniform(-mag, mag), rng.uniform(-mag, mag)
@@ -478,6 +478,7 @@ def test_profile_matches_the_exact_test_at_every_drawn_pos():
     Positions are drawn uniformly, at and a few ulps around every cut,
     and around every place inside a band where the computed test flips,
     so a band narrower than the rounding of point and hypot would show.
+    ``cover_at`` answers as the exact test at every pos, bands included.
     """
     rng = random.Random(2024)
     decided = banded = edges = 0
@@ -500,14 +501,15 @@ def test_profile_matches_the_exact_test_at_every_drawn_pos():
         for pos in draws:
             if not 0.0 <= pos <= length:
                 continue
+            x, y = line.point(pos)
+            want = {rid: int(math.hypot(x - rx, y - ry) <= r)
+                    for rid, (rx, ry) in enumerate(rsus)}
+            assert idx.count_per_rsu({idx.cover_at(1, pos): 1}) == want, (pos, length, r)
             cid = prof.covers[bisect.bisect_right(prof.cuts, pos)]
             if cid < 0:
                 banded += 1
                 continue
             decided += 1
-            x, y = line.point(pos)
-            want = {rid: int(math.hypot(x - rx, y - ry) <= r)
-                    for rid, (rx, ry) in enumerate(rsus)}
             assert idx.count_per_rsu({cid: 1}) == want, (pos, length, r)
     assert edges > 100 and decided > 0 and banded > 0
 
@@ -524,6 +526,11 @@ def test_profile_is_built_on_first_use_and_kept():
     assert prof.cuts[-1] == 150.0 and prof.covers[-2] == -1
     assert idx.count_per_rsu({prof.covers[0]: 1}) == {0: 1, 1: 0}
     assert idx.count_per_rsu({prof.covers[-1]: 1}) == {0: 1, 1: 0}
+    # only a pos in the band takes the exact test
+    assert idx.cover_at(1, 0.0) == prof.covers[0] and idx.exact_tests == 0
+    band = prof.cuts[-2]
+    assert idx.cover_at(1, band) == prof.covers[0] and idx.exact_tests == 1
+    assert idx.profiles == {1: prof}
 
 
 def test_coverage_metrics():
