@@ -1,34 +1,43 @@
 """Protocol constants for the DSRC control channel.
 
 Everything below describes the 10 MHz IEEE 802.11p profile at the
-mandatory 6 Mb/s OFDM rate. Each value below, apart from the EDCA
-sets, is the default of a MacParams field, and the solvers read it
-only through MacParams. A `solve-mac --params` record can set every
-MacParams field. A scenario file reaches only the payload size and the
-queue capacity (its [comm] keys payload_bytes and queue_capacity,
-beside access for the access mode); the rest stay at these values.
+mandatory 6 Mb/s OFDM rate, in two groups.
 
-Durations are seconds, frame sizes are bits. Control-frame sizes are
-bit-equivalents at the data rate with PHY overhead folded in, because
-the timing model charges every frame as bits / data_rate.
+The channel profile (the slot, SIFS, propagation allowance, data rate
+and control-frame sizes) is fixed: the solver and the event simulator
+read these constants directly, and no input sets them. Control-frame
+sizes are bit-equivalents at DATA_RATE with the PHY overhead folded in,
+because the timing model charges every frame as bits / DATA_RATE; so
+moving the rate, slot or SIFS alone would describe no 802.11p channel.
+The contention window doubles at each retry stage, 802.11's binary
+exponential back-off, with no base to set.
+
+The rest are the defaults of MacParams fields, which a caller can vary:
+the contention window w0, the doublings and capped retries, the AIFS,
+the queue capacity and the payload (the EDCA sets below vary the first
+four). A `solve-mac --params` record sets any MacParams field, and
+refuses a name that is not one. A scenario file reaches only the
+payload size and the queue capacity (its [comm] keys payload_bytes and
+queue_capacity, beside access for the access mode).
+
+Durations are seconds, frame sizes are bits.
 """
 
+# the fixed channel profile
 SLOT_TIME = 13e-6           # s, aSlotTime for 10 MHz channels
 SIFS_TIME = 32e-6           # s, aSIFSTime for 10 MHz channels
 PROPAGATION_DELAY = 1e-6    # s, one-way air-propagation allowance
 DATA_RATE = 6e6             # bit/s, mandatory rate on the control channel
-
-AIFS_SLOTS = 6              # best-effort AIFSN
-CW_MIN = 16                 # initial contention window w0 (draw in [0, w0-1])
-CW_SCALING = 2              # window growth factor per retry
-MAX_DOUBLINGS = 6           # retries that still grow the window (M)
-EXTRA_RETRIES = 1           # further retries at the capped window (f)
-QUEUE_CAPACITY = 64         # packets in system, head of line included (K)
-
 ACK_BITS = 1760
 RTS_BITS = 1840
 CTS_BITS = 1760
 
+# MacParams defaults
+AIFS_SLOTS = 6              # best-effort AIFSN
+CW_MIN = 16                 # initial contention window w0 (draw in [0, w0-1])
+MAX_DOUBLINGS = 6           # retries that still double the window (M)
+EXTRA_RETRIES = 1           # further retries at the capped window (f)
+QUEUE_CAPACITY = 64         # packets in system, head of line included (K)
 PAYLOAD_BITS = 8000         # 1000-byte application payload
 
 # EDCA parameter sets for the four-category comparison experiment.

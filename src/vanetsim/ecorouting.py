@@ -217,9 +217,6 @@ class CommModule:
 
     # -- reporting -------------------------------------------------------------
 
-    def in_flight(self) -> int:
-        return len(self._heap)
-
     def as_record(self) -> dict:
         done = self.delivered + self.dropped
         return {

@@ -30,6 +30,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from . import constants
+from .constants import (ACK_BITS, CTS_BITS, DATA_RATE, PROPAGATION_DELAY, RTS_BITS,
+                        SIFS_TIME, SLOT_TIME)
 from .errors import ConfigurationError, ConvergenceError, DegenerateInputError
 from .floats import left_sum
 
@@ -53,7 +55,11 @@ class AccessMode(Enum):
 
 @dataclass(frozen=True)
 class MacParams:
-    """Inputs of the cell model: population, load, and protocol timing.
+    """Inputs of the cell model that a caller varies: population, load,
+    queue, payload, access mode and the contention settings of one
+    access category. The channel's timing and control-frame sizes are
+    the fixed 802.11p profile in `constants`, which the model reads
+    directly.
 
     Built means valid: construction raises ConfigurationError naming
     every field out of range, so no consumer checks a MacParams again.
@@ -63,28 +69,18 @@ class MacParams:
     arrival_rate: float                 # packets/s offered per station
     queue_capacity: int = constants.QUEUE_CAPACITY
     w0: int = constants.CW_MIN
-    alpha: int = constants.CW_SCALING
     m_stages: int = constants.MAX_DOUBLINGS
     f_extra: int = constants.EXTRA_RETRIES
     aifs_slots: int = constants.AIFS_SLOTS
-    slot_time: float = constants.SLOT_TIME
-    sifs: float = constants.SIFS_TIME
-    data_rate: float = constants.DATA_RATE
     payload_bits: int = constants.PAYLOAD_BITS
-    ack_bits: int = constants.ACK_BITS
-    rts_bits: int = constants.RTS_BITS
-    cts_bits: int = constants.CTS_BITS
-    propagation_delay: float = constants.PROPAGATION_DELAY
     access_mode: AccessMode = AccessMode.BASIC
 
     def problems(self) -> list[str]:
         """Every violated field constraint, not just the first, each led by its field."""
         bad = []
-        # the float fields, which the range checks below do not keep finite
-        for name in ("arrival_rate", "slot_time", "sifs", "data_rate",
-                     "propagation_delay"):
-            if not math.isfinite(getattr(self, name)):
-                bad.append(f"{name} must be finite, got {getattr(self, name)}")
+        # the one float field, which the range check below does not keep finite
+        if not math.isfinite(self.arrival_rate):
+            bad.append(f"arrival_rate must be finite, got {self.arrival_rate}")
         if not 1 <= self.n_stations <= _FMAX:
             bad.append(f"n_stations must be in [1, {_FMAX:.3}], got {self.n_stations}")
         if not self.arrival_rate > 0:
@@ -94,8 +90,6 @@ class MacParams:
                        f"got {self.queue_capacity}")
         if not 2 <= self.w0 <= _FMAX:
             bad.append(f"w0 must be in [2, {_FMAX:.3}], got {self.w0}")
-        if not 2 <= self.alpha <= _FMAX:
-            bad.append(f"alpha must be in [2, {_FMAX:.3}], got {self.alpha}")
         if not 0 <= self.m_stages <= _FMAX:
             bad.append(f"m_stages must be in [0, {_FMAX:.3}], got {self.m_stages}")
         if not 0 <= self.f_extra <= _FMAX:
@@ -106,23 +100,13 @@ class MacParams:
                        f"{self.m_stages} + {self.f_extra}")
         # the largest window in logarithms, since its integer can be too
         # large to build; one binade of margin absorbs the rounding of log2
-        if (self.w0 >= 2 and self.alpha >= 2 and self.m_stages
-                >= (_WINDOW_LOG2_CAP - math.log2(self.w0)) / math.log2(self.alpha)):
-            bad.append(f"w0 * alpha ** m_stages must be below 2 ** {_WINDOW_LOG2_CAP}, "
-                       f"got {self.w0} * {self.alpha} ** {self.m_stages}")
+        if self.w0 >= 2 and self.m_stages >= _WINDOW_LOG2_CAP - math.log2(self.w0):
+            bad.append(f"w0 * 2 ** m_stages must be below 2 ** {_WINDOW_LOG2_CAP}, "
+                       f"got {self.w0} * 2 ** {self.m_stages}")
         if not 1 <= self.aifs_slots <= _FMAX:
             bad.append(f"aifs_slots must be in [1, {_FMAX:.3}], got {self.aifs_slots}")
-        if not self.slot_time > 0:
-            bad.append(f"slot_time must be > 0, got {self.slot_time}")
-        if self.sifs < 0:
-            bad.append(f"sifs must be >= 0, got {self.sifs}")
-        if not self.data_rate > 0:
-            bad.append(f"data_rate must be > 0, got {self.data_rate}")
-        for name in ("payload_bits", "ack_bits", "rts_bits", "cts_bits"):
-            if not 0 <= getattr(self, name) <= _FMAX:
-                bad.append(f"{name} must be in [0, {_FMAX:.3}], got {getattr(self, name)}")
-        if self.propagation_delay < 0:
-            bad.append(f"propagation_delay must be >= 0, got {self.propagation_delay}")
+        if not 0 <= self.payload_bits <= _FMAX:
+            bad.append(f"payload_bits must be in [0, {_FMAX:.3}], got {self.payload_bits}")
         return bad
 
     def validate(self) -> "MacParams":
@@ -177,30 +161,28 @@ class MacSolution:
 
 def window_sizes(params: MacParams) -> tuple[int, ...]:
     """Contention window per retry stage: doubles M times, then stays capped."""
-    return tuple(
-        params.w0 * params.alpha ** min(i, params.m_stages)
-        for i in range(params.retry_stages)
-    )
+    return tuple(params.w0 << min(i, params.m_stages)
+                 for i in range(params.retry_stages))
 
 
 def transmission_times(params: MacParams) -> tuple[float, float]:
     """Channel occupancy (t_s, t_f) in seconds of a successful and a failed attempt.
 
-    Every frame is charged bits / data_rate; the AIFS ahead of the attempt
+    Every frame is charged bits / DATA_RATE; the AIFS ahead of the attempt
     is part of both occupancies.
     """
-    t_aifs = params.aifs_slots * params.slot_time
-    t_frame = params.payload_bits / params.data_rate
-    t_pro = params.propagation_delay
-    t_ack = params.ack_bits / params.data_rate
+    t_aifs = params.aifs_slots * SLOT_TIME
+    t_frame = params.payload_bits / DATA_RATE
+    t_pro = PROPAGATION_DELAY
+    t_ack = ACK_BITS / DATA_RATE
     if params.access_mode is AccessMode.BASIC:
-        t_s = t_aifs + t_frame + t_pro + params.sifs + t_ack + t_pro
+        t_s = t_aifs + t_frame + t_pro + SIFS_TIME + t_ack + t_pro
         t_f = t_aifs + t_frame + t_pro
     else:
-        t_rts = params.rts_bits / params.data_rate
-        t_cts = params.cts_bits / params.data_rate
-        t_s = (t_aifs + t_rts + t_pro + params.sifs + t_cts + t_pro
-               + params.sifs + t_frame + t_pro + params.sifs + t_ack + t_pro)
+        t_rts = RTS_BITS / DATA_RATE
+        t_cts = CTS_BITS / DATA_RATE
+        t_s = (t_aifs + t_rts + t_pro + SIFS_TIME + t_cts + t_pro
+               + SIFS_TIME + t_frame + t_pro + SIFS_TIME + t_ack + t_pro)
         t_f = t_aifs + t_rts + t_pro
     return t_s, t_f
 
@@ -271,23 +253,22 @@ def normalize_p00_closed_form(p_col: float, p_idle: float, q0: float,
     """Geometric-series closed form of normalize_p00, as a cross-check.
 
     Unstable where the series ratios approach 1; callers should guard
-    p_col away from 1 and from 1/alpha.
+    p_col away from 1 and from 1/2, the inverse of the window's doubling.
     """
     if q0 >= 1.0:
         raise DegenerateInputError("q0 = 1 leaves no probability mass for the chain")
     p = p_col
-    w0, a = params.w0, params.alpha
-    m, r = params.m_stages, params.retry_stages
-    if abs(1.0 - p) < 1e-12 or abs(1.0 - a * p) < 1e-12:
-        raise DegenerateInputError("closed form is singular at p_col in {1, 1/alpha}")
+    w0, m, r = params.w0, params.m_stages, params.retry_stages
+    if abs(1.0 - p) < 1e-12 or abs(1.0 - 2 * p) < 1e-12:
+        raise DegenerateInputError("closed form is singular at p_col in {1, 1/2}")
     n_doubling = min(r - 1, m)  # stages beyond 0 whose window still grows
-    geo_ap = (a * p) * (1.0 - (a * p) ** n_doubling) / (1.0 - a * p)
+    geo_ap = (2 * p) * (1.0 - (2 * p) ** n_doubling) / (1.0 - 2 * p)
     geo_p_all = p * (1.0 - p ** (r - 1)) / (1.0 - p)
     if r - 1 > m:
         geo_p_capped = (p ** (m + 1)) * (1.0 - p ** (r - 1 - m)) / (1.0 - p)
     else:
         geo_p_capped = 0.0
-    tail = 0.5 * (w0 * geo_ap + w0 * a ** m * geo_p_capped - geo_p_all)
+    tail = 0.5 * (w0 * geo_ap + (w0 << m) * geo_p_capped - geo_p_all)
     inv = (q0 / (1.0 - q0)
            + (1.0 - p ** r) / (1.0 - p)
            + (w0 - 1) / (2.0 * p_idle)
@@ -407,7 +388,7 @@ def solve(params: MacParams) -> MacSolution:
     queue's p_rej alone.
     """
     t_s, t_f = transmission_times(params)
-    slot = params.slot_time
+    slot = SLOT_TIME
     ts_slots = t_s / slot
     tf_slots = t_f / slot
     decrements = [w - 1 for w in window_sizes(params)]

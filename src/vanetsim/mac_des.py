@@ -221,7 +221,7 @@ def simulate(config: DesConfig) -> DesStats:
     getrandbits = rng.getrandbits
     log = math.log
     ceil = math.ceil
-    slot = p.slot_time
+    slot = constants.SLOT_TIME
     t_s, t_f = transmission_times(p)
     t_aifs = p.aifs_slots * slot
     dur_success = t_s - t_aifs

@@ -407,8 +407,7 @@ class Simulation:
         self._admitted = 0
         self._waiters: dict[int, list[Vehicle]] = {lid: [] for lid in network.links}
         self._cruisers: dict[int, list[Vehicle]] = {}   # made on a link's first cruise
-        self._counts = {WAITING: len(self.vehicles), EN_ROUTE: 0,
-                        FINISHED: 0, DEFERRED: 0}
+        self._n_enroute = 0       # admitted minus finished, checked against enroute
         self._n = 0
         self._moved = 0           # steps the loop has moved the fleet through
         self._update_seq = 0
@@ -680,9 +679,10 @@ class Simulation:
             self._defer_waiting()
         self._n = n + 1
 
-        c = self._counts
-        if c[WAITING] + c[EN_ROUTE] + c[FINISHED] + c[DEFERRED] != len(self.vehicles):
-            raise SimulationError(f"conservation broken at t={now_end}: {c}")
+        if self._n_enroute != len(self.enroute):
+            raise SimulationError(
+                f"conservation broken at t={now_end}: {self._n_enroute} admitted "
+                f"and not finished, {len(self.enroute)} en route")
 
     def run(self, until: float | None = None) -> None:
         stop = self.horizon if until is None else min(until, self.horizon)
@@ -849,8 +849,7 @@ class Simulation:
             self._exit_link(veh, lid, lk, now_end)
             veh.state = FINISHED
             veh.finished_at = now_end
-            self._counts[EN_ROUTE] -= 1
-            self._counts[FINISHED] += 1
+            self._n_enroute -= 1
             if not veh.preload:
                 self.finished.append(veh)
             return True
@@ -920,16 +919,13 @@ class Simulation:
                 self._admitted += 1
                 self.enroute.append(veh)
                 self._awake.append(veh)
-                self._counts[WAITING] -= 1
-                self._counts[EN_ROUTE] += 1
+                self._n_enroute += 1
 
     def _defer_waiting(self) -> None:
         # demand window closed: whoever never found a spot gives up
         for q in self._entry_queues.values():
             for veh in q:
                 veh.state = DEFERRED
-                self._counts[WAITING] -= 1
-                self._counts[DEFERRED] += 1
             q.clear()
         self._demand_end = None
 

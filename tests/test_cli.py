@@ -189,12 +189,16 @@ def test_solve_mac_single_station_identity(capsys):
 
 
 def test_solve_mac_params_file_rejects_unknown_field(tmp_path, capsys):
+    # the channel profile (slot, rate, frame sizes, window doubling) is fixed:
+    # a record cannot set it
     path = tmp_path / "params.txt"
-    records.write_record(path, "mac_params",
-                         {"n_stations": 5, "arrival_rate": 20.0,
-                          "contention_window": 32})
-    assert cli.main(["solve-mac", "--params", str(path)]) == cli.EXIT_VALIDATION
-    assert "contention_window" in capsys.readouterr().err
+    for key, val in (("contention_window", 32), ("slot_time", 13e-6),
+                     ("alpha", 2), ("data_rate", 6e6)):
+        records.write_record(path, "mac_params",
+                             {"n_stations": 5, "arrival_rate": 20.0, key: val})
+        assert cli.main(["solve-mac", "--params", str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"unknown parameter field {key!r}" in err and "params.txt" in err
 
 
 def test_solve_mac_params_past_the_retry_limit_is_refused(tmp_path, capsys):
@@ -311,7 +315,7 @@ def test_window_beyond_float_range_is_refused(tmp_path, capsys):
     # 16 * 2 ** 1030 has no float: the solver's window sums would overflow
     path = tmp_path / "params.txt"
     records.write_record(path, "mac_params", {"n_stations": 5, "arrival_rate": 20.0,
-                                              "alpha": 2, "m_stages": 1030})
+                                              "m_stages": 1030})
     assert cli.main(["--quiet", "solve-mac", "--params", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "m_stages must be below" in err and "Traceback" not in err
@@ -703,11 +707,19 @@ def test_validate_mac_tiny_grid(tmp_path):
 
 def test_defaults_lists_tunables(capsys):
     assert cli.main(["defaults"]) == 0
-    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()
-             if not line.startswith("#")]
-    for key in ("queue_capacity", "slot_time", "routing.eta",
-                "comm.background_rate", "demand.odsf", "sim.a_max"):
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split()[0] for line in lines if not line.startswith("#")]
+    for key in ("routing.eta", "comm.background_rate", "demand.odsf", "sim.a_max"):
         assert key in names
+    # the MAC section is the defaulted MacParams fields; the fixed channel
+    # profile is not a tunable
+    mac = lines[lines.index("# mac parameters") + 1:lines.index("# scenario file")]
+    assert [line.split()[0] for line in mac] == [
+        "queue_capacity", "w0", "m_stages", "f_extra", "aifs_slots", "payload_bits",
+        "access_mode"]
+    for folded in ("slot_time", "sifs", "data_rate", "propagation_delay", "ack_bits",
+                   "rts_bits", "cts_bits", "alpha"):
+        assert folded not in names
     # each tunable once: under its scenario key where it has one
     assert len(names) == len(set(names))
     # fixed traffic constants are not tunables, and exact_energy is gone

@@ -204,7 +204,7 @@ def test_drop_fraction_matches_cell_probability():
     total = per * fleet
     p = sol.p_drop
     sigma = math.sqrt(p * (1.0 - p) / total)
-    assert module.dropped + module.in_flight() == total
+    assert module.dropped + module.as_record()["in_flight"] == total
     assert abs(module.dropped / total - p) <= 3.0 * sigma
 
     # drain: everything left must land, in nondecreasing stamped order
@@ -256,7 +256,7 @@ def test_saturated_cell_takes_every_report_once():
     assert module.cells[0] is sol
     # each report is dropped or in flight, and no carrier keeps one
     assert module.delivered == 0 and module.dropped > 0
-    assert module.dropped + module.in_flight() == 2000
+    assert module.dropped + module.as_record()["in_flight"] == 2000
     assert all(not c.pending for c in carriers)
 
     # a tick with nothing new to send, then the next recount: its offered
@@ -265,7 +265,7 @@ def test_saturated_cell_takes_every_report_once():
     module.step(StubSim(carriers, (0.0, 0.0)), 0.1 + module.refresh)
     window = (0.1 + module.refresh) - 0.1
     assert module.cells[0] is module._solve_cell(40, 200.0 + 2000 / window / 40)
-    assert module.dropped + module.in_flight() == 2000
+    assert module.dropped + module.as_record()["in_flight"] == 2000
 
 
 # --- closed loop ----------------------------------------------------------------
@@ -334,7 +334,7 @@ def test_fate_exclusivity_over_full_run():
     # a drained run leaves nothing queued on vehicles; only packets still
     # in flight inside the delivery heap at the horizon may stay queued
     queued = fates.count("queued")
-    assert queued == comm.in_flight()
+    assert queued == comm.as_record()["in_flight"]
     uids = [u.uid for u in sim.updates]
     assert len(set(uids)) == len(uids)
     for u in sim.updates:

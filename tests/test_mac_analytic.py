@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from vanetsim import mac_analytic as ma
+from vanetsim.constants import SLOT_TIME
 from vanetsim.errors import ConfigurationError, ConvergenceError, DegenerateInputError
 
 
@@ -29,7 +30,7 @@ def stages(p_col, p):
 def slot_times(p):
     """(t_s in slots, t_f in slots, slot) as solve hoists them for p."""
     t_s, t_f = ma.transmission_times(p)
-    return t_s / p.slot_time, t_f / p.slot_time, p.slot_time
+    return t_s / SLOT_TIME, t_f / SLOT_TIME, SLOT_TIME
 
 
 # ---------------------------------------------------------------- parameters
@@ -39,12 +40,11 @@ def test_validate_collects_every_problem():
         ma.MacParams(n_stations=0, arrival_rate=-1.0, w0=1)
     msg = str(err.value)
     assert "n_stations" in msg and "arrival_rate" in msg and "w0" in msg
-    # every float field must be finite
+    # the float field must be finite
     with pytest.raises(ConfigurationError) as err:
-        params(arrival_rate=math.inf, slot_time=math.nan, data_rate=math.inf)
+        params(arrival_rate=math.inf, w0=1)
     msg = str(err.value)
-    assert ("arrival_rate must be finite" in msg and "slot_time must be finite" in msg
-            and "data_rate must be finite" in msg)
+    assert "arrival_rate must be finite" in msg and "w0 must be in" in msg
 
 
 def test_validate_returns_self_on_good_params():
@@ -67,7 +67,7 @@ def test_retry_stages_stop_at_the_802_11_retry_limit():
 
 
 def test_window_sizes_double_then_cap():
-    # defaults: w0=16, alpha=2, M=6, f=1 -> 7 stages, capped at 1024
+    # defaults: w0=16, M=6, f=1 -> 7 stages, doubling to a cap of 1024
     assert ma.window_sizes(params()) == (16, 32, 64, 128, 256, 512, 1024)
     assert ma.window_sizes(params(m_stages=1, f_extra=2, w0=4)) == (4, 8, 8)
 
@@ -129,7 +129,7 @@ def test_closed_form_matches_summation():
         if m_stages + f_extra < 1:
             continue
         p = params(w0=w0, m_stages=m_stages, f_extra=f_extra)
-        p_col = rng.uniform(0.01, 0.45)  # away from 1/alpha and 1
+        p_col = rng.uniform(0.01, 0.45)  # away from 1/2 and 1
         p_idle = rng.uniform(0.05, 1.0)
         q0 = rng.uniform(0.0, 0.95)
         direct = ma.normalize_p00(*stages(p_col, p), p_idle, q0)
@@ -144,7 +144,7 @@ def test_degenerate_inputs_rejected():
     with pytest.raises(DegenerateInputError):
         ma.state_probabilities(0.1, 0.2, 0.0, 0.3, p)
     with pytest.raises(DegenerateInputError):
-        ma.normalize_p00_closed_form(0.5, 1.0, 0.2, p)  # p_col = 1/alpha
+        ma.normalize_p00_closed_form(0.5, 1.0, 0.2, p)  # p_col = 1/2
 
 
 # ------------------------------------------------------------- coupling
@@ -173,7 +173,7 @@ def test_coupling_single_station_never_collides():
 def test_service_time_no_collisions():
     p = params(w0=16)
     t_s, t_f = ma.transmission_times(p)
-    slot = p.slot_time
+    slot = SLOT_TIME
     got = ma._service_terms(0.0, 0.8, 0.3, 0.1, *stages(0.0, p), *slot_times(p))[0]
     t_w = 0.1 * (t_f / slot) + 0.3 * (t_s / slot) + 1.0 / 0.8
     want = slot * (t_w * 7.5 + t_s / slot)  # (w0-1)/2 = 7.5, t_tr_av = t_s
@@ -183,7 +183,7 @@ def test_service_time_no_collisions():
 def test_service_time_all_collisions_counts_every_stage():
     p = params(w0=4, m_stages=2, f_extra=1)
     t_s, t_f = ma.transmission_times(p)
-    slot = p.slot_time
+    slot = SLOT_TIME
     got = ma._service_terms(1.0, 0.5, 0.0, 0.4, *stages(1.0, p), *slot_times(p))[0]
     t_w = 0.4 * (t_f / slot) + 2.0
     t_tr = t_f / slot  # p_col = 1 -> every attempt fails
@@ -308,9 +308,8 @@ def test_solve_at_the_zero_load_limit(rate):
     assert sol.iterations == 1 and sol.residual < ma.FIXED_POINT_TOL
 
 
-@pytest.mark.parametrize("field", ["n_stations", "queue_capacity", "w0", "alpha",
-                                   "f_extra", "aifs_slots", "payload_bits", "ack_bits",
-                                   "rts_bits", "cts_bits"])
+@pytest.mark.parametrize("field", ["n_stations", "queue_capacity", "w0", "f_extra",
+                                   "aifs_slots", "payload_bits"])
 def test_int_beyond_float_range_is_refused(field):
     # the model makes floats of every int field; 10 ** 400 has none
     with pytest.raises(ConfigurationError, match=f"{field} must be in") as err:
@@ -323,18 +322,18 @@ def test_int_beyond_float_range_is_refused(field):
 
 def test_window_beyond_float_range_is_refused():
     with pytest.raises(ConfigurationError, match="m_stages must be below"):
-        params(alpha=2, m_stages=1030)
+        params(m_stages=1030)
     # checked in logarithms: an exponent this large is never built
     with pytest.raises(ConfigurationError, match="m_stages must be below"):
         params(m_stages=10 ** 400)
-    # just below the cap, and one stage past it: 2 * 256 ** 127 is 2 ** 1017
-    assert params(w0=2, alpha=2 ** 8, m_stages=127, f_extra=0).retry_stages == 127
+    # just below the cap, and one stage past it: 2 ** 800 * 2 ** 222 is 2 ** 1022
+    assert params(w0=2 ** 800, m_stages=222, f_extra=0).retry_stages == 222
     with pytest.raises(ConfigurationError, match="m_stages must be below"):
-        params(w0=2, alpha=2 ** 8, m_stages=128, f_extra=0)
+        params(w0=2 ** 800, m_stages=223, f_extra=0)
     # this window is in range, but 1022 stages are past 802.11's retry limit
     with pytest.raises(ConfigurationError,
                        match=r"m_stages \+ f_extra must be in \[1, 255\]"):
-        params(w0=2, alpha=2, m_stages=1021)
+        params(w0=2, m_stages=1021)
 
 
 def test_solve_drop_monotone_in_population():

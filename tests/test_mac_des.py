@@ -96,7 +96,7 @@ def test_micro_trace_fates_replayable():
     assert [row[0] for row in trace] == list(range(len(trace)))
     p = cfg.mac_params
     t_s, t_f = ma.transmission_times(p)
-    t_aifs = p.aifs_slots * p.slot_time
+    t_aifs = p.aifs_slots * constants.SLOT_TIME
     busy_until = 0.0
     for _, entity, birth, att, fate, done in trace:
         assert entity == 0
@@ -108,7 +108,7 @@ def test_micro_trace_fates_replayable():
             assert fate == "delivered" and att == 1
             # delay = grid alignment + AIFS + backoff*slot + exchange time
             residual = done - birth - (t_s - t_aifs) - t_aifs
-            assert 0.0 <= residual < p.w0 * p.slot_time + p.slot_time
+            assert 0.0 <= residual < p.w0 * constants.SLOT_TIME + constants.SLOT_TIME
             busy_until = done
     fates = {row[4] for row in trace}
     assert "delivered" in fates and "rejected" in fates

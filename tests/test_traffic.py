@@ -180,6 +180,18 @@ def test_position_overrun_diagnostic():
         sim.run()
 
 
+def test_vehicle_lost_from_enroute_breaks_conservation():
+    net = line_network([500.0, 500.0])
+    sched = [traffic.Departure(float(t), 1, 3) for t in range(3)]
+    sim = traffic.Simulation(net, schedule=sched,
+                             config=traffic.TrafficConfig(horizon=200.0))
+    sim.run(until=10.0)
+    assert len(sim.enroute) == 3
+    sim.enroute.pop(1)          # admitted, not finished, and no longer stepped
+    with pytest.raises(SimulationError, match="conservation broken"):
+        sim.step()
+
+
 def test_speed_density_relation_bounds():
     assert traffic.greenshields(50.0, 0.0, 120.0) == 50.0
     assert traffic.greenshields(50.0, 120.0, 120.0) == 0.0
