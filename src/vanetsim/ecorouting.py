@@ -64,19 +64,23 @@ class TmcCostTable:
 class EcoRouter:
     """Minimum-fuel route choice over the shared cost table.
 
-    Usable directly as a Simulation router. Each query draws one noise
-    factor per link it actually inspects, from a single seeded stream,
-    so runs replay exactly for a fixed seed and call order.
-    ``roadnet.shortest_path`` weighs a link only when it settles the
-    link's tail node, once per query, so each inspected link is weighed
-    once and no per-query cache of its factor is needed.
+    Usable directly as a Simulation router; a query returns the route as
+    link ids, the list ``roadnet.shortest_path`` builds. Each query draws
+    one noise factor per link it actually inspects, from a single seeded
+    stream, so runs replay exactly for a fixed seed and call order. The
+    search weighs a link by its id, only when it settles the link's tail
+    node, once per query, so each inspected link is weighed once and no
+    per-query cache of its factor is needed.
+
+    The noise half width ``eta`` lies in [0, 1]: a wider one can make a
+    factor, and so a weight, negative. At eta = 1 the factor is
+    1 + (-1 + 2r) >= 0, since -1 + 2r rounds to no less than -1.
     """
 
     def __init__(self, network: roadnet.RoadNetwork, table: TmcCostTable,
                  *, eta: float = ETA, seed: int = 0):
-        if not 0.0 <= eta < math.inf:
-            raise ValidationError(f"noise width {eta} must be finite and not negative",
-                                  field="eta")
+        if not 0.0 <= eta <= 1.0:
+            raise ValidationError(f"noise width {eta} outside [0, 1]", field="eta")
         self.network = network
         self.table = table
         self.eta = eta
@@ -89,12 +93,11 @@ class EcoRouter:
         lo = -self.eta
         span = self.eta - lo
 
-        def weight(ln):
-            return costs[ln.id] * (1.0 + (lo + span * rnd()))
+        def weight(lid):
+            return costs[lid] * (1.0 + (lo + span * rnd()))
 
-        path = roadnet.shortest_path(self.network, at_node,
+        return roadnet.shortest_path(self.network, at_node,
                                      vehicle.destination, weight)
-        return [ln.id for ln in path]
 
 
 class CommModule:

@@ -70,20 +70,25 @@ class Signal:
 
 
 class RoadNetwork:
-    """Immutable after construction; safe to share between threads."""
+    """Immutable after construction; safe to share between threads.
+
+    ``_index`` maps node ids to 0..n-1, and ``_adj[i]`` holds the
+    (head index, link id) pairs of node i's out-links, sorted by link id;
+    only `shortest_path` reads them.
+    """
 
     def __init__(self, nodes, links, signals):
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
         self.links: dict[int, Link] = {l.id: l for l in links}
         self.signals: dict[int, Signal] = {s.id: s for s in signals}
-        self._out: dict[int, tuple[Link, ...]] = {}
-        grouped: dict[int, list[Link]] = {}
-        for link in self.links.values():
-            grouped.setdefault(link.from_node, []).append(link)
-        for nid, out in grouped.items():
-            self._out[nid] = tuple(sorted(out, key=lambda l: l.id))
         self._signal_nodes = frozenset(s.node for s in self.signals.values())
         self._validate()
+        index = self._index = {nid: i for i, nid in enumerate(self.nodes)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in index]
+        for lid in sorted(self.links):
+            link = self.links[lid]
+            adj[index[link.from_node]].append((index[link.to_node], lid))
+        self._adj = [tuple(out) for out in adj]
 
     def _validate(self) -> None:
         if not self.nodes:
@@ -287,47 +292,57 @@ def gen_grid(rows: int = GRID_ROWS, cols: int = GRID_COLS,
 
 
 def shortest_path(network: RoadNetwork, origin: int, destination: int,
-                  weight) -> list[Link]:
-    """Deterministic label-setting minimum-cost path.
+                  weight) -> list[int]:
+    """Deterministic label-setting minimum-cost path, as a list of link ids.
 
-    weight(link) must be >= 0. It is called once for each link inspected,
-    when the link's tail node is settled, and every node settles at most
-    once per query. Exact cost ties resolve to the lexicographically
-    smallest link-id sequence, which makes route choice reproducible on
-    symmetric networks.
+    weight(link_id) must be >= 0. It is called once for each link
+    inspected, when the link's tail node is settled, and every node
+    settles at most once per query. Exact cost ties resolve to the
+    lexicographically smallest link-id sequence, which makes route choice
+    reproducible on symmetric networks. Both nodes must exist, even when
+    they are the same one (then the path is empty); an unknown node, or
+    no path, raises NoPathError.
+
+    The search runs over the network's dense node index: labels, lowest
+    costs and settled marks are indexed by node position, and the heap
+    holds (cost, link ids so far, node position). Two labels with equal
+    cost and link ids are for the same node, so the position never
+    decides an order that the node id would not.
 
     A label costlier than the cheapest one already pushed for its node
     can only pop after that node settles, so it is not pushed; a label
     of equal cost is, since its link ids may win the tie.
     """
-    if origin == destination:
-        return []
-    if origin not in network.nodes or destination not in network.nodes:
+    index = network._index
+    src, dst = index.get(origin), index.get(destination)
+    if src is None or dst is None:
         raise NoPathError(f"unknown node in query {origin}->{destination}")
+    if src == dst:
+        return []
     push, pop = heapq.heappush, heapq.heappop
-    out, links = network._out, network.links
-    heap = [(0.0, (), origin)]
-    best = {origin: 0.0}  # lowest cost pushed per node
-    settled: set[int] = set()
+    adj = network._adj
+    heap = [(0.0, (), src)]
+    best = [math.inf] * len(adj)  # lowest cost pushed per node
+    best[src] = 0.0
+    settled = [False] * len(adj)
     while heap:
         cost, seq, node = pop(heap)
-        if node in settled:
+        if settled[node]:
             continue
-        settled.add(node)
-        if node == destination:
-            return [links[lid] for lid in seq]
-        for link in out.get(node, ()):
-            to = link.to_node
-            if to in settled:
+        settled[node] = True
+        if node == dst:
+            return list(seq)
+        for to, lid in adj[node]:
+            if settled[to]:
                 continue
-            w = weight(link)
+            w = weight(lid)
             if w < 0:
-                raise ValidationError(f"negative weight on link {link.id}")
+                raise ValidationError(f"negative weight on link {lid}")
             c = cost + w
-            if c > best.get(to, math.inf):
+            if c > best[to]:
                 continue
             best[to] = c
-            push(heap, (c, seq + (link.id,), to))
+            push(heap, (c, seq + (lid,), to))
     raise NoPathError(f"no path {origin}->{destination}")
 
 

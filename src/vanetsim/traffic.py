@@ -283,14 +283,14 @@ class NfdSample:
 def free_flow_router(network: roadnet.RoadNetwork):
     """Static shortest-time router with a per-OD cache."""
     cache: dict[tuple[int, int], list[int]] = {}
+    times = {lid: ln.length / ln.free_speed for lid, ln in network.links.items()}
 
     def route(now, vehicle, at_node):
         key = (at_node, vehicle.destination)
         got = cache.get(key)
         if got is None:
-            path = roadnet.shortest_path(network, at_node, vehicle.destination,
-                                         lambda ln: ln.length / ln.free_speed)
-            got = cache[key] = [ln.id for ln in path]
+            got = cache[key] = roadnet.shortest_path(
+                network, at_node, vehicle.destination, times.__getitem__)
         return got
 
     return route
@@ -837,7 +837,7 @@ class Simulation:
         to = lk.to_node
         if to != veh.destination and not veh.decided:
             tail = self.router(n * DT, veh, to)
-            veh.route = [lid] + list(tail)
+            veh.route = [lid, *tail]
             veh.decided = True
         flips = n // self._phase_steps
         if lk.to_signal and flips % 2 != (0 if lk.is_ew else 1):

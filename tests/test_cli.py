@@ -165,6 +165,24 @@ def test_refused_mac_value_stops_before_any_output(tmp_path, capsys, key, value,
         assert not out.exists()
 
 
+# EcoRouter refuses a route-noise width above 1, which could weigh a link
+# below zero mid-run; build_run names the key before any output, in both
+# uplink modes.
+@pytest.mark.parametrize("value", ["1.5", "3"])
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+def test_refused_noise_width_stops_before_any_output(tmp_path, capsys, value, mode):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[demand]\nod = 1 4 300 0 60\n\n[routing]\neta = {value}\n")
+    out = tmp_path / "o"
+    for cmd in ("run", "sweep"):
+        assert cli.main(["--quiet", cmd, "--scenario", str(path), "--out", str(out),
+                         "--mode", mode]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "[routing] eta" in err and "outside [0, 1]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_scenario_rejects_out_of_range_odsf(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(TINY_SCENARIO.replace("odsf = 0.5 1.0", "odsf = 0.0 1.0"))

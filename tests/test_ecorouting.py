@@ -11,6 +11,7 @@ import collections
 import dataclasses
 import math
 import random
+import types
 
 import pytest
 
@@ -18,6 +19,8 @@ from vanetsim import ecorouting as eco
 from vanetsim import energy, mac_analytic, roadnet as rn, traffic
 from vanetsim.errors import SimulationError, ValidationError
 from vanetsim.floats import add_repeated
+
+from test_roadnet import reference_shortest_path
 
 
 def diamond():
@@ -89,6 +92,23 @@ def test_apply_update_rejects_undelivered():
 
 # --- routing ----------------------------------------------------------------
 
+def test_router_noise_width_is_at_most_one():
+    net = diamond()
+    table = eco.TmcCostTable(net)
+    for eta in (math.nextafter(1.0, 2.0), 1.5, 3.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="outside") as err:
+            eco.EcoRouter(net, table, eta=eta)
+        assert err.value.field == "eta"
+    # at eta = 1 the factor 1 + (-1 + 2r) is never negative: r = 0 makes
+    # it 0 exactly, and every link then weighs 0
+    router = eco.EcoRouter(net, table, eta=1.0, seed=3)
+    for r in (0.0, 2.0 ** -60, 0.25, 0.5 - 2.0 ** -54, 1.0 - 2.0 ** -53):
+        router._rng = types.SimpleNamespace(random=lambda r=r: r)
+        assert router(0.0, Dest(4), 1) in ([1, 3], [2, 4])
+    router._rng = types.SimpleNamespace(random=lambda: 0.0)
+    assert router(0.0, Dest(4), 1) == [1, 3]    # all weights 0: the id tie rule
+
+
 def test_router_zero_noise_argmin_ties_and_scaling():
     net = diamond()
     table = eco.TmcCostTable(net)
@@ -127,16 +147,18 @@ def test_router_draws_one_factor_per_weighed_link():
     ref_rng = random.Random(4)
 
     def reference(origin, destination):
-        # a per-query cache of each link's factor, drawn with uniform()
+        # a per-query cache of each link's factor, drawn with uniform(), on
+        # the plain search over node ids, so the router's own search order
+        # is checked rather than mirrored
         eps = {}
 
-        def weight(ln):
-            e = eps.get(ln.id)
+        def weight(lid):
+            e = eps.get(lid)
             if e is None:
-                e = eps[ln.id] = ref_rng.uniform(-eta, eta)
-            return table.costs[ln.id] * (1.0 + e)
+                e = eps[lid] = ref_rng.uniform(-eta, eta)
+            return table.costs[lid] * (1.0 + e)
 
-        return [ln.id for ln in rn.shortest_path(net, origin, destination, weight)]
+        return reference_shortest_path(net, origin, destination, weight)
 
     nodes = sorted(net.nodes)
     for _ in range(300):
@@ -145,9 +167,9 @@ def test_router_draws_one_factor_per_weighed_link():
         assert router._rng.getstate() == ref_rng.getstate()
         weighed = collections.Counter()
 
-        def counting(ln):
-            weighed[ln.id] += 1
-            return table.costs[ln.id]
+        def counting(lid):
+            weighed[lid] += 1
+            return table.costs[lid]
 
         rn.shortest_path(net, origin, destination, counting)
         assert max(weighed.values()) == 1

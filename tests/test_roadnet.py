@@ -563,28 +563,48 @@ def test_shortest_path_picks_cheaper_route(tmp_path):
     net = rn.load_network(write(tmp_path, DIAMOND))
     # top route (links 1,3) costs 3, bottom (2,4) costs 2
     cost = {1: 1.0, 2: 1.0, 3: 2.0, 4: 1.0}
-    path = rn.shortest_path(net, 1, 4, lambda ln: cost[ln.id])
-    assert [ln.id for ln in path] == [2, 4]
+    assert rn.shortest_path(net, 1, 4, cost.__getitem__) == [2, 4]
 
 
 def test_shortest_path_tie_breaks_lexicographically(tmp_path):
     net = rn.load_network(write(tmp_path, DIAMOND))
     # both routes cost exactly 2.0; (1,3) < (2,4) as id sequences
-    path = rn.shortest_path(net, 1, 4, lambda ln: 1.0)
-    assert [ln.id for ln in path] == [1, 3]
+    assert rn.shortest_path(net, 1, 4, lambda lid: 1.0) == [1, 3]
 
 
 def test_shortest_path_trivial_and_unreachable(tmp_path):
     net = rn.load_network(write(tmp_path, DIAMOND))
-    assert rn.shortest_path(net, 2, 2, lambda ln: 1.0) == []
+    assert rn.shortest_path(net, 2, 2, lambda lid: 1.0) == []
     with pytest.raises(NoPathError):
-        rn.shortest_path(net, 4, 1, lambda ln: 1.0)  # links are one-way
+        rn.shortest_path(net, 4, 1, lambda lid: 1.0)  # links are one-way
+
+
+@pytest.mark.parametrize("origin,destination", [(999, 999), (999, 1), (1, 999)])
+def test_shortest_path_refuses_unknown_node_even_to_itself(tmp_path, origin,
+                                                           destination):
+    net = rn.load_network(write(tmp_path, DIAMOND))
+    with pytest.raises(NoPathError, match="unknown node"):
+        rn.shortest_path(net, origin, destination, lambda lid: 1.0)
+
+
+def test_shortest_path_refuses_negative_weight(tmp_path):
+    net = rn.load_network(write(tmp_path, DIAMOND))
+    with pytest.raises(ValidationError, match="negative weight on link 1"):
+        rn.shortest_path(net, 1, 4, lambda lid: -1.0)
 
 
 def reference_shortest_path(network, origin, destination, weight):
-    """Label-setting search that pushes every label, pruned or not."""
+    """Label-setting search over node ids that pushes every label, pruned or not.
+
+    weight takes a link id; the path comes back as link ids.
+    """
+    if origin not in network.nodes or destination not in network.nodes:
+        raise NoPathError(f"unknown node in query {origin}->{destination}")
     if origin == destination:
         return []
+    out = {}
+    for link in sorted(network.links.values(), key=lambda ln: ln.id):
+        out.setdefault(link.from_node, []).append(link)
     heap = [(0.0, (), origin)]
     settled = set()
     while heap:
@@ -593,55 +613,122 @@ def reference_shortest_path(network, origin, destination, weight):
             continue
         settled.add(node)
         if node == destination:
-            return [network.links[lid] for lid in seq]
-        for link in sorted((ln for ln in network.links.values()
-                            if ln.from_node == node), key=lambda ln: ln.id):
+            return list(seq)
+        for link in out.get(node, ()):
             if link.to_node not in settled:
-                heapq.heappush(heap, (cost + weight(link), seq + (link.id,),
+                heapq.heappush(heap, (cost + weight(link.id), seq + (link.id,),
                                       link.to_node))
     raise NoPathError(f"no path {origin}->{destination}")
 
 
-def random_network(rng, n_nodes, n_extra):
-    """Weakly connected: a random spanning tree plus extra links, some parallel."""
-    nodes = [rn.Node(i, float(i), 0.0) for i in range(1, n_nodes + 1)]
+def random_network(rng, n_nodes, n_extra, sparse=False):
+    """Weakly connected: a random spanning tree plus extra links, some parallel.
+
+    sparse=True draws node and link ids from a wide range and hands
+    nodes and links to RoadNetwork in shuffled order, so node ids are
+    neither contiguous nor in the dense index's order.
+    """
+    if sparse:
+        ids = rng.sample(range(1, 10 ** 6), n_nodes)
+    else:
+        ids = list(range(1, n_nodes + 1))
+    nodes = [rn.Node(nid, float(k), 0.0) for k, nid in enumerate(ids)]
     pairs = []
-    for i in range(2, n_nodes + 1):
-        j = rng.randint(1, i - 1)
-        pairs.append((i, j) if rng.random() < 0.5 else (j, i))
+    for i in range(1, n_nodes):
+        j = rng.randint(0, i - 1)
+        pairs.append((ids[i], ids[j]) if rng.random() < 0.5 else (ids[j], ids[i]))
     for _ in range(n_extra):
-        a, b = rng.sample(range(1, n_nodes + 1), 2)
-        pairs.append((a, b))
+        pairs.append(tuple(rng.sample(ids, 2)))
     rng.shuffle(pairs)
+    lids = (rng.sample(range(1, 10 ** 6), len(pairs)) if sparse
+            else range(1, len(pairs) + 1))
     links = [rn.Link(k, a, b, 100.0, 1, 50.0, 120.0)
-             for k, (a, b) in enumerate(pairs, start=1)]
+             for k, (a, b) in zip(lids, pairs)]
+    if sparse:
+        rng.shuffle(nodes)
+        rng.shuffle(links)
     return rn.RoadNetwork(nodes, links, [])
+
+
+def assert_searches_agree(net, origin, destination, make_weight):
+    """Same path (or NoPathError) and the same weight calls, in order.
+
+    make_weight() gives each search a fresh weight(lid), so a weight that
+    draws from a stream draws from its own copy.
+    """
+    got, calls = {}, {}
+    for key, search in (("fast", rn.shortest_path),
+                        ("reference", reference_shortest_path)):
+        weight, seen = make_weight(), calls.setdefault(key, [])
+
+        def recorded(lid, weight=weight, seen=seen):
+            seen.append(lid)
+            return weight(lid)
+
+        try:
+            got[key] = search(net, origin, destination, recorded)
+        except NoPathError:
+            got[key] = None
+    assert got["fast"] == got["reference"]
+    assert calls["fast"] == calls["reference"]
+    return got["fast"]
 
 
 def test_shortest_path_matches_reference_search():
     # Integer weights, zero included, make exact cost ties common, so the
     # lexicographic tie rule decides many of these queries.
     rng = random.Random(12)
-    for _ in range(60):
-        n_nodes = rng.randint(2, 14)
-        net = random_network(rng, n_nodes, rng.randint(0, 3 * n_nodes))
-        cost = {lid: float(rng.randint(0, 3)) for lid in net.links}
-        for _ in range(8):
-            origin, destination = (rng.randint(1, n_nodes) for _ in range(2))
-            calls = {"fast": [], "reference": []}
+    for sparse in (False, True):
+        for _ in range(60):
+            n_nodes = rng.randint(2, 14)
+            net = random_network(rng, n_nodes, rng.randint(0, 3 * n_nodes), sparse)
+            cost = {lid: float(rng.randint(0, 3)) for lid in net.links}
+            ids = sorted(net.nodes)
+            for _ in range(8):
+                origin, destination = (rng.choice(ids) for _ in range(2))
+                assert_searches_agree(net, origin, destination,
+                                      lambda: cost.__getitem__)
 
-            def weight(ln, key):
-                calls[key].append(ln.id)
-                return cost[ln.id]
 
-            got = {}
-            for key, search in (("fast", rn.shortest_path),
-                                ("reference", reference_shortest_path)):
-                try:
-                    path = search(net, origin, destination,
-                                  lambda ln, key=key: weight(ln, key))
-                    got[key] = [ln.id for ln in path]
-                except NoPathError:
-                    got[key] = None
-            assert got["fast"] == got["reference"]
-            assert calls["fast"] == calls["reference"]
+def test_shortest_path_matches_reference_with_dead_ends_and_parallel_links():
+    # Sparse shuffled ids; each network has nodes without out-links and
+    # pairs of nodes joined by several links of one direction.
+    rng = random.Random(5)
+    seen_dead_end = seen_parallel = False
+    for _ in range(40):
+        n_nodes = rng.randint(3, 12)
+        net = random_network(rng, n_nodes, 0, sparse=True)
+        links = list(net.links.values())
+        for _ in range(rng.randint(1, 6)):   # parallel copies of tree links
+            ln = rng.choice(links)
+            links.append(rn.Link(max(net.links) + len(links), ln.from_node,
+                                 ln.to_node, 100.0, 1, 50.0, 120.0))
+        net = rn.RoadNetwork(list(net.nodes.values()), links, [])
+        tails = {ln.from_node for ln in links}
+        seen_dead_end |= any(nid not in tails for nid in net.nodes)
+        seen_parallel |= len({(ln.from_node, ln.to_node) for ln in links}) < len(links)
+        cost = {lid: float(rng.randint(0, 2)) for lid in net.links}
+        for origin in net.nodes:
+            for destination in net.nodes:
+                assert_searches_agree(net, origin, destination,
+                                      lambda: cost.__getitem__)
+    assert seen_dead_end and seen_parallel
+
+
+def test_shortest_path_matches_reference_on_grid_with_noisy_costs():
+    # The router's protocol: float costs times a fresh noise factor per
+    # weight call.
+    net = rn.gen_grid(30, 30)
+    rng = random.Random(3)
+    cost = {lid: rng.uniform(0.005, 0.02) for lid in net.links}
+    nodes = sorted(net.nodes)
+    for q in range(200):
+        origin, destination = rng.sample(nodes, 2)
+
+        def make_weight(q=q):
+            draw = random.Random(q).random
+            return lambda lid: cost[lid] * (1.0 + (-0.15 + 0.3 * draw()))
+
+        path = assert_searches_agree(net, origin, destination, make_weight)
+        assert path and net.links[path[0]].from_node == origin
+        assert net.links[path[-1]].to_node == destination
