@@ -93,6 +93,18 @@ class RoadNetwork:
     def _validate(self) -> None:
         if not self.nodes:
             raise ValidationError("empty node list")
+        # before the connectivity walk and the dense index, which look
+        # every endpoint up
+        for link in self.links.values():
+            for end in (link.from_node, link.to_node):
+                if end not in self.nodes:
+                    raise ValidationError(
+                        f"link {link.id} references unknown node {end}", field="links")
+        for sig in self.signals.values():
+            if sig.node not in self.nodes:
+                raise ValidationError(
+                    f"signal {sig.id} references unknown node {sig.node}",
+                    field="signals")
         if not self._weakly_connected():
             raise ValidationError("graph is not weakly connected")
 

@@ -55,23 +55,27 @@ skipped burns are replayed at the wake, and before anything reads fuel
 stop line, whose RSUs its link's coverage profile holds, so
 ``cell_tallies`` places it without computing its point.
 
-A vehicle that holds its link's target speed is cruising, the second
-sleeping state. It enters at a step that kept its speed short of the
-stop line and looked its rates up at that speed, so each later step
-repeats it: the same target, the same increment of position and the same
-burn, for as long as the link's occupancy snapshot stays the same. The
-loop skips it until its wake: the step after any change of the link's
-occupancy (an entry, an exit or an admission), or at the latest the
-step that reaches the stop line, so every crossing and router draw
-happens where the per-step loop has it. The skipped moves and burns are
-replayed at the wake and before fuel is read. ``position`` brings the
-position alone up to date, since the uplink reads it; ``cell_tallies``
-does so only for a cruiser whose estimated position falls in a guard
+A vehicle that moved on its own link short of the stop line, in a step
+that left the link's count as the step's snapshot read it, sleeps
+moving. Each later step repeats the loop body with the same target for
+as long as that count holds: on a ramp, the speed steps toward the
+target by at most ``a_max * DT``; once there, it cruises, the ramp with
+no speed change, and every step adds the same increment of position and
+burns the same rates. The loop skips it until its wake: the step after
+any change of the link's count (an entry, an exit or an admission), or
+at the latest the first step whose move could reach the stop line,
+bounded from the faster of its speed and target, so every crossing and
+router draw happens where the per-step loop has it. The skipped steps
+are replayed at the wake, and before anything reads fuel, a ramp's
+speed or, in ``position``, the vehicle's point; ``cell_tallies`` replays
+only a vehicle whose estimated position lies near a cut or in a guard
 band of its link's coverage profile.
 
-Both replays use ``floats.add_repeated``, which gives the bits of the
-step-by-step sums; results are byte-identical to a loop that moves
-every vehicle every step.
+A ramp is replayed step by step, with the loop body's roundings. The
+steady steps, parked or cruising, are replayed with
+``floats.add_repeated``, which gives the bits of the step-by-step sums;
+results are byte-identical to a loop that moves every vehicle every
+step.
 """
 
 from __future__ import annotations
@@ -98,7 +102,15 @@ RATE_REFRESH = 1.0       # s between engine-map lookups per vehicle
 
 _POS_EPS = 1e-6          # m, stop-line arrival tolerance
 _NEVER = math.inf        # wake of a vehicle waiting for room on a full link
-_ESTIMATE_STEPS = 2 ** 30  # most steps a cruiser's position is estimated over
+# Relative rounding margin. A moving sleeper's wake is bounded with
+# _MARGIN_WAKE of its line per step (each step's addition rounds by at most
+# 2**-52 of it), and cell_tallies' estimate of its pos after k steps is
+# within (k + 4) * (length + (m + 4) * v) * _MARGIN of the replayed one, m
+# the steps of its ramp and v the faster of its speed and target, at least
+# 8 times the roundings of the pos (2**-52 of the length per step), the
+# speeds (2**-53 of v per step of the ramp) and the estimate itself.
+_MARGIN_WAKE = 2.0 ** -40
+_MARGIN = 2.0 ** -48
 _V_LO, _V_HI = energy.ENVELOPE_V
 _A_LO, _A_HI = energy.ENVELOPE_A
 _by_seq = attrgetter("seq")   # step order
@@ -221,7 +233,7 @@ class Vehicle:
         "route", "pos", "speed", "entered_at", "finished_at",
         "distance", "ff_time", "fuel", "co", "hc", "nox", "link_fuel",
         "pending", "rates", "rate_until", "decided", "wake", "burned_to",
-        "moved_to", "seq")
+        "moved_to", "target", "seq")
 
     def __init__(self, vid: int, dep: Departure):
         self.id = vid
@@ -248,8 +260,9 @@ class Vehicle:
         self.decided = False      # route tail already refreshed at this stop
         self.wake = 0             # step the loop moves it again; 0: not asleep
         self.burned_to = 0        # asleep: first step whose burn is not applied
-        self.moved_to = 0         # cruising: first step whose move is not applied;
-                                  # 0: not cruising
+        self.moved_to = 0         # moving asleep: first step whose move is not
+                                  # applied; 0: not moving asleep
+        self.target = 0.0         # moving asleep: the speed it steps toward
         self.seq = 0              # admission sequence number: the step order
 
 
@@ -380,6 +393,9 @@ class Simulation:
         self._lk = {lid: _LinkData(link, network, tables)
                     for lid, link in network.links.items()}
         self._occ = dict.fromkeys(network.links, 0)
+        # the start-of-step count of each link changed since the step began;
+        # the others still hold it, so together they are the step's snapshot
+        self._occ_before: dict[int, int] = {}
         self._total_len_lanes_km = left_sum(
             ln.length / 1000.0 * ln.lanes for ln in network.links.values())
 
@@ -388,6 +404,12 @@ class Simulation:
         self._nfd_steps = round(NFD_INTERVAL / DT)
         self._refresh_steps = round(RATE_REFRESH / DT)
         self._dv_max = cfg.a_max * DT
+        # cell_tallies' margin per step, with every link's length and speed
+        # bounded by the longest and fastest (see _MARGIN)
+        v_top = max((ln.free_speed for ln in network.links.values()), default=0.0)
+        self._margin_base = (max((ln.length for ln in network.links.values()), default=0.0)
+                             + 4.0 * v_top) * _MARGIN
+        self._margin_ramp = v_top * _MARGIN
 
         if demand is not None:
             self._demand_end = demand.end_time()
@@ -398,7 +420,7 @@ class Simulation:
 
         self._due = sorted(self.vehicles, key=lambda v: (v.depart, v.id))
         self._due_ptr = 0
-        self._entry_queues: dict[int, deque[Vehicle]] = {}
+        self._entry_queues: dict[int, deque[Vehicle]] = {}   # non-empty only
         self.enroute: list[Vehicle] = []
         self.carriers: list[Vehicle] = []
         self._awake: list[Vehicle] = []   # en route and not asleep, in step order
@@ -406,7 +428,7 @@ class Simulation:
         self._todo: list[Vehicle] = []    # the vehicles of the running step
         self._admitted = 0
         self._waiters: dict[int, list[Vehicle]] = {lid: [] for lid in network.links}
-        self._cruisers: dict[int, list[Vehicle]] = {}   # made on a link's first cruise
+        self._movers: dict[int, list[Vehicle]] = {}   # made on a link's first mover
         self._n_enroute = 0       # admitted minus finished, checked against enroute
         self._n = 0
         self._moved = 0           # steps the loop has moved the fleet through
@@ -416,13 +438,15 @@ class Simulation:
         self.nfd: list[NfdSample] = []
         self.finished: list[Vehicle] = []
         # vehicle-steps in the loop, the parked ones among them by the
-        # light at the stop line, and the cruising ones; the replay counts
-        # the parked and the cruising ones, and the loop the rest, the ones
-        # it visits
+        # light at the stop line, and the moving asleep ones at their
+        # target speed (cruise) or stepping toward it (ramp); the replay
+        # counts the parked and the moving ones, and the loop the rest,
+        # the ones it visits
         self.vehicle_steps = 0
         self.parked_red_steps = 0
         self.parked_full_steps = 0
         self.cruise_steps = 0
+        self.ramp_steps = 0
         self.visited_steps = 0
 
     # -- clock and public state ------------------------------------------
@@ -445,16 +469,16 @@ class Simulation:
         if self.now >= self.horizon - 1e-9:
             return True
         return (not self.enroute and self._due_ptr >= len(self._due)
-                and all(not q for q in self._entry_queues.values()))
+                and not self._entry_queues)
 
     def position(self, veh: Vehicle) -> tuple[float, float]:
         """Plane coordinates of an en-route vehicle, interpolated along its link.
 
-        A cruiser's position is brought up to the steps moved so far; its
-        burns wait for its wake.
+        A vehicle moving asleep is first replayed up to the steps moved so
+        far (``_replay``); it stays asleep until its wake.
         """
         if veh.moved_to:
-            self._move_to(veh, self._moved)
+            self._replay(veh, self._moved)
         return self._lk[veh.route[0]].point(veh.pos)
 
     def cell_tallies(self, index: roadnet.CoverageIndex) -> dict[int, int]:
@@ -463,22 +487,25 @@ class Simulation:
         Each vehicle's pos is placed in its link's profile (see
         `roadnet.LinkProfile`, built the first time a tally meets the
         link), and only a pos in a guard band goes to ``index.cover_at``
-        and its exact test. A cruiser is placed by its estimate
-        pos + inc * k, k the steps it has not applied yet: that is off by
-        at most k + 2 roundings of a pos, a small part of a band for k up
-        to ``_ESTIMATE_STEPS``, so an estimate outside every band gets the
-        cover of the settled position. The cruiser is settled (its moves
-        applied, as ``position`` does) only where the estimate falls in a
-        band, or at or past the stop line. The estimate and the inlined
-        bisection together make the impact-realistic benchmark about 3%
-        faster than settling every cruiser and calling ``cover_at`` for
-        every vehicle. ``index`` must be built on this simulation's
-        network, whose links its profiles are made from.
+        and its exact test. A vehicle moving asleep is placed by an
+        estimate of the pos its k unapplied steps reach: speeds that step
+        by ``a_max * DT`` toward the target, an arithmetic series, then
+        hold it. The estimate is within ``margin`` of the replayed pos
+        (see ``_MARGIN``), so a stretch of the profile that holds the
+        estimate with its margin on either side holds that pos too. The
+        vehicle is replayed (as ``position`` does) only where a cut lies
+        within the margin, where the estimate falls in a band, or at or
+        past the stop line: in the impact-realistic benchmark at seed 1,
+        26 of the 415,785 moving sleepers the tallies met with steps
+        unapplied (208,670 of them on a ramp). ``index`` must be built on
+        this simulation's network, whose links its profiles are made from.
         """
         profiles = index.profiles
         build = index.profile
-        lks = self._lk
         moved = self._moved
+        dm = self._dv_max
+        base = self._margin_base
+        per_ramp_step = self._margin_ramp
         tallies: dict[int, int] = {}
         get = tallies.get
         for veh in self.enroute:
@@ -487,14 +514,28 @@ class Simulation:
             pos = veh.pos
             if veh.moved_to:
                 k = moved - veh.moved_to
-                est = pos + veh.speed / 3.6 * DT * k
-                cid = covers[bisect_right(cuts, est)]
-                if cid < 0 or est >= lks[lid].length or k > _ESTIMATE_STEPS:
-                    self._move_to(veh, moved)
-                    pos = veh.pos
-                    cid = covers[bisect_right(cuts, pos)]
-            else:
-                cid = covers[bisect_right(cuts, pos)]
+                v = veh.speed
+                gap = veh.target - v
+                if gap:
+                    # m steps clamped to dm, then the target; floor rather
+                    # than ceil - 1 when gap / dm is whole gives the same
+                    # speeds, since its last step lands on the target
+                    m = int((gap if gap > 0.0 else -gap) / dm)
+                    if m > k:
+                        m = k
+                    est = pos + (m * v + (dm if gap > 0.0 else -dm) * (m * (m + 1) / 2)
+                                 + (k - m) * veh.target) / 3.6 * DT
+                    margin = (k + 4) * (base + m * per_ramp_step)
+                else:
+                    est = pos + v / 3.6 * DT * k
+                    margin = (k + 4) * base
+                i = bisect_right(cuts, est - margin)
+                if i < len(cuts) and est + margin < cuts[i] and covers[i] >= 0:
+                    tallies[covers[i]] = get(covers[i], 0) + 1
+                    continue
+                self._replay(veh, moved)
+                pos = veh.pos
+            cid = covers[bisect_right(cuts, pos)]
             if cid < 0:
                 cid = index.cover_at(lid, pos)
             tallies[cid] = get(cid, 0) + 1
@@ -541,10 +582,10 @@ class Simulation:
         The burn adds the held per-step increments (rate times DT) to the
         accumulators. They are looked up every RATE_REFRESH and held in
         between. A parked vehicle skips its held steps, each a burn at
-        v = a = 0. A cruising one (see ``_cruise``) skips steps that each
-        move it by the same increment and burn the same rates. The loop
-        does not visit either until the step it is filed under in the
-        calendar, where ``_replay`` applies what it skipped, bit for bit.
+        v = a = 0. One moving asleep (see ``_sleep_moving``) skips steps
+        that each repeat this body with the same target. The loop does not
+        visit either until the step it is filed under in the calendar,
+        where ``_replay`` applies what it skipped, bit for bit.
         """
         n = self._n
         now = n * DT
@@ -552,7 +593,9 @@ class Simulation:
             self._sample_nfd(now)
         now_end = (n + 1) * DT
 
-        occ_snap = dict(self._occ)
+        occ = self._occ
+        before = self._occ_before
+        before.clear()
         self.vehicle_steps += len(self.enroute)
         todo = self._awake
         due = self._calendar.pop(n, None)
@@ -568,7 +611,7 @@ class Simulation:
         finished_now: list[Vehicle] = []
         awake = []
         carried = []
-        occ_get = occ_snap.get
+        snap_get = before.get
         keep = awake.append
         carry = carried.append
         lks = self._lk
@@ -598,11 +641,15 @@ class Simulation:
                     lk = lks[lid]
                     own = 0
             if moving:
-                k_cnt = occ_get(lid, 0) - own
+                snap = snap_get(lid)
+                if snap is None:
+                    snap = occ[lid]
+                k_cnt = snap - own
                 if k_cnt < 0:
                     k_cnt = 0
                 speed = veh.speed
-                dv = lk.target[k_cnt] - speed
+                target = lk.target[k_cnt]
+                dv = target - speed
                 if dv > dv_max:
                     dv = dv_max
                 elif dv < dv_min:
@@ -616,8 +663,7 @@ class Simulation:
             veh.speed = v
 
             # the burn of step n
-            fresh = n >= veh.rate_until
-            if fresh:
+            if n >= veh.rate_until:
                 veh.rates = lookup(v, a)
                 veh.rate_until = n + refresh
             f, c, h, x = veh.rates
@@ -646,8 +692,10 @@ class Simulation:
                 else:
                     veh.pos = lk.length
                     veh.speed = 0.0
-            elif fresh and moving and not dv and own:
-                self._cruise(veh, lid, n, occ_snap[lid])
+            elif moving and own and occ[lid] == snap:
+                # its link's count is still the snapshot's, so the next
+                # snapshot gives the same target unless a change wakes it
+                self._sleep_moving(veh, lid, n, target)
             if not veh.wake:
                 keep(veh)
             if veh.pending:
@@ -690,42 +738,100 @@ class Simulation:
             self.step()
         self._settle()
 
-    # -- stop lines, parked and cruising vehicles ------------------------------
+    # -- stop lines, parked and moving asleep vehicles -------------------------
 
     def _replay(self, veh, upto) -> None:
-        """Apply the steps a parked or cruising vehicle skipped before ``upto``.
+        """Apply the steps a parked or moving asleep vehicle skipped before ``upto``.
 
-        A parked step is the burn at v = a = 0 (see ``step``): the
-        increments held since the last lookup until the next one is due,
-        then the idle ones, which every later lookup returns again. A
-        cruising step moves the vehicle by its constant increment and
-        burns the held rates, which are the lookup at its speed and a = 0
-        (see ``_cruise``), so every later lookup returns them again. So
-        the stretch is at most two runs of constant rates (one, when the
-        held rates are already those of the sleeping state), and each
-        accumulator jumps over a run with ``add_repeated``, which gives
-        the bits of the step-by-step sums.
+        A parked step is the burn at v = a = 0 (see ``step``). A moving
+        step is the loop body with the target held in ``veh.target``: the
+        speed steps toward it, clamped to ``a_max * DT``, and the vehicle
+        moves and burns. While the speed differs from the target,
+        ``_ramp`` takes those steps one at a time. Once they are equal,
+        every later step moves the vehicle by one constant increment, which
+        ``add_repeated`` jumps over. ``moved_to`` follows ``burned_to``.
+        Either way the steps left are steady:
+        the increments held since the last lookup until the next one is
+        due, then those of every later lookup, at the steady speed and
+        a = 0 (``_burn_steady``).
         """
         start = veh.burned_to
-        k = upto - start
-        if k <= 0:
+        if upto <= start:
             return
         veh.burned_to = upto
         if veh.moved_to:
-            self._move_to(veh, upto)
-            self.cruise_steps += k
+            veh.moved_to = upto
+            if veh.speed != veh.target:
+                start = self._ramp(veh, start, upto)
+            if start < upto:
+                veh.pos = add_repeated(veh.pos, veh.speed / 3.6 * DT, upto - start)
+                self.cruise_steps += upto - start
+                self._burn_steady(veh, start, upto, veh.speed)
         else:
             lk = self._lk[veh.route[0]]
             red = self._red_steps(lk, start, upto) if lk.to_signal else 0
             self.parked_red_steps += red
-            self.parked_full_steps += k - red
+            self.parked_full_steps += upto - start - red
+            self._burn_steady(veh, start, upto, 0.0)
 
+    def _ramp(self, veh, j, upto) -> int:
+        """Take a moving sleeper's steps from j on while its speed is off target.
+
+        Each is the loop body's step, with the same roundings in the same
+        order. Returns the first step not taken: upto, or the first at
+        which the speed already equals the target.
+        """
+        target = veh.target
+        v = veh.speed
+        pos = veh.pos
+        dv_max = self._dv_max
+        refresh = self._refresh_steps
+        rates = veh.rates
+        until = veh.rate_until
+        f, c, h, x = rates
+        fuel, link_fuel, co, hc, nox = veh.fuel, veh.link_fuel, veh.co, veh.hc, veh.nox
+        start = j
+        while j < upto:
+            dv = target - v
+            if not dv:
+                break
+            if dv > dv_max:
+                dv = dv_max
+            elif dv < -dv_max:
+                dv = -dv_max
+            v += dv
+            pos += v / 3.6 * DT
+            if j >= until:
+                f, c, h, x = rates = self._lookup_rates(v, dv / DT)
+                until = j + refresh
+            fuel += f
+            link_fuel += f
+            co += c
+            hc += h
+            nox += x
+            j += 1
+        veh.speed = v
+        veh.pos = pos
+        veh.rates = rates
+        veh.rate_until = until
+        veh.fuel, veh.link_fuel, veh.co, veh.hc, veh.nox = fuel, link_fuel, co, hc, nox
+        self.ramp_steps += j - start
+        return j
+
+    def _burn_steady(self, veh, start, upto, v) -> None:
+        """Burn the steps [start, upto) of a vehicle that holds speed v, a = 0.
+
+        The increments held since the last lookup until the next one is
+        due, then the lookup at (v, 0), which every later lookup returns
+        again: at most two runs of constant rates (one, when the held
+        rates are already those), each added with ``add_repeated``, which
+        gives the bits of the step-by-step sums.
+        """
+        k = upto - start
         rates = veh.rates
         held = min(veh.rate_until, upto) - start
         if held < k:
-            # a lookup is due inside the stretch; it and every later one
-            # return the rates of the sleeping state
-            after = rates if veh.moved_to else self._lookup_rates(0.0, 0.0)
+            after = self._lookup_rates(v, 0.0)
             p = self._refresh_steps
             veh.rate_until += ((upto - 1 - veh.rate_until) // p + 1) * p
             veh.rates = after
@@ -735,14 +841,6 @@ class Simulation:
                 self._add_burns(veh, rates, held)
                 rates, held = after, k - held
         self._add_burns(veh, rates, held)
-
-    @staticmethod
-    def _move_to(veh, upto) -> None:
-        """Apply a cruiser's moves of the steps before ``upto``."""
-        k = upto - veh.moved_to
-        if k > 0:
-            veh.pos = add_repeated(veh.pos, veh.speed / 3.6 * DT, k)
-            veh.moved_to = upto
 
     @staticmethod
     def _add_burns(veh, rates, k) -> None:
@@ -765,65 +863,73 @@ class Simulation:
         return before(upto) - before(start)
 
     def _settle(self) -> None:
-        """Bring every parked or cruising vehicle up to the clock."""
+        """Bring every parked or moving asleep vehicle up to the clock."""
         for veh in self.enroute:
             if veh.wake:
                 self._replay(veh, self._n)
 
-    def _cruise(self, veh, lid, n, occ) -> None:
-        """Let a vehicle that holds its link's target speed sleep from step n + 1.
+    def _sleep_moving(self, veh, lid, n, target) -> None:
+        """Let a vehicle that moved on its own link toward ``target`` sleep from n + 1.
 
-        Called after step n's move when it kept the speed (dv == 0), did
-        not reach the stop line, and looked its rates up at this speed and
-        a = 0 in this step. Each later step repeats it for as long as the
-        link's occupancy snapshot stays ``occ``, the one step n read: the
-        same target, speed, increment and rates. The vehicle wakes at the
-        first change of the link's occupancy (``_occupancy_changed``) or,
-        at the latest, in the step that reaches its stop line. That step
-        comes from a closed-form estimate, confirmed with ``add_repeated``
-        to be still short of the line one step before; a position that a
-        step no longer changes never reaches it.
+        Called after step n's move when it did not reach the stop line and
+        the link's count was still the snapshot step n read. Each later
+        step then repeats the loop body with the same target for as long
+        as that count holds: the speed steps toward the target (a ramp;
+        once there, a cruise, the ramp with dv == 0), and the vehicle moves
+        and burns. ``_replay`` applies those steps at the wake: the step
+        after any change of the link's count (``_change_occupancy``) or,
+        at the latest, the step whose move could first reach the stop line.
+
+        No step moves the vehicle by more than inc, the increment at the
+        faster of its speed and the target, plus a rounding of the pos,
+        below ``_MARGIN_WAKE`` of the line. So the first k steps stay
+        short of the line for k up to (line - pos) / (inc + line *
+        _MARGIN_WAKE), and the vehicle wakes at step n + k + 1, the first
+        that could reach it. A pos that inc no longer changes never
+        reaches the line, and a vehicle that could reach it within two
+        steps stays awake.
         """
-        if self._occ[lid] != occ:
-            return          # changed earlier in step n: the next target differs
         pos = veh.pos
-        inc = veh.speed / 3.6 * DT
+        speed = veh.speed
+        inc = (speed if speed > target else target) / 3.6 * DT
         if pos + inc == pos:
             wake = _NEVER
         else:
             line = self._lk[lid].length - _POS_EPS
-            steps = (line - pos) / inc
-            if not 2.0 <= steps < math.inf:
+            steps = (line - pos) / (inc + line * _MARGIN_WAKE)
+            if steps < 2.0:
                 return
-            k = int(steps)
-            if add_repeated(pos, inc, k - 1) >= line:
-                return
-            wake = n + k
+            wake = n + 1 + int(steps)
             self._file(veh, wake)
         veh.wake = wake
+        veh.target = target
         veh.moved_to = veh.burned_to = n + 1
-        self._cruisers.setdefault(lid, []).append(veh)
+        self._movers.setdefault(lid, []).append(veh)
 
     def _file(self, veh, n) -> None:
         """Put a sleeping vehicle in the calendar under step n."""
         self._calendar.setdefault(n, []).append(veh)
 
-    def _occupancy_changed(self, lid) -> None:
-        """Wake lid's cruisers by the next step, whose snapshot shows the change.
+    def _change_occupancy(self, lid, delta) -> None:
+        """Add delta to lid's count, keeping the step's snapshot of it.
 
-        One later in the step order may already be due at its stop line
-        in this step, so a wake only moves earlier. Every vehicle on the
-        list is on lid, since leaving lid clears it; a parked one keeps
-        its wake.
+        lid's moving sleepers wake by the next step, whose snapshot shows
+        the change. One later in the step order may already be due at its
+        stop line in this step, so a wake only moves earlier. Every vehicle
+        on the list is on lid, since leaving lid clears it; a parked one
+        keeps its wake.
         """
-        cruisers = self._cruisers.get(lid)
-        if cruisers:
+        occ = self._occ
+        self._occ_before.setdefault(lid, occ[lid])
+        occ[lid] += delta
+        movers = self._movers.get(lid)
+        if movers:
             nxt = self._n + 1
-            for veh in cruisers:
+            for veh in movers:
                 if veh.moved_to and veh.wake > nxt:
                     veh.wake = nxt
                     self._file(veh, nxt)
-            cruisers.clear()
+            movers.clear()
 
     def _try_cross(self, veh, n, now_end) -> bool:
         """Cross the stop line at step n, or park the vehicle there.
@@ -862,8 +968,7 @@ class Simulation:
             return False
         self._exit_link(veh, lid, lk, now_end)
         veh.route.pop(0)
-        self._occ[nxt] += 1
-        self._occupancy_changed(nxt)
+        self._change_occupancy(nxt, 1)
         veh.pos = 0.0
         veh.decided = False
         return True
@@ -876,8 +981,7 @@ class Simulation:
         veh.link_fuel = 0.0
         veh.distance += lk.length
         veh.ff_time += lk.ff_time
-        self._occ[lid] -= 1
-        self._occupancy_changed(lid)
+        self._change_occupancy(lid, -1)
         waiters = self._waiters[lid]
         if waiters:
             # room on lid: its waiters try again at their next turn, which
@@ -896,37 +1000,42 @@ class Simulation:
 
     def _admit(self, now, now_end) -> None:
         due = self._due
+        queues = self._entry_queues
         while self._due_ptr < len(due) and due[self._due_ptr].depart <= now_end + 1e-9:
             veh = due[self._due_ptr]
             self._due_ptr += 1
             veh.route = list(self.router(now, veh, veh.origin))
             if not veh.route:
                 raise ValidationError(f"vehicle {veh.id} has an empty route")
-            self._entry_queues.setdefault(veh.route[0], deque()).append(veh)
-        for lid in sorted(self._entry_queues):
-            q = self._entry_queues[lid]
+            queues.setdefault(veh.route[0], deque()).append(veh)
+        if not queues:
+            return
+        occ = self._occ
+        for lid in sorted(queues):
+            q = queues[lid]
             lk = self._lk[lid]
-            while q and self._occ[lid] + 1 <= lk.cap:
+            while q and occ[lid] + 1 <= lk.cap:
                 veh = q.popleft()
-                occ = self._occ[lid]
-                self._occ[lid] = occ + 1
-                self._occupancy_changed(lid)
+                k = occ[lid]
+                self._change_occupancy(lid, 1)
                 veh.state = EN_ROUTE
                 veh.entered_at = now_end
                 veh.pos = 0.0
-                veh.speed = lk.target[occ]
+                veh.speed = lk.target[k]
                 veh.seq = self._admitted
                 self._admitted += 1
                 self.enroute.append(veh)
                 self._awake.append(veh)
                 self._n_enroute += 1
+            if not q:
+                del queues[lid]
 
     def _defer_waiting(self) -> None:
         # demand window closed: whoever never found a spot gives up
         for q in self._entry_queues.values():
             for veh in q:
                 veh.state = DEFERRED
-            q.clear()
+        self._entry_queues.clear()
         self._demand_end = None
 
     # -- outputs -------------------------------------------------------------
@@ -936,6 +1045,9 @@ class Simulation:
         if count == 0:
             self.nfd.append(NfdSample(now, 0.0, 0.0, None))
             return
+        for veh in self.enroute:
+            if veh.moved_to and veh.speed != veh.target:
+                self._replay(veh, self._moved)    # a ramp: its speed moves
         density = count / self._total_len_lanes_km
         speed = math.fsum(v.speed for v in self.enroute) / count
         self.nfd.append(NfdSample(now, density, density * speed, speed))

@@ -451,12 +451,13 @@ def test_run_byte_identical_per_seed(tiny_scenario, tmp_path):
                       (tmp_path / sub / "meta.txt").read_text().splitlines()[1:])
         counts.append([int(fields[key]) for key in
                        ("vehicle_steps", "parked_red_steps", "parked_full_steps",
-                        "cruise_steps", "visited_steps", "recount_exact")])
+                        "cruise_steps", "ramp_steps", "visited_steps",
+                        "recount_exact")])
     assert counts[0] == counts[1]
-    steps, red, full, cruise, visited, exact = counts[0]
-    assert red > 0 and cruise > 0 and 0 < visited < steps
+    steps, red, full, cruise, ramp, visited, exact = counts[0]
+    assert red > 0 and cruise > 0 and ramp > 0 and 0 < visited < steps
     # each vehicle-step is visited by the loop or replayed, never both
-    assert visited + red + full + cruise == steps
+    assert visited + red + full + cruise + ramp == steps
     # the guard bands send at most every located vehicle to the exact
     # test, and a recount locates at most the vehicles of one step
     assert exact <= steps

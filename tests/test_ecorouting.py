@@ -380,19 +380,23 @@ class CheckedIdealComm(eco.CommModule):
 class RecountParity(eco.CommModule):
     """Realistic uplink that checks each recount against every vehicle's position.
 
-    It also counts the vehicles the tallies located, the cruisers among
-    them that a tally placed by an estimate (``lagging``: moves not yet
-    applied) and those it settled.
+    It also counts the vehicles the tallies located, the moving sleepers
+    among them that a tally placed by an estimate (``lagging``: moves not
+    yet applied) and those it settled, and of each the ones on a ramp
+    (speed off target).
     """
 
-    recounts = located = lagging = settled = 0
+    recounts = located = lagging = settled = ramp_lagging = ramp_settled = 0
 
     def _recount(self, sim, now):
         lagging = [v for v in sim.enroute if 0 < v.moved_to < sim._moved]
+        ramps = [v for v in lagging if v.speed != v.target]
         tallies = sim.cell_tallies(self.index)
         self.located += len(sim.enroute)
         self.lagging += len(lagging)
         self.settled += sum(v.moved_to == sim._moved for v in lagging)
+        self.ramp_lagging += len(ramps)
+        self.ramp_settled += sum(v.moved_to == sim._moved for v in ramps)
         assert sum(tallies.values()) == len(sim.enroute)
         xy = [sim.position(veh) for veh in sim.enroute]
         reach = self.index.range_m
@@ -406,9 +410,9 @@ class RecountParity(eco.CommModule):
 def test_recount_counts_equal_a_count_of_every_position():
     sim, _, comm = grid_scenario("realistic", comm_cls=RecountParity)
     assert comm.recounts > 300 and comm.delivered > 0
-    # cruisers were placed by their estimates, and parked vehicles by
-    # their link's stop line
-    assert comm.lagging > 0 and sim.parked_red_steps > 0
+    # moving sleepers, ramps among them, were placed by their estimates,
+    # and parked vehicles by their link's stop line
+    assert comm.ramp_lagging > 0 and sim.parked_red_steps > 0
     assert comm.located > comm.index.exact_tests
 
 
@@ -449,7 +453,8 @@ def test_recount_counts_in_guard_bands(case):
     assert comm.recounts > 300
     assert 0 < comm.index.exact_tests <= comm.located or case == "diagonal-loaded"
     if case == "far":
-        assert comm.settled > 0
+        # estimates of ramps too land in bands and are settled
+        assert comm.ramp_settled > 0
     if case == "diagonal-loaded":
         assert sim.parked_full_steps > 0
 
@@ -476,12 +481,48 @@ def test_cruiser_estimate_at_the_stop_line_is_settled():
     else:
         pytest.fail("no estimate overshoots the stop line")
     veh = traffic.Vehicle(1, traffic.Departure(0.0, 3, 2))
-    veh.route, veh.pos, veh.speed, veh.moved_to = [6], pos, speed, 1
+    veh.route, veh.pos, veh.speed = [6], pos, speed
+    # cruising: asleep at its target from step 1
+    veh.target, veh.moved_to, veh.burned_to, veh.rate_until = speed, 1, 1, 1
+    veh.rates = sim._lookup_rates(speed, 0.0)
     sim.enroute.append(veh)
     sim._moved = 1 + k
     assert index.count_per_rsu(sim.cell_tallies(index)) == {0: 0}
     assert veh.moved_to == sim._moved and veh.pos < 150.0
     assert index.exact_tests == 1
+
+
+def test_ramp_estimate_within_its_margin_of_a_cut_is_settled():
+    """A ramp whose estimate lies within its margin of a cut, outside any band.
+
+    Vehicle 1 is asleep on link 1 from step 1, at 20 km/h toward 50, and
+    30 steps are unapplied. Its pos is set so that the estimate (the
+    arithmetic series of its speeds) falls half a margin short of the
+    start of the first guard band, in a stretch of one known cover. The
+    stretch holds the estimate but not its margin, so the tally replays
+    the vehicle and places the replayed pos.
+    """
+    net = rn.gen_grid(3, 3, spacing=150.0)
+    index = rn.CoverageIndex(net, [1, 5, 9], 160.0)
+    sim = traffic.Simulation(net, schedule=[])
+    cuts, covers, _ = index.profile(1)
+    i = next(i for i in range(len(cuts) - 1) if covers[i] >= 0 > covers[i + 1])
+    v, target, k = 20.0, 50.0, 30
+    dm = traffic.A_MAX * traffic.DT
+    m = min(k, math.ceil((target - v) / dm) - 1)
+    run = (m * v + dm * (m * (m + 1) / 2) + (k - m) * target) / 3.6 * traffic.DT
+    margin = (k + 4) * (sim._margin_base + m * sim._margin_ramp)
+    veh = traffic.Vehicle(1, traffic.Departure(0.0, 1, 2))
+    veh.route, veh.pos, veh.speed, veh.target = [1], cuts[i] - margin / 2 - run, v, target
+    veh.moved_to = veh.burned_to = veh.rate_until = 1
+    veh.rates = sim._lookup_rates(v, 0.0)
+    sim.enroute.append(veh)
+    sim._moved = 1 + k
+    tallies = sim.cell_tallies(index)
+    assert veh.moved_to == sim._moved and sim.ramp_steps == k
+    x, y = sim.position(veh)
+    assert index.count_per_rsu(tallies) == {
+        rid: int(math.hypot(x - rx, y - ry) <= 160.0) for rid, (rx, ry) in enumerate(index._xy)}
 
 
 def test_ideal_mode_empties_carriers_every_step():

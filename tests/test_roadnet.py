@@ -107,6 +107,23 @@ def test_empty_node_list_is_validation_error(tmp_path):
         rn.load_network(write(tmp_path, "# format: roadnet v1\n[nodes]\n"))
 
 
+@pytest.mark.parametrize("nodes, links, signals, field, message", [
+    # with two nodes the connectivity walk, with one the dense index met
+    # node 3 first
+    ([(1, 0.0, 0.0), (2, 100.0, 0.0)], [(1, 1, 2), (2, 2, 3)], [],
+     "links", "link 2 references unknown node 3"),
+    ([(1, 0.0, 0.0)], [(1, 1, 3)], [], "links", "link 1 references unknown node 3"),
+    ([(1, 0.0, 0.0), (2, 100.0, 0.0)], [(1, 1, 2)], [(1, 5)],
+     "signals", "signal 1 references unknown node 5"),
+], ids=["link-to-unknown", "one-node", "signal-on-unknown"])
+def test_direct_construction_refuses_unknown_nodes(nodes, links, signals, field, message):
+    with pytest.raises(ValidationError, match=message) as err:
+        rn.RoadNetwork([rn.Node(*n) for n in nodes],
+                       [rn.Link(lid, a, b, 100.0, 1, 50.0, 120.0) for lid, a, b in links],
+                       [rn.Signal(*s) for s in signals])
+    assert err.value.field == field
+
+
 def test_disconnected_graph_is_validation_error(tmp_path):
     text = TOY + "\n"
     text = text.replace("[links]\n1 1 2 1000.0 1 50.0 120.0\n", "[links]\n")

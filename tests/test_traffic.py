@@ -11,6 +11,7 @@ against closed-form sums rather than against the simulator itself.
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -154,6 +155,7 @@ def test_acceleration_clamp_after_release():
     assert veh.speed == 0.0 and veh.pos == 500.0
     for k in range(1, 11):
         sim.step()
+        sim.state_hash()        # replays it, asleep on its ramp
         assert veh.speed == pytest.approx(k * 0.36, abs=1e-9)
 
 
@@ -444,6 +446,51 @@ CRUISE_PINS = {
 }
 
 
+# Vehicles on a speed ramp sleep too, replayed step by step. These pins were
+# taken from the loop that visited every vehicle whose speed was stepping
+# toward its target, in the format of CRUISE_PINS.
+RAMP_PINS = {
+    # released at the green, the two cross the 40 m link 2 mid-ramp
+    "stop-line-mid-ramp": (
+        [500.0, 40.0, 500.0], [(0.0, 1, 4), (3.0, 1, 4)], (2,),
+        {
+            64.0: (["0x1.fc33333333333p+8", "0x1.fc33333333333p+8"],
+                   "cef31e267df45f980668bad4e06e9d86047fdd80c0874cc1e9d4ac1c45770c95"),
+            70.0: (["0x1.1340000000000p+9", "0x1.1340000000000p+9"],
+                   "0215278828347b280dacb05cae5449251d3a1475cfb111ba3c411926b0aa7d97"),
+        },
+        ("47523f2134b04b1355606028b9fcb0b01cb08e58f0f7696345f630ede326d139",
+         "9b063905e14c834475556798a3b23060481cb419ded2f9724a9bc9d8e90e07c3")),
+    # vehicle 1 ramps up from the green until six admissions at 68 s drop
+    # its target below its speed; it and the admitted ones then decelerate
+    # to it, and ramp up again as the link empties
+    "admission-decelerating": (
+        [300.0, 100.0], [(10.0, 1, 3)] + [(68.0, 2, 3)] * 6, (2,),
+        {
+            66.0: (["0x1.3e4cccccccccdp+8"],
+                   "cbc6a2b71392c6d19ec9ebcff10006de195aa4d66a81fb21c885eb55ec2ea591"),
+            72.0: (["0x1.68aeeeeeeeeeep+8", "0x1.56b9d6480f2bap+8", "0x1.5218a6dfc3519p+8",
+                    "0x1.4da2222222222p+8", "0x1.4a57839a5bc7ep+8", "0x1.486413b8b302ap+8",
+                    "0x1.47c71c71c71c7p+8"],
+                   "d70a3593241466f8bde62bb6f991984d8b45539a480437f482171d8ed243b80b"),
+        },
+        ("5c0ea0caa25235622e562027550d3bfdbb55e2d3fc2e6b70e212f2b0ac63f603",
+         "f371964620472f64359d0d5128d0ecbc0ea4bcabc0cd4ddbfcaad7314a0b22aa")),
+    # vehicle 1 ramps up from the green behind vehicle 2; vehicle 2's exit
+    # raises its target mid-ramp
+    "exit-higher-target": (
+        [300.0, 150.0], [(10.0, 1, 3), (58.0, 2, 3)], (2,),
+        {
+            65.0: (["0x1.38c0000000000p+8", "0x1.89b3944a55b6ap+8"],
+                   "15cc06a96ddca9bee73ba864fe31994c6c41638c79601f3f3420837acb56bb4a"),
+            70.0: (["0x1.5e7ffffffffffp+8"],
+                   "8d0fe8416c8c598451cc462cfe1344a7c99babdfa0035982e9c57179b4887027"),
+        },
+        ("ac32983d3f69c5b5a9ce105707bbd30895cbf7e7fb92a7cf2955a3f354566c19",
+         "59c545ed020ec9481face8c572e0ed438dd74995a07dd2440bf74c5802d522f7")),
+}
+
+
 def cruise_sim(lengths, trips, signal_nodes):
     net = line_network(lengths, signal_nodes)
     sched = [traffic.Departure(t, o, d) for t, o, d in trips]
@@ -451,26 +498,139 @@ def cruise_sim(lengths, trips, signal_nodes):
                               config=traffic.TrafficConfig(horizon=400.0))
 
 
-@pytest.mark.parametrize("name", list(CRUISE_PINS))
-def test_cruise_matches_per_step_loop(name):
-    lengths, trips, signal_nodes, reads, final = CRUISE_PINS[name]
+def check_pins(lengths, trips, signal_nodes, reads, final):
     sim = cruise_sim(lengths, trips, signal_nodes)
     for t, (xs, state) in reads.items():
         while sim.now < t - 1e-9:
             sim.step()
-        # position() first, which settles only the position
+        # position() first, which replays only the moving sleepers
         got = [sim.position(v) for v in sim.enroute]
         assert [x.hex() for x, _ in got] == xs
         assert all(y == 0.0 for _, y in got)
         assert sim.state_hash() == state
     sim.run()
     assert (sim.state_hash(), accumulator_digest(sim)) == final
-    assert sim.cruise_steps > 0
-    # reading mid-cruise changes nothing that follows
+    # reading mid-sleep changes nothing that follows
     quiet = cruise_sim(lengths, trips, signal_nodes)
     quiet.run()
     assert (quiet.state_hash(), accumulator_digest(quiet)) == final
-    assert quiet.cruise_steps == sim.cruise_steps
+    assert (quiet.cruise_steps, quiet.ramp_steps) == (sim.cruise_steps, sim.ramp_steps)
+    return sim
+
+
+@pytest.mark.parametrize("name", list(CRUISE_PINS))
+def test_cruise_matches_per_step_loop(name):
+    assert check_pins(*CRUISE_PINS[name]).cruise_steps > 0
+
+
+@pytest.mark.parametrize("name", list(RAMP_PINS))
+def test_ramp_matches_per_step_loop(name):
+    assert check_pins(*RAMP_PINS[name]).ramp_steps > 0
+
+
+class PerStepSimulation(traffic.Simulation):
+    """The per-step loop the pins were taken from: no moving vehicle sleeps.
+
+    Parked vehicles still sleep; their replay has its own pins above.
+    """
+
+    def _sleep_moving(self, veh, lid, n, target):
+        pass
+
+
+def random_scenario(rng):
+    """A seeded small network with signals, its trips and an a_max.
+
+    Line networks mix links shorter than a ramp with longer ones, some of
+    them short and dense enough to fill; grids carry trips both ways.
+    Bursts of trips fill links, so vehicles wait for room, and trips
+    depart until late in the run, so admissions meet vehicles asleep.
+    """
+    if rng.random() < 0.5:
+        lengths = [rng.choice([25.0, 40.0, 90.0, 150.0, 400.0, 900.0])
+                   for _ in range(rng.randint(2, 4))]
+        nodes = range(1, len(lengths) + 2)
+        net = line_network(lengths, rng.sample(nodes[1:], rng.randint(0, len(lengths))),
+                           kjam=rng.choice([60.0, 120.0]))
+        pairs = [(a, b) for a in nodes for b in nodes if a < b]
+    else:
+        net = rn.gen_grid(rng.randint(2, 3), rng.randint(2, 3),
+                          spacing=rng.choice([30.0, 60.0, 150.0]),
+                          jam_density=rng.choice([60.0, 120.0]))
+        pairs = [(a, b) for a in net.nodes for b in net.nodes if a != b]
+    sched = []
+    for _ in range(rng.randint(3, 12)):
+        origin, dest = rng.choice(pairs)
+        t = round(rng.uniform(0.0, 150.0), 1)
+        sched += [traffic.Departure(t, origin, dest)] * rng.choice([1, 1, 2, 8])
+    sched.sort(key=lambda d: d.time)
+    config = traffic.TrafficConfig(a_max=rng.choice([1.0, 3.6, 12.0]), horizon=300.0)
+    return net, sched, config
+
+
+def end_state(sim):
+    return (sim.state_hash(), accumulator_digest(sim), sim.nfd_rows(), sim.vehicle_rows())
+
+
+def test_moving_sleepers_match_the_per_step_loop():
+    totals = dict.fromkeys(("ramp_steps", "cruise_steps", "parked_full_steps",
+                            "parked_red_steps"), 0)
+    for seed in range(40):
+        rng = random.Random(seed)
+        net, sched, config = random_scenario(rng)
+        reads = sorted(round(rng.uniform(1.0, 250.0), 1) for _ in range(3))
+        ref = PerStepSimulation(net, schedule=sched, config=config)
+        sim = traffic.Simulation(net, schedule=sched, config=config)
+        for t in reads:
+            ref.run(until=t)
+            sim.run(until=t)
+            assert ([[c.hex() for c in sim.position(v)] for v in sim.enroute]
+                    == [[c.hex() for c in ref.position(v)] for v in ref.enroute]), (seed, t)
+        ref.run()
+        sim.run()
+        want = end_state(ref)
+        assert end_state(sim) == want, seed
+        # without reads mid-run, each sleep is replayed in fewer pieces
+        quiet = traffic.Simulation(net, schedule=sched, config=config)
+        quiet.run()
+        assert end_state(quiet) == want, seed
+        assert ref.ramp_steps == ref.cruise_steps == 0
+        for key in totals:
+            totals[key] += getattr(quiet, key)
+    assert all(totals.values()), totals
+
+
+def test_moving_sleeper_wakes_by_the_first_step_that_could_reach_the_line():
+    """The stop-line bound holds where rounded moves reach the line early.
+
+    A vehicle at its target (or just below it) is put to sleep a
+    whole number of its increments short of the line, give or take
+    1e-12 m, so in some draws the rounded moves reach the line one step
+    before the exact ones would. Its wake must come no later than the
+    step whose move first reaches the line, taken step by step as the
+    loop takes it.
+    """
+    sim = traffic.Simulation(line_network([150.0]), schedule=[])
+    line = 150.0 - traffic._POS_EPS
+    dv_max = traffic.A_MAX * traffic.DT
+    rng = random.Random(3)
+    early = 0
+    for _ in range(20_000):
+        target = rng.uniform(20.0, 50.0)
+        speed = target - rng.choice([0.0, rng.uniform(0.0, 0.01)])
+        k = rng.randint(10, 60)
+        pos = line - target / 3.6 * traffic.DT * k + rng.uniform(-1e-12, 1e-12)
+        veh = traffic.Vehicle(1, traffic.Departure(0.0, 1, 2))
+        veh.route, veh.pos, veh.speed = [1], pos, speed
+        sim._sleep_moving(veh, 1, 0, target)
+        p, v, step = pos, speed, 0
+        while p < line:
+            v += min(max(target - v, -dv_max), dv_max)
+            p += v / 3.6 * traffic.DT
+            step += 1
+        assert 0 < veh.wake <= step
+        early += step == k and pos + target / 3.6 * traffic.DT * k < line
+    assert early > 0
 
 
 # --- the wake calendar ----------------------------------------------------------
@@ -498,11 +658,11 @@ RESUMED_CRUISE_FINAL = (
 
 def test_cruise_cut_short_and_resumed_with_the_same_wake_steps_once():
     # Vehicle 2 cruises behind vehicle 1 on link 1 from step 51, due at
-    # step 1495. In step 1446 vehicle 1 leaves the link and vehicle 3 is
+    # step 1496. In step 1446 vehicle 1 leaves the link and vehicle 3 is
     # admitted onto it, which cuts the cruise short although the next
-    # snapshot holds the count it read. The cruise resumes at the next
-    # lookup, step 1450, with the same wake, so vehicle 2 is filed twice
-    # under step 1495; it must be moved once there.
+    # snapshot holds the count it read. The cruise resumes after its next
+    # visit, from step 1448, with the same wake, so vehicle 2 is filed
+    # twice under step 1496; it must be moved once there.
     net = line_network([2000.0, 500.0])
     sched = [traffic.Departure(t, 1, 3) for t in (0.0, 5.0, 144.65)]
     sim = traffic.Simulation(net, schedule=sched,
@@ -511,14 +671,14 @@ def test_cruise_cut_short_and_resumed_with_the_same_wake_steps_once():
     for t, (xs, state) in RESUMED_CRUISE_READS.items():
         sim.run(until=t)
         if t == 146.0:
-            assert veh.wake == 1495 and sim._calendar[1495].count(veh) == 2
+            assert veh.wake == 1496 and sim._calendar[1496].count(veh) == 2
         assert [sim.position(v)[0].hex() for v in sim.enroute] == xs
         assert sim.state_hash() == state
     sim.run()
     assert (sim.state_hash(), accumulator_digest(sim)) == RESUMED_CRUISE_FINAL
-    assert (sim.vehicle_steps, sim.cruise_steps) == (5425, 5361)
+    assert (sim.vehicle_steps, sim.cruise_steps, sim.ramp_steps) == (5425, 5402, 5)
     # every vehicle-step is either visited or replayed
-    assert sim.visited_steps == 5425 - 5361
+    assert sim.visited_steps == 5425 - 5402 - 5
 
 
 class CarrierLog(eco.CommModule):
