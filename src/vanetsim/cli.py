@@ -237,8 +237,9 @@ def execute_run(sc: dict, *, odsf: float, mode: str, seed: int, out_dir) -> dict
 
     summary = {"odsf": odsf, "mode": mode, "seed": seed}
     summary.update(sim.summary())
-    # end-to-end report fates; comm_* below is the uplink's own view, which
-    # does not see reports lost because their carrier finished its trip
+    # end-to-end report fates; comm_* below is the uplink's own view, whose
+    # dropped counts the channel's drops, not the reports lost with a carrier
+    # that finished its trip
     fates = {"queued": 0, "delivered": 0, "dropped": 0}
     for upd in sim.updates:
         fates[upd.fate] += 1

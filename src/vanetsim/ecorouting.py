@@ -16,8 +16,8 @@ across cells and recounts on the (count, rate) pair, since solving the
 fixed point per packet would dominate the run.
 
 ``mode="ideal"`` short-circuits all of it: every report lands in the
-table the instant it is created and leaves its carrier, which is the
-loss-free baseline the realistic mode is compared against.
+table the instant it is created, so no carrier ever holds one, which is
+the loss-free baseline the realistic mode is compared against.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ import dataclasses
 import heapq
 import math
 import random
+from operator import attrgetter
 
-from . import energy, mac_analytic, roadnet
+from . import energy, mac_analytic, roadnet, traffic
 from .errors import SimulationError, ValidationError
 
 BETA = 0.2              # cost smoothing weight for delivered reports
@@ -103,19 +104,24 @@ class EcoRouter:
 class CommModule:
     """Per-cell uplink between vehicles and the cost table.
 
+    The uplink alone holds the reports it has not sent: ``carriers`` maps
+    each vehicle that made some to them, in creation order.
     ``cells[rid]`` is the solution of the cell around RSU ``rid`` of the
     coverage index, as of the last recount (None before the first).
-    step() is called by the simulation once per tick: due deliveries are
-    applied first, then, once ``refresh`` seconds have passed since the
-    last recount, every cell is recounted and re-solved, then every
-    connected vehicle hands all its queued reports to its cell, whose
-    load counts each once. Each is dropped with the cell's drop
-    probability or else delivered the cell's delay later (never if inf).
-    Reports from unconnected vehicles simply wait; their delay is the
-    mobility of the carrier. An index without RSUs leaves every carrier
-    unconnected. In ideal mode step() delivers each new report at its
-    creation time and empties every carrier's pending list, so in both
-    modes a carrier holds only undelivered reports.
+    step() is called by the simulation once per tick: each report created
+    since the last tick is filed under its carrier, due deliveries are
+    applied, then, once ``refresh`` seconds have passed since the last
+    recount, every cell is recounted and re-solved. Then the carriers are
+    visited in step order (``seq``). A connected one hands all its
+    reports to its cell, whose load counts each once. Each is dropped with
+    the cell's drop probability or else delivered the cell's delay later
+    (never if inf). The reports of an unconnected carrier simply wait;
+    their delay is the mobility of the carrier. A carrier that has
+    finished its trip loses what it still holds: those reports are
+    dropped in that tick, but ``dropped`` counts only the channel's drops.
+    An index without RSUs leaves every carrier unconnected. In ideal mode
+    step() delivers each new report at its creation time, and no carrier
+    holds one.
 
     A recount takes the fleet as ``sim.cell_tallies(index)``, the vehicles
     per cover (set of RSUs in range), which places each vehicle in its
@@ -151,6 +157,7 @@ class CommModule:
         self._heap: list[tuple[float, int, object]] = []
         self._heap_seq = 0
         self._seen = 0           # prefix of sim.updates already examined
+        self.carriers: dict[traffic.Vehicle, list[traffic.LinkCostUpdate]] = {}
         self._recounted_at = -math.inf
         self._solve_memo: dict[tuple[int, float], mac_analytic.MacSolution] = {}
 
@@ -179,9 +186,11 @@ class CommModule:
         if self.mode == "ideal":
             for upd in sim.updates[seen:]:
                 self._deliver(upd, upd.created_at)
-            for veh in sim.carriers:
-                veh.pending = []
             return
+
+        carriers = self.carriers
+        for upd in sim.updates[seen:]:
+            carriers.setdefault(upd.carrier, []).append(upd)
 
         heap = self._heap
         while heap and heap[0][0] <= now + 1e-9:
@@ -191,20 +200,26 @@ class CommModule:
         if now >= self._recounted_at + self.refresh - 1e-9:
             self._recount(sim, now)
 
-        for veh in sim.carriers:
+        for veh in sorted(carriers, key=attrgetter("seq")):
+            if veh.state == traffic.FINISHED:
+                # the carrier left the network with them: lost, though not
+                # to the channel
+                for upd in carriers.pop(veh):
+                    upd.mark_dropped()
+                continue
             rsu = self.index.connected_rsu(*sim.position(veh))
             if rsu is None:
                 continue
             sol = self.cells[rsu]
-            self._sent[rsu] += len(veh.pending)
-            for upd in veh.pending:
+            reports = carriers.pop(veh)
+            self._sent[rsu] += len(reports)
+            for upd in reports:
                 if self._rng.random() < sol.p_drop:
                     upd.mark_dropped()
                     self.dropped += 1
                 else:
                     self._heap_seq += 1
                     heapq.heappush(heap, (now + sol.t_delay, self._heap_seq, upd))
-            veh.pending = []
 
     def _recount(self, sim, now: float) -> None:
         counts = self.index.count_per_rsu(sim.cell_tallies(self.index))

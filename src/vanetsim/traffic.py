@@ -32,8 +32,10 @@ Blocking at a stop line is an instantaneous halt: the acceleration
 clamp shapes free driving, not the last half metre before a red light.
 The engine map sees envelope-clamped kinematics for that step.
 
-The uplink reads the traffic through four names of ``Simulation``:
-``updates``, ``carriers``, ``position`` and ``cell_tallies``.
+The uplink reads the traffic through three names of ``Simulation``:
+``updates``, ``position`` and ``cell_tallies``. Traffic only creates the
+reports, each naming its carrier; the uplink holds every one it has not
+sent.
 
 Step order is admission order, the order of ``enroute``. The loop visits
 only the vehicles that are awake or due: a sleeping vehicle keeps its
@@ -99,6 +101,7 @@ SIGNAL_CYCLE = 60.0      # s
 GREEN_SHARE = 0.5        # per phase
 NFD_INTERVAL = 30.0      # s
 RATE_REFRESH = 1.0       # s between engine-map lookups per vehicle
+_PHASE_STEPS = round(SIGNAL_CYCLE * GREEN_SHARE / DT)   # steps per signal phase
 
 _POS_EPS = 1e-6          # m, stop-line arrival tolerance
 _NEVER = math.inf        # wake of a vehicle waiting for room on a full link
@@ -200,7 +203,7 @@ def generate_demand(od: OdDemand, seed: int) -> list[Departure]:
 
 @dataclass
 class LinkCostUpdate:
-    """One measured link-fuel report, queued for the roadside uplink.
+    """One measured link-fuel report, made by its carrier at a link exit.
 
     Fate moves queued -> delivered or queued -> dropped exactly once.
     """
@@ -208,6 +211,7 @@ class LinkCostUpdate:
     link_id: int
     fuel: float
     created_at: float
+    carrier: Vehicle
     fate: str = "queued"
     delivered_at: float | None = None
 
@@ -232,8 +236,8 @@ class Vehicle:
         "id", "origin", "destination", "depart", "preload", "state",
         "route", "pos", "speed", "entered_at", "finished_at",
         "distance", "ff_time", "fuel", "co", "hc", "nox", "link_fuel",
-        "pending", "rates", "rate_until", "decided", "wake", "burned_to",
-        "moved_to", "target", "seq")
+        "rates", "rate_until", "decided", "wake", "burned_to", "moving",
+        "target", "seq")
 
     def __init__(self, vid: int, dep: Departure):
         self.id = vid
@@ -254,14 +258,13 @@ class Vehicle:
         self.hc = 0.0
         self.nox = 0.0
         self.link_fuel = 0.0      # liters on the current link
-        self.pending: list[LinkCostUpdate] = []
         self.rates = None
         self.rate_until = 0       # step of the next engine-map lookup
         self.decided = False      # route tail already refreshed at this stop
         self.wake = 0             # step the loop moves it again; 0: not asleep
-        self.burned_to = 0        # asleep: first step whose burn is not applied
-        self.moved_to = 0         # moving asleep: first step whose move is not
-                                  # applied; 0: not moving asleep
+        self.burned_to = 0        # asleep: first step whose burn (moving asleep:
+                                  # and whose move) is not applied
+        self.moving = False       # asleep moving (see Simulation._sleep_moving)
         self.target = 0.0         # moving asleep: the speed it steps toward
         self.seq = 0              # admission sequence number: the step order
 
@@ -318,7 +321,7 @@ class _LinkData(roadnet.LinkLine):
     """
 
     __slots__ = ("free_speed", "jam", "cap", "inv_len_lanes", "target",
-                 "to_node", "to_signal", "is_ew", "ff_time")
+                 "to_node", "to_signal", "red_from", "ff_time")
 
     def __init__(self, link: roadnet.Link, network: roadnet.RoadNetwork,
                  tables: dict[tuple, list[float]]):
@@ -337,8 +340,9 @@ class _LinkData(roadnet.LinkLine):
         self.target = target
         self.to_node = link.to_node
         self.to_signal = network.has_signal(link.to_node)
-        # approach axis decides which phase is green; ties read as east-west
-        self.is_ew = abs(self.dx) >= abs(self.dy)
+        # the offset of red in the 2p-step signal cycle: the approach axis
+        # decides which phase is green; ties read as east-west
+        self.red_from = _PHASE_STEPS if abs(self.dx) >= abs(self.dy) else 0
         self.ff_time = link.length / (link.free_speed / 3.6)
 
 
@@ -360,12 +364,11 @@ class Simulation:
     vehicle first reaches the end of a link short of its destination; the
     answer is reused while the vehicle sits blocked. An optional comm
     object gets ``comm.step(sim, now)`` once per step after movement and
-    admission. It reads ``updates`` (every report, in creation order),
-    ``carriers`` (the en-route vehicles that hold pending reports, asleep
-    or not, in step order), ``position(veh)`` and
-    ``cell_tallies(index)`` (the en-route fleet counted by RSU cover), and
-    takes what it sends out of ``veh.pending``. ``enroute`` is the whole
-    en-route fleet in step order.
+    admission. It reads ``updates`` (every report, in creation order, each
+    naming its carrier), ``position(veh)`` and ``cell_tallies(index)`` (the
+    en-route fleet counted by RSU cover), and holds, sends and drops the
+    reports; without one every report stays queued. ``enroute`` is the
+    whole en-route fleet in step order.
     """
 
     def __init__(self, network: roadnet.RoadNetwork, *,
@@ -400,7 +403,6 @@ class Simulation:
             ln.length / 1000.0 * ln.lanes for ln in network.links.values())
 
         cfg = self.config
-        self._phase_steps = round(SIGNAL_CYCLE * GREEN_SHARE / DT)
         self._nfd_steps = round(NFD_INTERVAL / DT)
         self._refresh_steps = round(RATE_REFRESH / DT)
         self._dv_max = cfg.a_max * DT
@@ -422,7 +424,6 @@ class Simulation:
         self._due_ptr = 0
         self._entry_queues: dict[int, deque[Vehicle]] = {}   # non-empty only
         self.enroute: list[Vehicle] = []
-        self.carriers: list[Vehicle] = []
         self._awake: list[Vehicle] = []   # en route and not asleep, in step order
         self._calendar: dict[int, list[Vehicle]] = {}  # step -> vehicles due then
         self._todo: list[Vehicle] = []    # the vehicles of the running step
@@ -477,7 +478,7 @@ class Simulation:
         A vehicle moving asleep is first replayed up to the steps moved so
         far (``_replay``); it stays asleep until its wake.
         """
-        if veh.moved_to:
+        if veh.moving:
             self._replay(veh, self._moved)
         return self._lk[veh.route[0]].point(veh.pos)
 
@@ -512,8 +513,8 @@ class Simulation:
             lid = veh.route[0]
             cuts, covers, _ = profiles.get(lid) or build(lid)
             pos = veh.pos
-            if veh.moved_to:
-                k = moved - veh.moved_to
+            if veh.moving:
+                k = moved - veh.burned_to
                 v = veh.speed
                 gap = veh.target - v
                 if gap:
@@ -608,12 +609,10 @@ class Simulation:
         # _exit_link puts a waiter it wakes later in the step order into
         # todo, ahead of the loop's iterator
         self._todo = todo
-        finished_now: list[Vehicle] = []
+        finished_now = False
         awake = []
-        carried = []
         snap_get = before.get
         keep = awake.append
-        carry = carried.append
         lks = self._lk
         dv_max = self._dv_max
         dv_min = -dv_max
@@ -624,7 +623,7 @@ class Simulation:
             if veh.wake:
                 # asleep until this step: apply what it skipped
                 self._replay(veh, n)
-                veh.wake = veh.moved_to = 0
+                veh.wake, veh.moving = 0, False
             lid = veh.route[0]
             lk = lks[lid]
             own = 1          # the snapshot counts the vehicle on its link
@@ -634,7 +633,7 @@ class Simulation:
                 if not try_cross(veh, n, now_end):
                     moving = False
                 elif veh.state == FINISHED:
-                    finished_now.append(veh)
+                    finished_now = True
                     continue
                 else:
                     lid = veh.route[0]
@@ -679,7 +678,7 @@ class Simulation:
                     over = 0.0
                 if try_cross(veh, n, now_end):
                     if veh.state == FINISHED:
-                        finished_now.append(veh)
+                        finished_now = True
                         continue
                     nlk = lks[veh.route[0]]
                     if over >= nlk.length:
@@ -698,31 +697,15 @@ class Simulation:
                 self._sleep_moving(veh, lid, n, target)
             if not veh.wake:
                 keep(veh)
-            if veh.pending:
-                carry(veh)
         self.visited_steps += len(todo)
         self._awake = awake
         if finished_now:
             self.enroute = [v for v in self.enroute if v.state != FINISHED]
-        # a carrier the loop did not visit still holds what it held after
-        # the last uplink step
-        held = [v for v in self.carriers if v.pending and v.state == EN_ROUTE]
-        if held:
-            visited = set(carried)
-            carried += [v for v in held if v not in visited]
-            carried.sort(key=_by_seq)
-        self.carriers = carried
         self._moved = n + 1
 
         self._admit(now, now_end)
         if self.comm is not None:
             self.comm.step(self, now_end)
-        for veh in finished_now:
-            # the carrier left the network; whatever it still held is lost
-            for upd in veh.pending:
-                if upd.fate == "queued":
-                    upd.mark_dropped()
-            veh.pending = []
         if self._demand_end is not None and now_end >= self._demand_end - 1e-9:
             self._defer_waiting()
         self._n = n + 1
@@ -749,8 +732,7 @@ class Simulation:
         moves and burns. While the speed differs from the target,
         ``_ramp`` takes those steps one at a time. Once they are equal,
         every later step moves the vehicle by one constant increment, which
-        ``add_repeated`` jumps over. ``moved_to`` follows ``burned_to``.
-        Either way the steps left are steady:
+        ``add_repeated`` jumps over. Either way the steps left are steady:
         the increments held since the last lookup until the next one is
         due, then those of every later lookup, at the steady speed and
         a = 0 (``_burn_steady``).
@@ -759,8 +741,7 @@ class Simulation:
         if upto <= start:
             return
         veh.burned_to = upto
-        if veh.moved_to:
-            veh.moved_to = upto
+        if veh.moving:
             if veh.speed != veh.target:
                 start = self._ramp(veh, start, upto)
             if start < upto:
@@ -853,12 +834,11 @@ class Simulation:
 
     def _red_steps(self, lk, start, upto) -> int:
         """Steps in [start, upto) at which lk's approach shows red."""
-        p = self._phase_steps
-        red_from = p if lk.is_ew else 0       # offset of red in the cycle
+        p = _PHASE_STEPS
 
         def before(n):
             cycles, rem = divmod(n, 2 * p)
-            return cycles * p + min(max(rem - red_from, 0), p)
+            return cycles * p + min(max(rem - lk.red_from, 0), p)
 
         return before(upto) - before(start)
 
@@ -903,7 +883,7 @@ class Simulation:
             self._file(veh, wake)
         veh.wake = wake
         veh.target = target
-        veh.moved_to = veh.burned_to = n + 1
+        veh.moving, veh.burned_to = True, n + 1
         self._movers.setdefault(lid, []).append(veh)
 
     def _file(self, veh, n) -> None:
@@ -926,7 +906,7 @@ class Simulation:
         if movers:
             nxt = self._n + 1
             for veh in movers:
-                if veh.moved_to and veh.wake > nxt:
+                if veh.moving and veh.wake > nxt:
                     veh.wake = nxt
                     self._file(veh, nxt)
             movers.clear()
@@ -945,9 +925,9 @@ class Simulation:
             tail = self.router(n * DT, veh, to)
             veh.route = [lid, *tail]
             veh.decided = True
-        flips = n // self._phase_steps
-        if lk.to_signal and flips % 2 != (0 if lk.is_ew else 1):
-            veh.wake = (flips + 1) * self._phase_steps
+        p = _PHASE_STEPS
+        if lk.to_signal and (n - lk.red_from) % (2 * p) < p:
+            veh.wake = (n // p + 1) * p
             veh.burned_to = n + 1
             self._file(veh, veh.wake)
             return False
@@ -975,9 +955,8 @@ class Simulation:
 
     def _exit_link(self, veh, lid, lk, now_end) -> None:
         self._update_seq += 1
-        upd = LinkCostUpdate(self._update_seq, lid, veh.link_fuel, now_end)
-        veh.pending.append(upd)
-        self.updates.append(upd)
+        self.updates.append(
+            LinkCostUpdate(self._update_seq, lid, veh.link_fuel, now_end, veh))
         veh.link_fuel = 0.0
         veh.distance += lk.length
         veh.ff_time += lk.ff_time
@@ -1046,7 +1025,7 @@ class Simulation:
             self.nfd.append(NfdSample(now, 0.0, 0.0, None))
             return
         for veh in self.enroute:
-            if veh.moved_to and veh.speed != veh.target:
+            if veh.moving and veh.speed != veh.target:
                 self._replay(veh, self._moved)    # a ramp: its speed moves
         density = count / self._total_len_lanes_km
         speed = math.fsum(v.speed for v in self.enroute) / count

@@ -38,8 +38,8 @@ class Dest:
         self.destination = destination
 
 
-def mkupdate(uid, link_id=1, fuel=0.002, created_at=0.0):
-    return traffic.LinkCostUpdate(uid, link_id, fuel, created_at)
+def mkupdate(uid, link_id=1, fuel=0.002, created_at=0.0, carrier=None):
+    return traffic.LinkCostUpdate(uid, link_id, fuel, created_at, carrier)
 
 
 # --- cost table -------------------------------------------------------------
@@ -179,17 +179,22 @@ def test_router_draws_one_factor_per_weighed_link():
 
 
 class StubCarrier:
-    def __init__(self, pending):
-        self.pending = pending
+    def __init__(self, seq):
+        self.seq = seq
+        self.state = traffic.EN_ROUTE
 
 
 class StubSim:
-    """Just enough surface for CommModule.step: a fleet parked at one point."""
+    """Just enough surface for CommModule.step: a fleet parked at one point.
 
-    def __init__(self, fleet, xy):
-        self.updates = []
-        self.fleet = fleet
-        self.carriers = [c for c in fleet if c.pending]
+    Each of the ``size`` carriers has made ``per`` reports, carrier by
+    carrier.
+    """
+
+    def __init__(self, size, xy, per=0):
+        self.fleet = [StubCarrier(i) for i in range(size)]
+        self.updates = [mkupdate(i * per + j + 1, carrier=c)
+                        for i, c in enumerate(self.fleet) for j in range(per)]
         self.xy = xy
 
     def position(self, veh):
@@ -215,9 +220,7 @@ def test_drop_fraction_matches_cell_probability():
     module = eco.CommModule(index, table, params, seed=5)
 
     per, fleet = 500, 20
-    carriers = [StubCarrier([mkupdate(i * per + j + 1) for j in range(per)])
-                for i in range(fleet)]
-    sim = StubSim(carriers, (0.0, 0.0))
+    sim = StubSim(fleet, (0.0, 0.0), per)
     module.step(sim, 0.1)
 
     sol = module.cells[0]
@@ -233,10 +236,11 @@ def test_drop_fraction_matches_cell_probability():
     applied = []
     original = table.apply_update
     table.apply_update = lambda u: (applied.append(u.delivered_at), original(u))
-    module.step(StubSim([], (0.0, 0.0)), 1e9)
+    sim.fleet = []
+    module.step(sim, 1e9)
     assert applied == sorted(applied)
     assert module.delivered + module.dropped == total
-    assert all(not c.pending for c in carriers)
+    assert not module.carriers
 
 
 def test_recount_adds_the_cells_own_reports_to_its_load():
@@ -249,14 +253,13 @@ def test_recount_adds_the_cells_own_reports_to_its_load():
 
     # the first recount has no window behind it: background load only
     per, fleet = 30, 4
-    carriers = [StubCarrier([mkupdate(i * per + j + 1) for j in range(per)])
-                for i in range(fleet)]
-    module.step(StubSim(carriers, (0.0, 0.0)), 0.5)
+    sim = StubSim(fleet, (0.0, 0.0), per)
+    module.step(sim, 0.5)
     assert module.cells[0] is module._solve_cell(fleet, rate)
 
     # one refresh later: the reports sent since, per second per station
-    parked = [StubCarrier([]) for _ in range(fleet - 1)]
-    module.step(StubSim(parked, (0.0, 0.0)), 0.5 + module.refresh)
+    sim.fleet.pop()
+    module.step(sim, 0.5 + module.refresh)
     n, sent, window = fleet - 1, per * fleet, module.refresh
     want = module._solve_cell(n, rate + sent / window / max(n, 1))
     assert want is not module._solve_cell(n, rate)
@@ -272,22 +275,52 @@ def test_saturated_cell_takes_every_report_once():
     sol = module._solve_cell(40, 200.0)
     assert sol.t_delay > 1e9       # saturated: the delay outlasts any run
 
-    carriers = [StubCarrier([mkupdate(i * 50 + j + 1) for j in range(50)])
-                for i in range(40)]
-    module.step(StubSim(carriers, (0.0, 0.0)), 0.1)
+    sim = StubSim(40, (0.0, 0.0), 50)
+    module.step(sim, 0.1)
     assert module.cells[0] is sol
     # each report is dropped or in flight, and no carrier keeps one
     assert module.delivered == 0 and module.dropped > 0
     assert module.dropped + module.as_record()["in_flight"] == 2000
-    assert all(not c.pending for c in carriers)
+    assert not module.carriers
 
     # a tick with nothing new to send, then the next recount: its offered
     # load counts each of the 2000 reports once
-    module.step(StubSim(carriers, (0.0, 0.0)), 0.2)
-    module.step(StubSim(carriers, (0.0, 0.0)), 0.1 + module.refresh)
+    module.step(sim, 0.2)
+    module.step(sim, 0.1 + module.refresh)
     window = (0.1 + module.refresh) - 0.1
     assert module.cells[0] is module._solve_cell(40, 200.0 + 2000 / window / 40)
     assert module.dropped + module.as_record()["in_flight"] == 2000
+
+
+def test_finished_carrier_loses_its_reports_outside_the_channel_count():
+    net, index = rsu_cell_network()
+    table = eco.TmcCostTable(net)
+    params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0,
+                                    payload_bits=8000, queue_capacity=64)
+    module = eco.CommModule(index, table, params, background_rate=200.0, seed=5)
+
+    # 40 carriers of 5 reports each, 400 m from the RSU: out of its range
+    sim = StubSim(40, (400.0, 0.0), 5)
+    module.step(sim, 0.1)
+    assert list(module.carriers) == sim.fleet
+    assert {u.fate for u in sim.updates} == {"queued"}
+
+    # ten finish their trips; the others drive into the cell
+    gone = sim.fleet[::4]
+    for veh in gone:
+        veh.state = traffic.FINISHED
+    sim.fleet = [veh for veh in sim.fleet if veh not in gone]
+    sim.xy = (0.0, 0.0)
+    module.step(sim, 0.1 + module.refresh)
+    lost = [u for u in sim.updates if u.carrier in gone]
+    assert len(lost) == 50 and {u.fate for u in lost} == {"dropped"}
+    assert not module.carriers
+    # the channel dropped some of the others, and only those count
+    sent = [u for u in sim.updates if u.carrier not in gone]
+    channel = [u for u in sent if u.fate == "dropped"]
+    assert module.dropped == len(channel) > 0
+    packet_dropped = len(lost) + len(channel)
+    assert packet_dropped - module.as_record()["dropped"] == len(lost)
 
 
 # --- closed loop ----------------------------------------------------------------
@@ -353,7 +386,7 @@ def test_fate_exclusivity_over_full_run():
     sim, _, comm = grid_scenario("realistic")
     fates = [u.fate for u in sim.updates]
     assert fates and set(fates) <= {"delivered", "dropped", "queued"}
-    # a drained run leaves nothing queued on vehicles; only packets still
+    # a drained run leaves no report with a carrier; only packets still
     # in flight inside the delivery heap at the horizon may stay queued
     queued = fates.count("queued")
     assert queued == comm.as_record()["in_flight"]
@@ -367,14 +400,14 @@ def test_fate_exclusivity_over_full_run():
 # --- traffic-uplink seam ----------------------------------------------------------
 
 class CheckedIdealComm(eco.CommModule):
-    """Ideal uplink that checks the moving fleet after each of its steps."""
-
-    carried = 0
+    """Ideal uplink that checks that each of its steps leaves no report queued."""
 
     def step(self, sim, now):
+        seen = self._seen
         super().step(sim, now)
-        self.carried += len(sim.carriers)
-        assert all(not veh.pending for veh in sim.enroute)
+        # a delivered report stays delivered, so the new ones are all to check
+        assert {u.fate for u in sim.updates[seen:]} <= {"delivered"}
+        assert not self.carriers
 
 
 class RecountParity(eco.CommModule):
@@ -389,14 +422,14 @@ class RecountParity(eco.CommModule):
     recounts = located = lagging = settled = ramp_lagging = ramp_settled = 0
 
     def _recount(self, sim, now):
-        lagging = [v for v in sim.enroute if 0 < v.moved_to < sim._moved]
+        lagging = [v for v in sim.enroute if v.moving and v.burned_to < sim._moved]
         ramps = [v for v in lagging if v.speed != v.target]
         tallies = sim.cell_tallies(self.index)
         self.located += len(sim.enroute)
         self.lagging += len(lagging)
-        self.settled += sum(v.moved_to == sim._moved for v in lagging)
+        self.settled += sum(v.burned_to == sim._moved for v in lagging)
         self.ramp_lagging += len(ramps)
-        self.ramp_settled += sum(v.moved_to == sim._moved for v in ramps)
+        self.ramp_settled += sum(v.burned_to == sim._moved for v in ramps)
         assert sum(tallies.values()) == len(sim.enroute)
         xy = [sim.position(veh) for veh in sim.enroute]
         reach = self.index.range_m
@@ -483,12 +516,12 @@ def test_cruiser_estimate_at_the_stop_line_is_settled():
     veh = traffic.Vehicle(1, traffic.Departure(0.0, 3, 2))
     veh.route, veh.pos, veh.speed = [6], pos, speed
     # cruising: asleep at its target from step 1
-    veh.target, veh.moved_to, veh.burned_to, veh.rate_until = speed, 1, 1, 1
+    veh.target, veh.moving, veh.burned_to, veh.rate_until = speed, True, 1, 1
     veh.rates = sim._lookup_rates(speed, 0.0)
     sim.enroute.append(veh)
     sim._moved = 1 + k
     assert index.count_per_rsu(sim.cell_tallies(index)) == {0: 0}
-    assert veh.moved_to == sim._moved and veh.pos < 150.0
+    assert veh.burned_to == sim._moved and veh.pos < 150.0
     assert index.exact_tests == 1
 
 
@@ -514,20 +547,20 @@ def test_ramp_estimate_within_its_margin_of_a_cut_is_settled():
     margin = (k + 4) * (sim._margin_base + m * sim._margin_ramp)
     veh = traffic.Vehicle(1, traffic.Departure(0.0, 1, 2))
     veh.route, veh.pos, veh.speed, veh.target = [1], cuts[i] - margin / 2 - run, v, target
-    veh.moved_to = veh.burned_to = veh.rate_until = 1
+    veh.moving = True
+    veh.burned_to = veh.rate_until = 1
     veh.rates = sim._lookup_rates(v, 0.0)
     sim.enroute.append(veh)
     sim._moved = 1 + k
     tallies = sim.cell_tallies(index)
-    assert veh.moved_to == sim._moved and sim.ramp_steps == k
+    assert veh.burned_to == sim._moved and sim.ramp_steps == k
     x, y = sim.position(veh)
     assert index.count_per_rsu(tallies) == {
         rid: int(math.hypot(x - rx, y - ry) <= 160.0) for rid, (rx, ry) in enumerate(index._xy)}
 
 
-def test_ideal_mode_empties_carriers_every_step():
+def test_ideal_mode_leaves_no_report_queued():
     sim, _, comm = grid_scenario("ideal", comm_cls=CheckedIdealComm)
-    assert comm.carried > 0
     assert comm.delivered == len(sim.updates) > 0
 
 

@@ -142,8 +142,8 @@ def test_signal_hand_trace():
     assert u2.created_at == pytest.approx(96.0, abs=1e-6)
     assert u1.fuel == pytest.approx(36.0 * r50 + 23.9 * idle, rel=1e-9)
     assert u2.fuel == pytest.approx(35.9 * r50 + 0.1 * idle, rel=1e-9)
-    # no comm module attached, so reports die with the trip
-    assert u1.fate == u2.fate == "dropped"
+    # no comm module attached, so nothing takes the reports or sends them
+    assert u1.fate == u2.fate == "queued"
 
 
 def test_acceleration_clamp_after_release():
@@ -682,10 +682,10 @@ def test_cruise_cut_short_and_resumed_with_the_same_wake_steps_once():
 
 
 class CarrierLog(eco.CommModule):
-    """Realistic uplink that logs the carriers it is handed at each step.
+    """Realistic uplink that logs its carriers in step order after each step.
 
-    At t = 80 s it empties the second carrier's pending list, as a delivery
-    would.
+    At t = 80 s it takes the second carrier's reports out of its custody,
+    as a delivery would.
     """
 
     def __init__(self, *args, **kwargs):
@@ -693,11 +693,13 @@ class CarrierLog(eco.CommModule):
         self.log = []
 
     def step(self, sim, now):
-        self.log.append([v.id for v in sim.carriers])
-        assert sim.carriers == [v for v in sim.enroute if v.pending]
         super().step(sim, now)
+        carriers = sorted(self.carriers, key=lambda v: v.seq)
+        self.log.append([v.id for v in carriers])
+        # a carrier that finished lost its reports in the step it finished
+        assert all(v.state == traffic.EN_ROUTE for v in carriers)
         if abs(now - 80.0) < 1e-9:
-            sim.carriers[1].pending = []
+            del self.carriers[carriers[1]]
 
 
 def test_parked_carrier_stays_in_step_order_until_emptied():
@@ -705,7 +707,7 @@ def test_parked_carrier_stays_in_step_order_until_emptied():
     # where all four park from about 76 s to 90 s. The only RSU sits at
     # node 1 and reaches 1e-306 m, so no carrier is ever connected, and
     # only the emptying at 80 s (vehicle 2) or the end of a trip takes a
-    # sleeping carrier out of the list.
+    # sleeping carrier out of the uplink's carriers.
     net = line_network([500.0, 500.0, 300.0], signal_nodes=[1, 3], vertical=True)
     comm = CarrierLog(rn.CoverageIndex(net, [1], 1e-306), eco.TmcCostTable(net),
                       mac_analytic.MacParams(n_stations=1, arrival_rate=1.0))
