@@ -13,7 +13,10 @@ the failure families so shell scripts can branch on them:
 
 Scenario files are INI. Single-value keys have defaults, printed by the
 ``defaults`` subcommand; the only block that has no default is the
-demand table itself.
+demand table itself. A scenario holds only the settings that its users
+vary; every other value is its owner's default, link attributes come
+from ``gen-grid``'s defaults or a network file, and the uplink mode is
+the ``--mode`` flag of ``run`` and ``sweep``.
 """
 
 from __future__ import annotations
@@ -87,20 +90,36 @@ def parse_scenario(path) -> dict:
             raise ConfigurationError(
                 f"bad scenario value for [{sec}] {key}: {exc}") from exc
     if sc["net_path"]:
+        # the file holds the whole network: a grid key beside it would be ignored
+        grid = [key for key in ("rows", "cols", "spacing_m")
+                if ini.has_option("network", key)]
+        if grid:
+            raise ConfigurationError(
+                f"[network] path excludes {', '.join(grid)}: the network file "
+                f"sets the grid")
         net_file = (p.parent / sc["net_path"]).resolve()
         if not net_file.is_file():
             raise ConfigurationError(f"network file not found: {net_file}")
         sc["net_path"] = str(net_file)
     if not sc["entries"]:
         raise ConfigurationError("scenario demand table is empty")
-    if sc["mode"] not in ("realistic", "ideal"):
-        raise ConfigurationError(f"comm mode must be realistic or ideal, "
-                                 f"got {sc['mode']!r}")
     if not sc["odsf"]:
         raise ConfigurationError("odsf list is empty")
+    dirs = {}
     for factor in sc["odsf"]:
         _check_odsf(factor)
+        name = _point_dir(factor)
+        if name in dirs:
+            raise ConfigurationError(
+                f"odsf {dirs[name]!r} and {factor!r} share the sweep output "
+                f"directory {name}")
+        dirs[name] = factor
     return sc
+
+
+def _point_dir(odsf: float) -> str:
+    """The directory, under a sweep's --out, of one demand factor's point."""
+    return f"odsf_{odsf:g}"
 
 
 def _check_odsf(factor: float) -> None:
@@ -115,12 +134,12 @@ def _parse_od(text: str) -> list[tuple]:
         if not line:
             continue
         toks = line.split()
-        if len(toks) not in (5, 6) or len(toks) == 6 and toks[5].lower() != "preload":
+        if len(toks) != 5:
             raise ConfigurationError(
-                f"od line needs 'origin dest rate start end [preload]': {line!r}")
+                f"od line needs 'origin dest rate start end': {line!r}")
         try:
             row = (int(toks[0]), int(toks[1]), float(toks[2]),
-                   float(toks[3]), float(toks[4]), len(toks) == 6)
+                   float(toks[3]), float(toks[4]))
         except ValueError as exc:
             raise ConfigurationError(f"bad od line {line!r}: {exc}") from exc
         out.append(row)
@@ -137,29 +156,18 @@ SCENARIO_KEYS = (
     ("network", "rows", "rows", int, roadnet.GRID_ROWS),
     ("network", "cols", "cols", int, roadnet.GRID_COLS),
     ("network", "spacing_m", "spacing", float, roadnet.GRID_SPACING_M),
-    ("network", "free_speed_kmh", "free_speed", float, roadnet.FREE_SPEED_KMH),
-    ("network", "jam_density", "jam_density", float, roadnet.JAM_DENSITY),
-    ("network", "lanes", "lanes", int, roadnet.LANES),
     ("rsu", "range_m", "r_com", float, roadnet.RSU_RANGE_M),
     ("demand", "od", "entries", _parse_od, None),
     ("demand", "odsf", "odsf", lambda text: tuple(map(float, text.split())),
      (traffic.OdDemand.odsf,)),
-    ("comm", "mode", "mode", str, "realistic"),
     ("comm", "background_rate", "background_rate", float,
      ecorouting.BACKGROUND_RATE),
     ("comm", "payload_bytes", "payload_bytes", int,
      mac_analytic.MacParams.payload_bits // 8),
     ("comm", "queue_capacity", "queue_capacity", int,
      mac_analytic.MacParams.queue_capacity),
-    ("comm", "access", "access", str, mac_analytic.MacParams.access_mode.value),
-    ("comm", "refresh_s", "refresh", float, ecorouting.CELL_REFRESH),
     ("routing", "eta", "eta", float, ecorouting.ETA),
-    ("routing", "beta", "beta", float, ecorouting.BETA),
     ("sim", "seed", "seed", int, 1),
-    ("sim", "horizon_s", "horizon",
-     lambda text: float(text) if text.strip() else None,
-     traffic.TrafficConfig.horizon),
-    ("sim", "a_max", "a_max", float, traffic.TrafficConfig.a_max),
     ("sim", "drain_s", "drain", float, traffic.TrafficConfig.drain),
 )
 
@@ -188,25 +196,21 @@ def build_run(sc: dict, *, odsf: float, mode: str, seed: int):
         if sc["net_path"]:
             net = roadnet.load_network(sc["net_path"])
         else:
-            net = roadnet.gen_grid(sc["rows"], sc["cols"], spacing=sc["spacing"],
-                                   free_speed=sc["free_speed"],
-                                   jam_density=sc["jam_density"], lanes=sc["lanes"])
+            net = roadnet.gen_grid(sc["rows"], sc["cols"], spacing=sc["spacing"])
         chosen = roadnet.place_rsus(net, sc["r_com"])
         index = roadnet.CoverageIndex(net, chosen, sc["r_com"])
-        table = ecorouting.TmcCostTable(net, coeffs, beta=sc["beta"])
+        table = ecorouting.TmcCostTable(net, coeffs)
         router = ecorouting.EcoRouter(net, table, eta=sc["eta"], seed=seed + 1)
         params = mac_analytic.MacParams(
             n_stations=1, arrival_rate=1.0,
             payload_bits=sc["payload_bytes"] * 8,
-            queue_capacity=sc["queue_capacity"],
-            access_mode=_access_mode(sc["access"]))
+            queue_capacity=sc["queue_capacity"])
         comm = ecorouting.CommModule(index, table, params, mode=mode,
                                      background_rate=sc["background_rate"],
-                                     refresh=sc["refresh"], seed=seed + 2)
+                                     seed=seed + 2)
         demand = traffic.OdDemand(
             tuple(traffic.OdEntry(*row) for row in sc["entries"]), odsf=odsf)
-        config = traffic.TrafficConfig(horizon=sc["horizon"], a_max=sc["a_max"],
-                                       drain=sc["drain"])
+        config = traffic.TrafficConfig(drain=sc["drain"])
         sim = traffic.Simulation(net, demand=demand, config=config, router=router,
                                  coeffs=coeffs, comm=comm, seed=seed)
     except ValidationError as exc:
@@ -459,9 +463,7 @@ def cmd_validate_mac(args) -> int:
 
 
 def cmd_gen_grid(args) -> int:
-    net = roadnet.gen_grid(args.rows, args.cols, spacing=args.spacing,
-                           free_speed=args.free_speed,
-                           jam_density=args.jam_density, lanes=args.lanes)
+    net = roadnet.gen_grid(args.rows, args.cols, spacing=args.spacing)
     roadnet.write_network(args.out, net)
     print(args.out)
     return EXIT_OK
@@ -485,21 +487,19 @@ def cmd_place_rsus(args) -> int:
 
 def cmd_run(args) -> int:
     sc = parse_scenario(args.scenario)
-    mode = args.mode or sc["mode"]
     seed = sc["seed"] if args.seed is None else args.seed
     odsf = sc["odsf"][0] if args.odsf is None else args.odsf
     _check_odsf(odsf)
-    execute_run(sc, odsf=odsf, mode=mode, seed=seed, out_dir=args.out)
+    execute_run(sc, odsf=odsf, mode=args.mode, seed=seed, out_dir=args.out)
     print(str(Path(args.out) / "summary.txt"))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     sc = parse_scenario(args.scenario)
-    mode = args.mode or sc["mode"]
     seed = sc["seed"] if args.seed is None else args.seed
     out = Path(args.out)    # made by the first point's execute_run
-    points = [(sc, odsf, mode, seed, str(out / f"odsf_{odsf:g}"))
+    points = [(sc, odsf, args.mode, seed, str(out / _point_dir(odsf)))
               for odsf in sc["odsf"]]
     if args.jobs <= 1:
         results = [_sweep_point(pt) for pt in points]
@@ -595,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=roadnet.GRID_ROWS)
     p.add_argument("--cols", type=int, default=roadnet.GRID_COLS)
     p.add_argument("--spacing", type=float, default=roadnet.GRID_SPACING_M)
-    p.add_argument("--free-speed", type=float, default=roadnet.FREE_SPEED_KMH)
-    p.add_argument("--jam-density", type=float, default=roadnet.JAM_DENSITY)
-    p.add_argument("--lanes", type=int, default=roadnet.LANES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_grid)
 
@@ -610,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="one scenario point, full artifacts")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("ideal", "realistic"))
+    p.add_argument("--mode", choices=("ideal", "realistic"), default="realistic")
     p.add_argument("--seed", type=int)
     p.add_argument("--odsf", type=float)
     p.set_defaults(func=cmd_run)
@@ -618,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scenario over its demand-factor list")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("ideal", "realistic"))
+    p.add_argument("--mode", choices=("ideal", "realistic"), default="realistic")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)

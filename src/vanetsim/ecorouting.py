@@ -7,7 +7,7 @@ do not all pile onto one path; with the noise width at zero the choice
 is the exact argmin, ties broken by smallest link-id sequence.
 
 The uplink is evaluated per roadside cell on one recount clock: every
-``refresh`` seconds it counts the vehicles in each cell and solves the
+``CELL_REFRESH`` seconds it counts the vehicles in each cell and solves the
 channel fixed point at that count and offered packet rate (background
 plus the reports the cell carried since the last recount). Each cell's
 solution, its drop probability and delay, then decides the fate of
@@ -110,7 +110,7 @@ class CommModule:
     coverage index, as of the last recount (None before the first).
     step() is called by the simulation once per tick: each report created
     since the last tick is filed under its carrier, due deliveries are
-    applied, then, once ``refresh`` seconds have passed since the last
+    applied, then, once ``CELL_REFRESH`` seconds have passed since the last
     recount, every cell is recounted and re-solved. Then the carriers are
     visited in step order (``seq``). A connected one hands all its
     reports to its cell, whose load counts each once. Each is dropped with
@@ -132,23 +132,18 @@ class CommModule:
 
     def __init__(self, index: roadnet.CoverageIndex, table: TmcCostTable,
                  params: mac_analytic.MacParams, *, mode: str = "realistic",
-                 background_rate: float = BACKGROUND_RATE,
-                 refresh: float = CELL_REFRESH, seed: int = 0):
+                 background_rate: float = BACKGROUND_RATE, seed: int = 0):
         if mode not in ("realistic", "ideal"):
             raise ValidationError(f"unknown comm mode {mode!r}")
         if not 0.0 < background_rate < math.inf:
             raise ValidationError(
                 f"background_rate {background_rate} must be positive and finite",
                 field="background_rate")
-        if not 0.0 < refresh < math.inf:
-            raise ValidationError(f"refresh {refresh} must be positive and finite",
-                                  field="refresh")
         self.index = index
         self.table = table
         self.params = params
         self.mode = mode
         self.background_rate = background_rate
-        self.refresh = refresh
         self.cells: list[mac_analytic.MacSolution | None] = [None] * len(index.ids)
         self._sent = [0] * len(index.ids)   # reports per cell since the last recount
         self.delivered = 0
@@ -197,7 +192,7 @@ class CommModule:
             at, _, upd = heapq.heappop(heap)
             self._deliver(upd, at)
 
-        if now >= self._recounted_at + self.refresh - 1e-9:
+        if now >= self._recounted_at + CELL_REFRESH - 1e-9:
             self._recount(sim, now)
 
         for veh in sorted(carriers, key=attrgetter("seq")):

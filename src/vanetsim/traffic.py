@@ -9,9 +9,9 @@ hashes comparable across reruns; distinct scenarios parallelize as
 separate processes, never by threading inside one simulation.
 
 The step (DT), the signal cycle and green share, and the interval of
-the flow-density samples are module constants. The scenario's [sim]
-keys set the acceleration bound, the horizon and the drain time
-through TrafficConfig.
+the flow-density samples are module constants. TrafficConfig holds
+the acceleration bound, the horizon and the drain time; a scenario
+sets only the drain time ([sim] drain_s).
 
 Speed lives in km/h and acceleration in km/h per second throughout,
 matching the engine-map conventions in :mod:`vanetsim.energy`. Engine
@@ -142,7 +142,6 @@ class OdEntry:
     rate: float
     start: float
     end: float
-    preload: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,6 @@ class Departure:
     time: float
     origin: int
     destination: int
-    preload: bool = False
 
 
 def generate_demand(od: OdDemand, seed: int) -> list[Departure]:
@@ -193,7 +191,7 @@ def generate_demand(od: OdDemand, seed: int) -> list[Departure]:
             continue
         t = e.start + rng.expovariate(lam)
         while t < e.end:
-            out.append(Departure(t, e.origin, e.destination, e.preload))
+            out.append(Departure(t, e.origin, e.destination))
             t += rng.expovariate(lam)
     out.sort(key=lambda d: (d.time, d.origin, d.destination))
     return out
@@ -233,7 +231,7 @@ class Vehicle:
     """Mutable per-vehicle record; slots keep the step loop lean."""
 
     __slots__ = (
-        "id", "origin", "destination", "depart", "preload", "state",
+        "id", "origin", "destination", "depart", "state",
         "route", "pos", "speed", "entered_at", "finished_at",
         "distance", "ff_time", "fuel", "co", "hc", "nox", "link_fuel",
         "rates", "rate_until", "decided", "wake", "burned_to", "moving",
@@ -244,7 +242,6 @@ class Vehicle:
         self.origin = dep.origin
         self.destination = dep.destination
         self.depart = dep.time
-        self.preload = dep.preload
         self.state = WAITING
         self.route: list[int] = []
         self.pos = 0.0
@@ -457,12 +454,10 @@ class Simulation:
         return self._n * DT
 
     def counts(self) -> dict[str, int]:
-        """Trip accounting over measured (non-preload) vehicles."""
-        out = {"generated": 0, WAITING: 0, EN_ROUTE: 0, FINISHED: 0, DEFERRED: 0}
+        """Trip accounting: every vehicle, by state."""
+        out = {"generated": len(self.vehicles),
+               WAITING: 0, EN_ROUTE: 0, FINISHED: 0, DEFERRED: 0}
         for veh in self.vehicles:
-            if veh.preload:
-                continue
-            out["generated"] += 1
             out[veh.state] += 1
         return out
 
@@ -936,8 +931,7 @@ class Simulation:
             veh.state = FINISHED
             veh.finished_at = now_end
             self._n_enroute -= 1
-            if not veh.preload:
-                self.finished.append(veh)
+            self.finished.append(veh)
             return True
         nxt = veh.route[1]
         nlk = self._lk[nxt]

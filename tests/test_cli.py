@@ -56,13 +56,37 @@ def test_exit_code_mapping():
         cli.exit_code_for(KeyError("unmapped errors propagate"))
 
 
-def test_scenario_rejects_unknown_key(tmp_path):
+# the settings that a run takes from their owners' defaults are refused as
+# unknown keys, even at the value the default has, and so is a sixth token
+# on an od row
+UNKNOWN_SCENARIO_KEYS = (
+    ("comm", "bandwidth", "11"),
+    ("network", "free_speed_kmh", "50"),
+    ("network", "jam_density", "120"),
+    ("network", "lanes", "1"),
+    ("comm", "mode", "realistic"),
+    ("comm", "access", "basic"),
+    ("comm", "refresh_s", "1.0"),
+    ("routing", "beta", "0.2"),
+    ("sim", "horizon_s", "600"),
+    ("sim", "a_max", "3.6"),
+    ("demand", "od", "1 4 300 0 60 preload"),
+)
+
+
+def test_scenario_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text(TINY_SCENARIO + "\n[comm]\nbandwidth = 11\n")
-    with pytest.raises(ConfigurationError, match="bandwidth"):
-        cli.parse_scenario(path)
-    assert cli.main(["run", "--scenario", str(path), "--out",
-                     str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    out = tmp_path / "o"
+    for section, key, value in UNKNOWN_SCENARIO_KEYS:
+        text = f"[demand]\nod = 1 4 300 0 60\n\n[{section}]\n{key} = {value}\n"
+        path.write_text(f"[demand]\nod = {value}\n" if key == "od" else text)
+        with pytest.raises(ConfigurationError, match=key):
+            cli.parse_scenario(path)
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_scenario_bad_value_names_its_key(tmp_path, capsys):
@@ -81,7 +105,6 @@ def test_build_run_carries_owner_defaults(tmp_path):
     sim, table, comm = cli.build_run(cli.parse_scenario(path), odsf=1.0,
                                      mode="realistic", seed=1)
     assert comm.background_rate == ecorouting.BACKGROUND_RATE
-    assert comm.refresh == ecorouting.CELL_REFRESH
     assert sim.router.eta == ecorouting.ETA
     assert table.beta == ecorouting.BETA
     assert comm.params.queue_capacity == constants.QUEUE_CAPACITY
@@ -91,26 +114,16 @@ def test_build_run_carries_owner_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("comm", "refresh_s", "0"),
     ("comm", "background_rate", "0"),
     ("sim", "drain_s", "-200"),
-    ("sim", "horizon_s", "-1"),
-    ("sim", "a_max", "0"),
     ("routing", "eta", "-0.1"),
-    ("routing", "beta", "0"),
     ("network", "rows", "1"),
     ("network", "spacing_m", "0"),
     ("network", "spacing_m", "inf"),
     ("network", "spacing_m", "1e308"),
-    ("network", "free_speed_kmh", "-5"),
-    ("network", "jam_density", "0"),
-    ("network", "lanes", "0"),
     ("rsu", "range_m", "0"),
     ("comm", "background_rate", "inf"),
-    ("comm", "refresh_s", "inf"),
     ("routing", "eta", "inf"),
-    ("sim", "a_max", "inf"),
-    ("sim", "horizon_s", "inf"),
     ("sim", "drain_s", "inf"),
 ])
 def test_refused_value_names_its_key_and_writes_nothing(tmp_path, capsys,
@@ -197,6 +210,24 @@ def test_run_rejects_out_of_range_odsf_flag(tiny_scenario, tmp_path, capsys):
     assert "odsf" in capsys.readouterr().err
 
 
+# each sweep point writes under odsf_{odsf:g}, so two factors that print
+# alike would share, and overwrite, one output directory
+@pytest.mark.parametrize("odsf,named", [
+    pytest.param("0.5 0.5", "0.5 and 0.5", id="repeated"),
+    pytest.param("0.1234561 0.1234564", "0.1234561 and 0.1234564", id="near-equal")])
+def test_scenario_refuses_odsf_factors_that_share_a_directory(tmp_path, capsys,
+                                                               odsf, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[network]\nrows = 3\ncols = 3\n\n[demand]\n"
+                    f"od = 1 9 300 0 60\nodsf = {odsf}\n")
+    out = tmp_path / "o"
+    assert cli.main(["--quiet", "sweep", "--scenario", str(path), "--out", str(out),
+                     "--jobs", "2"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"odsf {named} share" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_mac_single_station_identity(capsys):
     assert cli.main(["solve-mac", "--stations", "1", "--rate", "50"]) == 0
     out = dict(line.split(" ", 1) for line in
@@ -277,6 +308,13 @@ GRID_COLUMNS = ("stations", "rate")
                  cli.EXIT_VALIDATION, id="gen-grid-spacing-0"),
     pytest.param(["gen-grid", "--spacing", "1e308", "--out", "{tmp}/net.txt"], None,
                  cli.EXIT_VALIDATION, id="gen-grid-spacing-1e308"),
+    # the network file is the one place to set link attributes
+    pytest.param(["gen-grid", "--free-speed", "50", "--out", "{tmp}/net.txt"], None,
+                 cli.EXIT_CONFIG, id="gen-grid-free-speed"),
+    pytest.param(["gen-grid", "--jam-density", "120", "--out", "{tmp}/net.txt"], None,
+                 cli.EXIT_CONFIG, id="gen-grid-jam-density"),
+    pytest.param(["gen-grid", "--lanes", "1", "--out", "{tmp}/net.txt"], None,
+                 cli.EXIT_CONFIG, id="gen-grid-lanes"),
     pytest.param(["solve-mac", "--grid", "{tmp}/missing.tsv"], None,
                  cli.EXIT_CONFIG, id="grid-missing"),
     pytest.param(["solve-mac", "--params", "{tmp}/missing.txt"], None,
@@ -366,21 +404,6 @@ def test_solve_mac_int_beyond_float_range_is_refused(capsys, flag, field):
     assert cli.main(argv + [flag, "1" + "0" * 400]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{field} must be in" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("token", ["yes", "prelaod"])
-def test_od_line_sixth_token_must_be_preload(tmp_path, capsys, token):
-    line = f"1 4 300 0 60 {token}"
-    path = tmp_path / "bad.ini"
-    path.write_text(f"[demand]\nod = {line}\n")
-    out = tmp_path / "o"
-    assert cli.main(["--quiet", "run", "--scenario", str(path),
-                     "--out", str(out)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert repr(line) in err and "Traceback" not in err
-    assert not out.exists()
-    path.write_text("[demand]\nod = 1 4 300 0 60 Preload\n")
-    assert cli.parse_scenario(path)["entries"] == [(1, 4, 300.0, 0.0, 60.0, True)]
 
 
 def test_solve_mac_exits_solver_at_the_iteration_cap(monkeypatch, capsys):
@@ -610,6 +633,35 @@ def test_run_impact_golden_artifacts(tmp_path):
                        "--odsf", "0.8") == IMPACT_RUN_SHA256
 
 
+# the 4x4 golden scenario with its grid loaded from gen-grid's file, named
+# relative to the scenario in a subdirectory, runs to the same bytes
+@pytest.mark.parametrize("mode", sorted(GOLDEN_RUN_SHA256))
+def test_run_network_file_matches_the_generated_grid(mode, tmp_path):
+    (tmp_path / "nets").mkdir()
+    assert cli.main(["--quiet", "gen-grid", "--rows", "4", "--cols", "4",
+                     "--spacing", "150", "--out", str(tmp_path / "nets" / "grid.txt")]) == 0
+    grid = "[network]\nrows = 4\ncols = 4\nspacing_m = 150\n"
+    assert GOLDEN_SCENARIO.count(grid) == 1
+    text = GOLDEN_SCENARIO.replace(grid, "[network]\npath = nets/grid.txt\n")
+    assert run_digests(tmp_path, text, mode) == GOLDEN_RUN_SHA256[mode]
+
+
+def test_network_path_refuses_grid_keys(tmp_path, capsys):
+    cli.main(["--quiet", "gen-grid", "--rows", "3", "--cols", "3",
+              "--out", str(tmp_path / "grid.txt")])
+    path = tmp_path / "bad.ini"
+    path.write_text("[network]\npath = grid.txt\nrows = 3\nspacing_m = 150\n\n"
+                    "[demand]\nod = 1 9 300 0 60\n")
+    out = tmp_path / "o"
+    for cmd in ("run", "sweep"):
+        assert cli.main(["--quiet", cmd, "--scenario", str(path),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[network] path excludes rows, spacing_m" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_run_mode_and_seed_overrides(tiny_scenario, tmp_path):
     assert cli.main(["--quiet", "run", "--scenario", tiny_scenario,
                      "--out", str(tmp_path / "ideal"), "--mode", "ideal",
@@ -728,8 +780,12 @@ def test_defaults_lists_tunables(capsys):
     assert cli.main(["defaults"]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = [line.split()[0] for line in lines if not line.startswith("#")]
-    for key in ("routing.eta", "comm.background_rate", "demand.odsf", "sim.a_max"):
-        assert key in names
+    scenario = lines[lines.index("# scenario file") + 1:]
+    assert [line.split()[0] for line in scenario] == [
+        "network.path", "network.rows", "network.cols", "network.spacing_m",
+        "rsu.range_m", "demand.od", "demand.odsf", "comm.background_rate",
+        "comm.payload_bytes", "comm.queue_capacity", "routing.eta", "sim.seed",
+        "sim.drain_s"]
     # the MAC section is the defaulted MacParams fields; the fixed channel
     # profile is not a tunable
     mac = lines[lines.index("# mac parameters") + 1:lines.index("# scenario file")]

@@ -84,8 +84,7 @@ def test_apply_update_rejects_undelivered():
         eco.EcoRouter(diamond(), table, eta=-0.1)
     index = rn.CoverageIndex(diamond(), [], 250.0)
     params = mac_analytic.MacParams(n_stations=1, arrival_rate=1.0)
-    for key, value in (("background_rate", 0.0), ("background_rate", -5.0),
-                       ("refresh", 0.0), ("refresh", -1.0)):
+    for key, value in (("background_rate", 0.0), ("background_rate", -5.0)):
         with pytest.raises(ValidationError, match=key):
             eco.CommModule(index, table, params, **{key: value})
 
@@ -259,8 +258,8 @@ def test_recount_adds_the_cells_own_reports_to_its_load():
 
     # one refresh later: the reports sent since, per second per station
     sim.fleet.pop()
-    module.step(sim, 0.5 + module.refresh)
-    n, sent, window = fleet - 1, per * fleet, module.refresh
+    module.step(sim, 0.5 + eco.CELL_REFRESH)
+    n, sent, window = fleet - 1, per * fleet, eco.CELL_REFRESH
     want = module._solve_cell(n, rate + sent / window / max(n, 1))
     assert want is not module._solve_cell(n, rate)
     assert module.cells[0] is want
@@ -286,8 +285,8 @@ def test_saturated_cell_takes_every_report_once():
     # a tick with nothing new to send, then the next recount: its offered
     # load counts each of the 2000 reports once
     module.step(sim, 0.2)
-    module.step(sim, 0.1 + module.refresh)
-    window = (0.1 + module.refresh) - 0.1
+    module.step(sim, 0.1 + eco.CELL_REFRESH)
+    window = (0.1 + eco.CELL_REFRESH) - 0.1
     assert module.cells[0] is module._solve_cell(40, 200.0 + 2000 / window / 40)
     assert module.dropped + module.as_record()["in_flight"] == 2000
 
@@ -311,7 +310,7 @@ def test_finished_carrier_loses_its_reports_outside_the_channel_count():
         veh.state = traffic.FINISHED
     sim.fleet = [veh for veh in sim.fleet if veh not in gone]
     sim.xy = (0.0, 0.0)
-    module.step(sim, 0.1 + module.refresh)
+    module.step(sim, 0.1 + eco.CELL_REFRESH)
     lost = [u for u in sim.updates if u.carrier in gone]
     assert len(lost) == 50 and {u.fate for u in lost} == {"dropped"}
     assert not module.carriers

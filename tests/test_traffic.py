@@ -767,20 +767,6 @@ def test_determinism_and_seed_sensitivity():
     assert runs[0][0] != runs[2][0]
 
 
-def test_preload_trips_shape_density_but_not_statistics():
-    net = line_network([10000.0], vf=60.0)
-    sched = [traffic.Departure(0.0, 1, 2, preload=True),
-             traffic.Departure(0.0, 1, 2)]
-    sim = traffic.Simulation(net, schedule=sched,
-                             config=traffic.TrafficConfig(horizon=700.0))
-    sim.run(until=40.0)
-    assert sim.nfd[1].density == pytest.approx(0.2, rel=1e-12)
-    sim.run()
-    s = sim.summary()
-    assert s["generated"] == s["finished"] == 1
-    assert len(sim.vehicle_rows()) == 1
-
-
 def test_quantized_energy_tracks_exact_mode():
     # The reference is the step loop's lookup without the 0.5-unit bins,
     # clamped to the envelope as the real one is, installed on the
