@@ -125,16 +125,30 @@ def test_build_run_carries_owner_defaults(tmp_path):
     ("comm", "background_rate", "inf"),
     ("routing", "eta", "inf"),
     ("sim", "drain_s", "inf"),
+    # a removed key is refused whatever its value, as an unknown key
+    ("comm", "refresh_s", "0"),
+    ("comm", "refresh_s", "inf"),
+    ("sim", "horizon_s", "-1"),
+    ("sim", "horizon_s", "inf"),
+    ("sim", "a_max", "0"),
+    ("sim", "a_max", "inf"),
+    ("routing", "beta", "0"),
+    ("network", "free_speed_kmh", "-5"),
+    ("network", "jam_density", "0"),
+    ("network", "lanes", "0"),
 ])
 def test_refused_value_names_its_key_and_writes_nothing(tmp_path, capsys,
                                                         section, key, value):
     path = tmp_path / "bad.ini"
     path.write_text(f"[demand]\nod = 1 4 300 0 60\n\n[{section}]\n{key} = {value}\n")
     out = tmp_path / "o"
+    removed = any((section, key) == row[:2] for row in UNKNOWN_SCENARIO_KEYS)
+    want, named = ((cli.EXIT_CONFIG, f"unknown key {key!r} in [{section}]") if removed
+                   else (cli.EXIT_VALIDATION, f"[{section}] {key}"))
     for cmd in ("run", "sweep"):
         assert cli.main([cmd, "--scenario", str(path), "--out",
-                         str(out)]) == cli.EXIT_VALIDATION
-        assert f"[{section}] {key}" in capsys.readouterr().err
+                         str(out)]) == want
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -404,6 +418,21 @@ def test_solve_mac_int_beyond_float_range_is_refused(capsys, flag, field):
     assert cli.main(argv + [flag, "1" + "0" * 400]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{field} must be in" in err and "Traceback" not in err
+
+
+# an od row is exactly 'origin dest rate start end'; a sixth token, the old
+# preload flag among them, is refused and the row named
+@pytest.mark.parametrize("token", ["yes", "prelaod", "preload"])
+def test_od_line_takes_five_tokens(tmp_path, capsys, token):
+    line = f"1 4 300 0 60 {token}"
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[demand]\nod = {line}\n")
+    out = tmp_path / "o"
+    assert cli.main(["--quiet", "run", "--scenario", str(path),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(line) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_solve_mac_exits_solver_at_the_iteration_cap(monkeypatch, capsys):
