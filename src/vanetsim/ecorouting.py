@@ -112,8 +112,10 @@ class CommModule:
     since the last tick is filed under its carrier, due deliveries are
     applied, then, once ``CELL_REFRESH`` seconds have passed since the last
     recount, every cell is recounted and re-solved. Then the carriers are
-    visited in step order (``seq``). A connected one hands all its
-    reports to its cell, whose load counts each once. Each is dropped with
+    visited in step order (``seq``). A carrier is connected to the RSU of
+    its cover (``sim.cover``) that is nearest its point, ties going as in
+    ``index.connected_rsu``. A connected one hands all its reports to its
+    cell, whose load counts each once. Each is dropped with
     the cell's drop probability or else delivered the cell's delay later
     (never if inf). The reports of an unconnected carrier simply wait;
     their delay is the mobility of the carrier. A carrier that has
@@ -124,10 +126,11 @@ class CommModule:
     holds one.
 
     A recount takes the fleet as ``sim.cell_tallies(index)``, the vehicles
-    per cover (set of RSUs in range), which places each vehicle in its
-    link's coverage profile, and ``index.count_per_rsu`` turns that into
-    the vehicles per cell. A vehicle counts in every cell whose RSU is in
-    range of its point, as ``hypot(...) <= range_m`` decides.
+    per cover (set of RSUs in range), and ``index.count_per_rsu`` turns
+    that into the vehicles per cell. Both the recount and the connection
+    place a vehicle by the same rule: its pos in its link's coverage
+    profile (`roadnet.LinkProfile`), so a vehicle counts in every cell
+    whose RSU's span on its link holds its pos.
     """
 
     def __init__(self, index: roadnet.CoverageIndex, table: TmcCostTable,
@@ -202,7 +205,7 @@ class CommModule:
                 for upd in carriers.pop(veh):
                     upd.mark_dropped()
                 continue
-            rsu = self.index.connected_rsu(*sim.position(veh))
+            rsu = self.index.nearest(sim.cover(veh, self.index), *sim.position(veh))
             if rsu is None:
                 continue
             sol = self.cells[rsu]

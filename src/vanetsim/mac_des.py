@@ -65,8 +65,6 @@ from .mac_analytic import MacParams, transmission_times, window_sizes
 BATCH_COUNT = 20
 DEFAULT_MIN_DELIVERED = 1000
 WARMUP_SHARE = 0.1                   # of measured_duration, discarded first
-SINGLE_AC_CHECK_STATIONS = 10
-SINGLE_AC_CHECK_MIN_DELIVERED = 200
 
 _by_idx = attrgetter("idx")
 
@@ -569,29 +567,3 @@ def simulate(config: DesConfig) -> DesStats:
                       if ac_delivered is not None else None),
         trace=trace,
     )
-
-
-def single_ac_approximation_check(lambda_per_ac: float, *, seed: int = 1,
-                                  measured_duration: float = 30.0) -> float:
-    """Relative error of collapsing four ACs into one queue at 4x the rate.
-
-    Runs ten stations with each AC offered lambda_per_ac and ten
-    single best-effort queues offered 4*lambda_per_ac, then compares the
-    per-AC share of the single-queue throughput against the measured
-    best-effort throughput (both network-wide rates).
-    """
-    n = SINGLE_AC_CHECK_STATIONS
-    stats_four = simulate(DesConfig(
-        mac_params=MacParams(n_stations=n, arrival_rate=lambda_per_ac),
-        seed=seed, measured_duration=measured_duration,
-        ac_mode=AcMode.FOUR_AC, min_delivered=SINGLE_AC_CHECK_MIN_DELIVERED))
-    stats_single = simulate(DesConfig(
-        mac_params=MacParams(n_stations=n, arrival_rate=4.0 * lambda_per_ac),
-        seed=seed + 1, measured_duration=measured_duration,
-        ac_mode=AcMode.SINGLE_AC, min_delivered=SINGLE_AC_CHECK_MIN_DELIVERED))
-    thr_be = stats_four.per_ac_delivered["ac_be"]
-    if thr_be <= 0:
-        raise ConfigurationError(
-            "best-effort throughput is zero; cannot form a relative error")
-    thr_single_share = stats_single.delivered_per_station * n / 4.0
-    return abs(thr_single_share - thr_be) / thr_be

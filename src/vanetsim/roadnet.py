@@ -17,10 +17,10 @@ The RSU layout lives in `CoverageIndex`: the placed signals, one
 shared range, and a uniform grid index whose cells are at least that
 range wide (`_cell_size`), so any disk lies in the 3x3 cell
 neighborhood of its center. It also builds, on first use, a coverage
-profile per link (`LinkProfile`): the sorted positions along the link
-where an RSU's disk starts or ends, each inside a guard band, so that a
-position outside every band is placed by bisection and gets the same
-RSUs as the exact distance test on its point.
+profile per link (`LinkProfile`): the positions along the link where an
+RSU's disk starts or ends, rounded once to whole position units
+(``POS_UNITS`` per metre). The cuts are the coverage rule: a position
+is in range of an RSU when it lies in that RSU's span of cuts.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +42,9 @@ LANES = 1
 RSU_RANGE_M = 250.0
 COVERAGE_SAMPLES_PER_LINK = 10   # interior points of link_length_coverage
 MIN_CELL_M = 1.0   # grid cells at least this wide keep every x / cell finite
+# position units per metre along a link: a step of 0.1 s at a speed of n
+# thousandths of a km/h moves n units (see traffic)
+POS_UNITS = 36_000
 
 
 @dataclass(frozen=True)
@@ -505,11 +507,13 @@ def link_length_coverage(network: RoadNetwork, index: "CoverageIndex") -> float:
 # --- coverage index -----------------------------------------------------
 
 class LinkLine:
-    """A link as a line: ``pos`` metres along it lie at ``point(pos)``.
+    """A link as a line: ``pos`` units along it lie at ``point(pos)``.
 
-    The point is interpolated between the link's end nodes by pos / length,
-    so pos == length is the to-node and every pos lies on the line through
-    both nodes, whatever the link's stated length.
+    ``length`` is the link's stated length in whole position units
+    (``POS_UNITS`` per metre). The point is interpolated between the
+    link's end nodes by pos / length, so pos == length is the to-node and
+    every pos lies on the line through both nodes, whatever the link's
+    stated length.
     """
 
     __slots__ = ("length", "x0", "y0", "dx", "dy")
@@ -517,34 +521,28 @@ class LinkLine:
     def __init__(self, link: Link, network: RoadNetwork):
         a = network.nodes[link.from_node]
         b = network.nodes[link.to_node]
-        self.length = link.length
+        self.length = round(link.length * POS_UNITS)
         self.x0, self.y0 = a.x, a.y
         self.dx, self.dy = b.x - a.x, b.y - a.y
 
-    def point(self, pos: float) -> tuple[float, float]:
-        """Plane coordinates of ``pos`` metres along the link."""
+    def point(self, pos: int) -> tuple[float, float]:
+        """Plane coordinates of ``pos`` units along the link."""
         f = pos / self.length
         return self.x0 + self.dx * f, self.y0 + self.dy * f
 
 
 class LinkProfile(NamedTuple):
-    """Where along a link a position lies in range of which RSUs.
+    """Which RSUs a position along a link is in range of.
 
     A pos falls in entry ``bisect_right(cuts, pos)`` of ``covers``: the id
-    of the set of RSUs whose range holds that pos's point (see
-    `CoverageIndex.cover_of`), or -1 inside a guard band, where only the
-    exact test on ``line.point(pos)`` decides. ``cuts`` ends with the
-    link's length, so pos == length, the stop line, falls in the last
-    entry, which the exact test on the to-node decided once.
-
-    `CoverageIndex.cover_at` reads a profile so. `Simulation.cell_tallies`
-    repeats its bisection inline, calling ``cover_at`` only for a pos in
-    a band, because a call per vehicle costs about a fifth of the
-    tally's time.
+    of the set of RSUs whose span on the link holds that pos (see
+    `CoverageIndex.profile`). This is the coverage rule of the recount
+    and of the uplink; `CoverageIndex.cover_of`, the distance test on a
+    point, agrees with it wherever the pos is more than a unit from a
+    cut and the test is not decided by its own rounding.
     """
-    cuts: list[float]
+    cuts: list[int]
     covers: list[int]
-    line: LinkLine
 
 
 class CoverageIndex:
@@ -557,8 +555,7 @@ class CoverageIndex:
 
     A set of RSUs (in id order) that share a point's range is a cover,
     known by a small integer id (`cover_of`). ``profiles`` holds each
-    link's `LinkProfile` once `profile` has built it, and ``exact_tests``
-    counts the positions `cover_at` has sent to the exact test.
+    link's `LinkProfile` once `profile` has built it.
     """
 
     def __init__(self, network: RoadNetwork, signal_ids, range_m: float):
@@ -572,18 +569,31 @@ class CoverageIndex:
         self._covers: list[tuple[int, ...]] = []      # cover id -> RSU ids
         self._cover_ids: dict[tuple[int, ...], int] = {}
         self.profiles: dict[int, LinkProfile] = {}
-        self.exact_tests = 0
+
+    def _in_range(self, x: float, y: float):
+        """The RSU ids whose range holds (x, y): hypot(x - rx, y - ry) <= range_m."""
+        rng = self.range_m
+        xy = self._xy
+        return [rid for rid in _near(self._buckets, _cell_key(x, y, self._cell))
+                if math.hypot(x - xy[rid][0], y - xy[rid][1]) <= rng]
 
     def connected_rsu(self, x: float, y: float) -> int | None:
         """Nearest in-range RSU id; ties within 1e-9 m go to lowest id."""
+        return self._nearest(self._in_range(x, y), x, y)
+
+    def nearest(self, cid: int, x: float, y: float) -> int | None:
+        """The RSU of cover cid nearest (x, y), ties as in `connected_rsu`.
+
+        None for the cover with no RSU.
+        """
+        return self._nearest(self._covers[cid], x, y)
+
+    def _nearest(self, rids, x: float, y: float) -> int | None:
         best_id = None
         best_d = math.inf
-        rng = self.range_m
-        for rid in _near(self._buckets, _cell_key(x, y, self._cell)):
+        for rid in rids:
             rx, ry = self._xy[rid]
             d = math.hypot(x - rx, y - ry)
-            if d > rng:
-                continue
             if d < best_d - 1e-9 or (abs(d - best_d) <= 1e-9
                                      and (best_id is None or rid < best_id)):
                 best_id, best_d = rid, d
@@ -591,12 +601,7 @@ class CoverageIndex:
 
     def cover_of(self, x: float, y: float) -> int:
         """Cover id of the RSUs in range of (x, y): hypot(x - rx, y - ry) <= range_m."""
-        rng = self.range_m
-        xy = self._xy
-        cover = tuple(sorted(
-            rid for rid in _near(self._buckets, _cell_key(x, y, self._cell))
-            if math.hypot(x - xy[rid][0], y - xy[rid][1]) <= rng))
-        return self._cover_id(cover)
+        return self._cover_id(tuple(sorted(self._in_range(x, y))))
 
     def count_per_rsu(self, tallies) -> dict[int, int]:
         """Vehicles in range of each RSU, from {cover id: vehicles}."""
@@ -607,44 +612,25 @@ class CoverageIndex:
                 counts[rid] += k
         return counts
 
-    def cover_at(self, lid: int, pos: float) -> int:
-        """Cover id of ``pos`` metres along link lid, as `cover_of` its point.
-
-        The link's profile decides, and in a guard band the exact test does.
-        """
-        cuts, covers, line = self.profiles.get(lid) or self.profile(lid)
-        cid = covers[bisect_right(cuts, pos)]
-        if cid < 0:
-            self.exact_tests += 1
-            cid = self.cover_of(*line.point(pos))
-        return cid
-
     def profile(self, lid: int) -> LinkProfile:
         """Build link lid's coverage profile and keep it in ``profiles``.
 
-        Each RSU adds the cuts of `_disk_span` (none where its disk misses
-        the link); between two cuts every RSU is surely in range, surely
-        not, or in its guard band, and a stretch in no band gets the cover
-        of the RSUs surely in range. A stretch's state is read at its first
-        pos, since its cuts are where the states change.
+        Each RSU whose disk meets the link spans the whole units
+        [lo, hi] of `_disk_span`, and adds the cuts lo and hi + 1. A
+        stretch between two cuts gets the cover of the RSUs whose span
+        holds its first pos.
         """
         line = LinkLine(self.network.links[lid], self.network)
-        length = line.length
         spans = []
         for rid in self.ids:
             span = _disk_span(line, *self._xy[rid], self.range_m)
             if span is not None:
                 spans.append((rid, *span))
-        cuts = sorted({c for span in spans for c in span[1:] if 0.0 < c < length})
-        covers = []
-        for start in [0.0, *cuts]:
-            sure = tuple(rid for rid, _, _, ilo, ihi in spans if ilo <= start < ihi)
-            banded = any(lo <= start < hi and not ilo <= start < ihi
-                         for _, lo, hi, ilo, ihi in spans)
-            covers.append(-1 if banded else self._cover_id(sure))
-        cuts.append(length)
-        covers.append(self.cover_of(*line.point(length)))
-        prof = self.profiles[lid] = LinkProfile(cuts, covers, line)
+        cuts = sorted({c for _, lo, hi in spans for c in (lo, hi + 1)
+                       if 0 < c <= line.length})
+        covers = [self._cover_id(tuple(rid for rid, lo, hi in spans if lo <= start <= hi))
+                  for start in [0, *cuts]]
+        prof = self.profiles[lid] = LinkProfile(cuts, covers)
         return prof
 
     def _cover_id(self, cover: tuple[int, ...]) -> int:
@@ -656,49 +642,32 @@ class CoverageIndex:
 
 
 def _disk_span(line: LinkLine, rx: float, ry: float, range_m: float):
-    """Where along line the disk of range_m around (rx, ry) may reach.
+    """The pos along line whose points lie within range_m of (rx, ry).
 
-    Returns (lo, hi, ilo, ihi), or None where no pos along the line is in
-    range. The points of pos in [ilo, ihi) are in range, those of pos
-    outside [lo, hi) are not, and [lo, ilo) and [ihi, hi) are the guard
-    bands, where only the exact test decides. A disk that hardly reaches
-    the line, or a range within two bands of 0, has no [ilo, ihi): all
-    of its [lo, hi) is band.
-
-    Why the band holds: the exact distance from the line's point at pos
-    to the RSU is sqrt(h**2 + (s*pos - t)**2), with h the RSU's distance
-    from the line, t its foot along it and s = |d| / length. `point` and
-    hypot round that distance by well under 2**-40 * big, where big
-    bounds every coordinate and the range, so where the exact distance
-    is at most range_m - band or at least range_m + band, with band =
-    2**-20 * big (``_CELL_MARGIN``, as in `_cell_size`), the computed test
-    is sure. The cuts come from those two radii; their own rounding, in
-    coordinates scaled by a power of two to keep the squares finite, is
-    as small, and a near-tangent disk, whose cuts round the worst, gets
-    the widest band, since its inner radius falls short first.
+    Returns (lo, hi) in whole position units, rounded to the nearest,
+    with [lo, hi] the span in range, or None where the disk misses the
+    line. The distance from the line's point at pos to the RSU is
+    sqrt(h**2 + (s*pos - t)**2), with h the RSU's distance from the
+    line, t its foot along it and s = |d| / length; the span is where
+    that is at most range_m. Coordinates are first scaled by a power of
+    two to at most 2, which keeps the squares finite. A link whose nodes
+    coincide is one point, in range or not as a whole.
     """
     big = max(abs(line.x0) + abs(line.dx), abs(line.y0) + abs(line.dy),
               abs(rx), abs(ry)) + range_m
-    whole = (-math.inf, math.inf, 0.0, 0.0)     # all band
-    if not 0.0 < big < 2.0 ** 1000:
-        return whole
-    scale = 2.0 ** math.frexp(big)[1]
+    scale = 2.0 ** (math.frexp(big)[1] - 1)
     dx, dy = line.dx / scale, line.dy / scale
     qx, qy = rx / scale - line.x0 / scale, ry / scale - line.y0 / scale
     r = range_m / scale
-    band = _CELL_MARGIN * big / scale
     norm = math.hypot(dx, dy)
     if norm == 0.0:
-        return whole            # every pos is the from-node
+        return (0, line.length) if math.hypot(qx, qy) <= r else None
     t = (qx * dx + qy * dy) / norm
     h = abs(qx * dy - qy * dx) / norm
-    outer = (r + band) ** 2 - h * h
-    if not outer > 0.0:
+    reach = r * r - h * h
+    if not reach >= 0.0:
         return None
-    w = math.sqrt(outer)
-    lo, hi = (t - w) / norm * line.length, (t + w) / norm * line.length
-    inner = (r - band) ** 2 - h * h
-    if r <= 2.0 * band or not inner > 0.0:
-        return lo, hi, 0.0, 0.0
-    w = math.sqrt(inner)
-    return lo, hi, (t - w) / norm * line.length, (t + w) / norm * line.length
+    w = math.sqrt(reach)
+    lo = max((t - w) / norm * line.length, -1.0)
+    hi = min((t + w) / norm * line.length, line.length + 1.0)
+    return round(lo), round(hi)

@@ -13,13 +13,21 @@ the flow-density samples are module constants. TrafficConfig holds
 the acceleration bound, the horizon and the drain time; a scenario
 sets only the drain time ([sim] drain_s).
 
-Speed lives in km/h and acceleration in km/h per second throughout,
-matching the engine-map conventions in :mod:`vanetsim.energy`. Engine
-rates are refreshed once per simulated second (every RATE_REFRESH / DT
-steps, counted in whole steps) and held in between, as per-step
-increments (rate times DT) that the burn adds as they are. The lookup
-quantizes speed and acceleration to 0.5-unit bins so the exp()
-evaluations amortize across the fleet.
+A vehicle's kinematics and burns are integers. Speed is counted in
+thousandths of a km/h (``SPEED_UNITS`` per km/h), so ``a_max * DT`` is
+360 units at the default bound. Position along a link is counted in
+``roadnet.POS_UNITS`` per metre, 1/36,000 m, so one step at speed s
+moves exactly s units, and a 150 m link is 5,400,000 units. Link
+lengths, Greenshields targets and free speeds are converted once, when
+``_LinkData`` is built. Engine rates are refreshed once per simulated
+second (every RATE_REFRESH / DT steps) and held in between, as per-step
+increments, each rounded once to a whole number of its measure's
+quantum (``BURN_QUANTA``); the lookup bins speed and acceleration to
+0.5-unit steps, from the integers, so the exp() evaluations amortize
+across the fleet. Floats are made only where a value leaves the
+simulation: ``position``, a report's fuel, the flow-density samples,
+``vehicle_rows``, ``summary`` and ``state_hash``. A burn total below
+2**53 quanta is written out exactly.
 
 ``Simulation.step`` moves the fleet in one loop body: move, burn and
 stop-line crossing run inline for each vehicle, and only the rare paths
@@ -32,10 +40,10 @@ Blocking at a stop line is an instantaneous halt: the acceleration
 clamp shapes free driving, not the last half metre before a red light.
 The engine map sees envelope-clamped kinematics for that step.
 
-The uplink reads the traffic through three names of ``Simulation``:
-``updates``, ``position`` and ``cell_tallies``. Traffic only creates the
-reports, each naming its carrier; the uplink holds every one it has not
-sent.
+The uplink reads the traffic through four names of ``Simulation``:
+``updates``, ``position``, ``cover`` and ``cell_tallies``. Traffic only
+creates the reports, each naming its carrier; the uplink holds every one
+it has not sent.
 
 Step order is admission order, the order of ``enroute``. The loop visits
 only the vehicles that are awake or due: a sleeping vehicle keeps its
@@ -53,31 +61,26 @@ That is the first step at which the per-step loop could have crossed, so
 admission order, router draws and the competition for room do not
 change. A parked step would only have added the idle burn, so the
 skipped burns are replayed at the wake, and before anything reads fuel
-(``state_hash`` and the end of ``run``). A parked vehicle stands at its
-stop line, whose RSUs its link's coverage profile holds, so
-``cell_tallies`` places it without computing its point.
+(``state_hash`` and the end of ``run``).
 
 A vehicle that moved on its own link short of the stop line, in a step
 that left the link's count as the step's snapshot read it, sleeps
 moving. Each later step repeats the loop body with the same target for
 as long as that count holds: on a ramp, the speed steps toward the
-target by at most ``a_max * DT``; once there, it cruises, the ramp with
-no speed change, and every step adds the same increment of position and
-burns the same rates. The loop skips it until its wake: the step after
-any change of the link's count (an entry, an exit or an admission), or
-at the latest the first step whose move could reach the stop line,
-bounded from the faster of its speed and target, so every crossing and
-router draw happens where the per-step loop has it. The skipped steps
-are replayed at the wake, and before anything reads fuel, a ramp's
-speed or, in ``position``, the vehicle's point; ``cell_tallies`` replays
-only a vehicle whose estimated position lies near a cut or in a guard
-band of its link's coverage profile.
+target by at most ``a_max * DT``; once there, it cruises, and every step
+adds the same move and burns the same rates. The loop skips it until its
+wake: the step after any change of the link's count (an entry, an exit
+or an admission), or at the latest the first step whose move could reach
+the stop line, so every crossing and router draw happens where the
+per-step loop has it.
 
-A ramp is replayed step by step, with the loop body's roundings. The
-steady steps, parked or cruising, are replayed with
-``floats.add_repeated``, which gives the bits of the step-by-step sums;
-results are byte-identical to a loop that moves every vehicle every
-step.
+With integer state, what a sleeper skipped is arithmetic: k cruising
+steps move k times the speed, a ramp's moves are an arithmetic series,
+and its burns are one run of held rates per refresh window. So
+``position``, ``cover`` and ``cell_tallies`` compute a moving sleeper's
+exact pos without applying anything, and ``_replay`` applies the skipped
+steps at the wake, and before anything reads fuel. Results are
+byte-identical to a loop that moves every vehicle every step.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from typing import ClassVar
 
 from . import energy, roadnet
 from .errors import SimulationError, ValidationError
-from .floats import add_repeated, left_sum
+from .floats import left_sum
 
 DT = 0.1                 # s
 A_MAX = 3.6              # km/h per s, about 1 m/s^2
@@ -103,19 +106,25 @@ NFD_INTERVAL = 30.0      # s
 RATE_REFRESH = 1.0       # s between engine-map lookups per vehicle
 _PHASE_STEPS = round(SIGNAL_CYCLE * GREEN_SHARE / DT)   # steps per signal phase
 
-_POS_EPS = 1e-6          # m, stop-line arrival tolerance
+SPEED_UNITS = 1000       # per km/h: speeds are whole thousandths of a km/h
+# A step at speed s units moves s position units: s / SPEED_UNITS km/h for
+# DT s is s / 36,000 m, which is roadnet.POS_UNITS' unit.
+POS_UNITS = roadnet.POS_UNITS
+# The per-step burn increments of fuel (L), CO, HC and NOx (mg), in the
+# order of energy.MEASURES, are whole multiples of these powers of two.
+# Each quantum leaves 2**53 quanta above a million steps (about 28 h) at
+# its measure's top rate in the calibration envelope, and 2**18 or more
+# in its smallest increment.
+BURN_QUANTA = (2.0 ** -41, 2.0 ** -29, 2.0 ** -38, 2.0 ** -36)
+# the rate lookup's 0.5 km/h and 0.5 km/h/s bins, in speed units and in
+# speed units per step, and the envelope in bins
+_V_BIN = SPEED_UNITS // 2
+_A_BIN = round(SPEED_UNITS * DT / 2)
+_VB_LO, _VB_HI = (round(2 * v) for v in energy.ENVELOPE_V)
+_AB_LO, _AB_HI = (round(2 * a) for a in energy.ENVELOPE_A)
+
+_POS_UNITS_KM = POS_UNITS * 1000
 _NEVER = math.inf        # wake of a vehicle waiting for room on a full link
-# Relative rounding margin. A moving sleeper's wake is bounded with
-# _MARGIN_WAKE of its line per step (each step's addition rounds by at most
-# 2**-52 of it), and cell_tallies' estimate of its pos after k steps is
-# within (k + 4) * (length + (m + 4) * v) * _MARGIN of the replayed one, m
-# the steps of its ramp and v the faster of its speed and target, at least
-# 8 times the roundings of the pos (2**-52 of the length per step), the
-# speeds (2**-53 of v per step of the ramp) and the estimate itself.
-_MARGIN_WAKE = 2.0 ** -40
-_MARGIN = 2.0 ** -48
-_V_LO, _V_HI = energy.ENVELOPE_V
-_A_LO, _A_HI = energy.ENVELOPE_A
 _by_seq = attrgetter("seq")   # step order
 
 WAITING = "waiting"
@@ -201,7 +210,7 @@ def generate_demand(od: OdDemand, seed: int) -> list[Departure]:
 
 @dataclass
 class LinkCostUpdate:
-    """One measured link-fuel report, made by its carrier at a link exit.
+    """One measured link-fuel report (litres), made by its carrier at a link exit.
 
     Fate moves queued -> delivered or queued -> dropped exactly once.
     """
@@ -228,7 +237,12 @@ class LinkCostUpdate:
 
 
 class Vehicle:
-    """Mutable per-vehicle record; slots keep the step loop lean."""
+    """Mutable per-vehicle record; slots keep the step loop lean.
+
+    ``pos`` and ``distance`` are in position units, ``speed`` and
+    ``target`` in speed units, and the burns in their quanta
+    (``BURN_QUANTA``), all integers.
+    """
 
     __slots__ = (
         "id", "origin", "destination", "depart", "state",
@@ -244,17 +258,17 @@ class Vehicle:
         self.depart = dep.time
         self.state = WAITING
         self.route: list[int] = []
-        self.pos = 0.0
-        self.speed = 0.0
+        self.pos = 0
+        self.speed = 0
         self.entered_at = None
         self.finished_at = None
-        self.distance = 0.0       # m, completed links only
+        self.distance = 0         # completed links only
         self.ff_time = 0.0        # s, free-flow time of links actually driven
-        self.fuel = 0.0           # liters
-        self.co = 0.0             # mg
-        self.hc = 0.0
-        self.nox = 0.0
-        self.link_fuel = 0.0      # liters on the current link
+        self.fuel = 0
+        self.co = 0
+        self.hc = 0
+        self.nox = 0
+        self.link_fuel = 0        # fuel on the current link
         self.rates = None
         self.rate_until = 0       # step of the next engine-map lookup
         self.decided = False      # route tail already refreshed at this stop
@@ -262,7 +276,7 @@ class Vehicle:
         self.burned_to = 0        # asleep: first step whose burn (moving asleep:
                                   # and whose move) is not applied
         self.moving = False       # asleep moving (see Simulation._sleep_moving)
-        self.target = 0.0         # moving asleep: the speed it steps toward
+        self.target = 0           # moving asleep: the speed it steps toward
         self.seq = 0              # admission sequence number: the step order
 
 
@@ -277,6 +291,9 @@ class TrafficConfig:
         if not 0.0 < self.a_max < math.inf:
             raise ValidationError(f"a_max {self.a_max} must be positive and finite",
                                   field="a_max")
+        if round(self.a_max * DT * SPEED_UNITS) < 1:
+            raise ValidationError(f"a_max {self.a_max} km/h per s changes the speed by "
+                                  f"less than half a speed unit per step", field="a_max")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ValidationError(f"horizon {self.horizon} must be positive and finite",
                                   field="horizon")
@@ -310,29 +327,31 @@ def free_flow_router(network: roadnet.RoadNetwork):
 
 
 class _LinkData(roadnet.LinkLine):
-    """A link as the step loop reads it.
+    """A link as the step loop reads it, in integer units.
 
-    ``target[k]`` is the Greenshields speed at k vehicles on the link, for
-    k = 0..cap. Links with equal (free_speed, inv_len_lanes, jam, cap)
-    share one list, kept in ``tables``.
+    ``length`` is in position units (`roadnet.LinkLine`), ``free_speed``
+    in speed units, and ``target[k]`` is the Greenshields speed at k
+    vehicles on the link, for k = 0..cap, rounded to speed units. Links
+    with equal free speed, 1 / (km * lanes), jam density and cap share
+    one list, kept in ``tables``.
     """
 
-    __slots__ = ("free_speed", "jam", "cap", "inv_len_lanes", "target",
-                 "to_node", "to_signal", "red_from", "ff_time")
+    __slots__ = ("free_speed", "cap", "target", "to_node", "to_signal", "red_from",
+                 "ff_time")
 
     def __init__(self, link: roadnet.Link, network: roadnet.RoadNetwork,
-                 tables: dict[tuple, list[float]]):
+                 tables: dict[tuple, list[int]]):
         roadnet.LinkLine.__init__(self, link, network)
-        self.free_speed = link.free_speed
-        self.jam = link.jam_density
+        self.free_speed = round(link.free_speed * SPEED_UNITS)
         len_lanes_km = link.length / 1000.0 * link.lanes
         self.cap = int(link.jam_density * len_lanes_km + 1e-9)
-        self.inv_len_lanes = 1.0 / len_lanes_km
-        key = (self.free_speed, self.inv_len_lanes, self.jam, self.cap)
+        inv_len_lanes = 1.0 / len_lanes_km
+        key = (link.free_speed, inv_len_lanes, link.jam_density, self.cap)
         target = tables.get(key)
         if target is None:
             target = tables[key] = [
-                greenshields(self.free_speed, k * self.inv_len_lanes, self.jam)
+                round(greenshields(link.free_speed, k * inv_len_lanes,
+                                   link.jam_density) * SPEED_UNITS)
                 for k in range(self.cap + 1)]
         self.target = target
         self.to_node = link.to_node
@@ -362,10 +381,10 @@ class Simulation:
     answer is reused while the vehicle sits blocked. An optional comm
     object gets ``comm.step(sim, now)`` once per step after movement and
     admission. It reads ``updates`` (every report, in creation order, each
-    naming its carrier), ``position(veh)`` and ``cell_tallies(index)`` (the
-    en-route fleet counted by RSU cover), and holds, sends and drops the
-    reports; without one every report stays queued. ``enroute`` is the
-    whole en-route fleet in step order.
+    naming its carrier), ``position(veh)``, ``cover(veh, index)`` and
+    ``cell_tallies(index)`` (the en-route fleet counted by RSU cover), and
+    holds, sends and drops the reports; without one every report stays
+    queued. ``enroute`` is the whole en-route fleet in step order.
     """
 
     def __init__(self, network: roadnet.RoadNetwork, *,
@@ -402,13 +421,7 @@ class Simulation:
         cfg = self.config
         self._nfd_steps = round(NFD_INTERVAL / DT)
         self._refresh_steps = round(RATE_REFRESH / DT)
-        self._dv_max = cfg.a_max * DT
-        # cell_tallies' margin per step, with every link's length and speed
-        # bounded by the longest and fastest (see _MARGIN)
-        v_top = max((ln.free_speed for ln in network.links.values()), default=0.0)
-        self._margin_base = (max((ln.length for ln in network.links.values()), default=0.0)
-                             + 4.0 * v_top) * _MARGIN
-        self._margin_ramp = v_top * _MARGIN
+        self._dv_max = round(cfg.a_max * DT * SPEED_UNITS)
 
         if demand is not None:
             self._demand_end = demand.end_time()
@@ -468,97 +481,84 @@ class Simulation:
                 and not self._entry_queues)
 
     def position(self, veh: Vehicle) -> tuple[float, float]:
-        """Plane coordinates of an en-route vehicle, interpolated along its link.
+        """Plane coordinates of an en-route vehicle, interpolated along its link."""
+        return self._lk[veh.route[0]].point(self._pos(veh))
 
-        A vehicle moving asleep is first replayed up to the steps moved so
-        far (``_replay``); it stays asleep until its wake.
-        """
-        if veh.moving:
-            self._replay(veh, self._moved)
-        return self._lk[veh.route[0]].point(veh.pos)
+    def cover(self, veh: Vehicle, index: roadnet.CoverageIndex) -> int:
+        """Cover id of ``index`` at an en-route vehicle's pos, by its link's profile."""
+        lid = veh.route[0]
+        cuts, covers = index.profiles.get(lid) or index.profile(lid)
+        return covers[bisect_right(cuts, self._pos(veh))]
 
     def cell_tallies(self, index: roadnet.CoverageIndex) -> dict[int, int]:
         """The en-route fleet as {cover id of ``index``: vehicles there}.
 
         Each vehicle's pos is placed in its link's profile (see
         `roadnet.LinkProfile`, built the first time a tally meets the
-        link), and only a pos in a guard band goes to ``index.cover_at``
-        and its exact test. A vehicle moving asleep is placed by an
-        estimate of the pos its k unapplied steps reach: speeds that step
-        by ``a_max * DT`` toward the target, an arithmetic series, then
-        hold it. The estimate is within ``margin`` of the replayed pos
-        (see ``_MARGIN``), so a stretch of the profile that holds the
-        estimate with its margin on either side holds that pos too. The
-        vehicle is replayed (as ``position`` does) only where a cut lies
-        within the margin, where the estimate falls in a band, or at or
-        past the stop line: in the impact-realistic benchmark at seed 1,
-        26 of the 415,785 moving sleepers the tallies met with steps
-        unapplied (208,670 of them on a ramp). ``index`` must be built on
-        this simulation's network, whose links its profiles are made from.
+        link), as ``cover`` places it. A vehicle moving asleep is placed at
+        the exact pos its unapplied steps reach (``_travel``), which
+        applies nothing. ``index`` must be built on this simulation's
+        network, whose links its profiles are made from.
         """
         profiles = index.profiles
         build = index.profile
         moved = self._moved
-        dm = self._dv_max
-        base = self._margin_base
-        per_ramp_step = self._margin_ramp
+        travel = self._travel
         tallies: dict[int, int] = {}
         get = tallies.get
         for veh in self.enroute:
             lid = veh.route[0]
-            cuts, covers, _ = profiles.get(lid) or build(lid)
+            cuts, covers = profiles.get(lid) or build(lid)
             pos = veh.pos
             if veh.moving:
-                k = moved - veh.burned_to
-                v = veh.speed
-                gap = veh.target - v
-                if gap:
-                    # m steps clamped to dm, then the target; floor rather
-                    # than ceil - 1 when gap / dm is whole gives the same
-                    # speeds, since its last step lands on the target
-                    m = int((gap if gap > 0.0 else -gap) / dm)
-                    if m > k:
-                        m = k
-                    est = pos + (m * v + (dm if gap > 0.0 else -dm) * (m * (m + 1) / 2)
-                                 + (k - m) * veh.target) / 3.6 * DT
-                    margin = (k + 4) * (base + m * per_ramp_step)
-                else:
-                    est = pos + v / 3.6 * DT * k
-                    margin = (k + 4) * base
-                i = bisect_right(cuts, est - margin)
-                if i < len(cuts) and est + margin < cuts[i] and covers[i] >= 0:
-                    tallies[covers[i]] = get(covers[i], 0) + 1
-                    continue
-                self._replay(veh, moved)
-                pos = veh.pos
+                pos += travel(veh, moved - veh.burned_to)[0]
             cid = covers[bisect_right(cuts, pos)]
-            if cid < 0:
-                cid = index.cover_at(lid, pos)
             tallies[cid] = get(cid, 0) + 1
         return tallies
 
+    def _pos(self, veh) -> int:
+        """An en-route vehicle's pos after the steps moved so far."""
+        if veh.moving:
+            return veh.pos + self._travel(veh, self._moved - veh.burned_to)[0]
+        return veh.pos
+
+    def _travel(self, veh, k) -> tuple[int, int]:
+        """The move and the speed of k steps of a vehicle moving asleep.
+
+        Its speed steps by ``a_max * DT`` toward the target while that is
+        further off (``full`` steps), then takes the target: an
+        arithmetic series of moves, then k - full moves at the target.
+        """
+        v = veh.speed
+        target = veh.target
+        gap = target - v
+        if not gap:
+            return k * v, v
+        dm = self._dv_max
+        full = (gap if gap > 0 else -gap) // dm
+        d = dm if gap > 0 else -dm
+        m = k if k < full else full
+        return (m * v + d * (m * (m + 1) // 2) + (k - m) * target,
+                v + k * d if k <= full else target)
+
     # -- engine-map plumbing ----------------------------------------------
 
-    def _lookup_rates(self, v: float, a: float):
-        # envelope clamp here, not in the map, so stop-line discontinuities
-        # do not spray warnings
-        if v < _V_LO:
-            v = _V_LO
-        elif v > _V_HI:
-            v = _V_HI
-        if a < _A_LO:
-            a = _A_LO
-        elif a > _A_HI:
-            a = _A_HI
-        key = (round(v * 2.0), round(a * 2.0))
-        v = key[0] / 2.0
-        a = key[1] / 2.0
+    def _lookup_rates(self, v: int, dv: int):
+        """Per-step burn increments, in quanta, at speed v and speed change dv.
+
+        The bins are the nearest half km/h and half km/h/s, ties up,
+        clamped to the calibration envelope there, not in the map, so
+        stop-line discontinuities do not spray warnings.
+        """
+        vb = (v + _V_BIN // 2) // _V_BIN
+        ab = (dv + _A_BIN // 2) // _A_BIN
+        key = (_VB_LO if vb < _VB_LO else _VB_HI if vb > _VB_HI else vb,
+               _AB_LO if ab < _AB_LO else _AB_HI if ab > _AB_HI else ab)
         got = self._rate_cache.get(key)
         if got is None:
-            # per-step increments: the burn adds them as they are
-            got = tuple(energy.vt_micro_rate(v, a, self.coeffs, m) * DT
-                        for m in energy.MEASURES)
-            self._rate_cache[key] = got
+            got = self._rate_cache[key] = tuple(
+                round(energy.vt_micro_rate(key[0] / 2, key[1] / 2, self.coeffs, m) * DT / q)
+                for m, q in zip(energy.MEASURES, BURN_QUANTA))
         return got
 
     # -- step loop ---------------------------------------------------------
@@ -573,15 +573,16 @@ class Simulation:
         ``a_max * DT``, then the step's burn, then a stop line reached in
         this step is tried. A vehicle that is due at a line it already
         holds and fails to cross again burns the step at v = a = 0, through
-        the same burn.
+        the same burn. A vehicle reaches the line when its pos is the
+        link's length or more.
 
-        The burn adds the held per-step increments (rate times DT) to the
-        accumulators. They are looked up every RATE_REFRESH and held in
-        between. A parked vehicle skips its held steps, each a burn at
-        v = a = 0. One moving asleep (see ``_sleep_moving``) skips steps
-        that each repeat this body with the same target. The loop does not
-        visit either until the step it is filed under in the calendar,
-        where ``_replay`` applies what it skipped, bit for bit.
+        The burn adds the held per-step increments to the accumulators.
+        They are looked up every RATE_REFRESH and held in between. A parked
+        vehicle skips its held steps, each a burn at v = a = 0. One moving
+        asleep (see ``_sleep_moving``) skips steps that each repeat this
+        body with the same target. The loop does not visit either until
+        the step it is filed under in the calendar, where ``_replay``
+        applies what it skipped.
         """
         n = self._n
         now = n * DT
@@ -623,7 +624,7 @@ class Simulation:
             lk = lks[lid]
             own = 1          # the snapshot counts the vehicle on its link
             moving = True
-            if veh.pos >= lk.length - _POS_EPS:
+            if veh.pos >= lk.length:
                 # held at the stop line since an earlier step, and due again
                 if not try_cross(veh, n, now_end):
                     moving = False
@@ -649,16 +650,15 @@ class Simulation:
                 elif dv < dv_min:
                     dv = dv_min
                 v = speed + dv
-                a = dv / DT
-                pos = veh.pos + v / 3.6 * DT
+                pos = veh.pos + v
                 veh.pos = pos
             else:
-                v = a = 0.0
+                v = dv = 0
             veh.speed = v
 
             # the burn of step n
             if n >= veh.rate_until:
-                veh.rates = lookup(v, a)
+                veh.rates = lookup(v, dv)
                 veh.rate_until = n + refresh
             f, c, h, x = veh.rates
             veh.fuel += f
@@ -667,10 +667,8 @@ class Simulation:
             veh.hc += h
             veh.nox += x
 
-            if moving and pos >= lk.length - _POS_EPS:
+            if moving and pos >= lk.length:
                 over = pos - lk.length
-                if over < 0.0:
-                    over = 0.0
                 if try_cross(veh, n, now_end):
                     if veh.state == FINISHED:
                         finished_now = True
@@ -679,13 +677,14 @@ class Simulation:
                     if over >= nlk.length:
                         raise SimulationError(
                             f"position overrun: vehicle {veh.id} jumped past "
-                            f"link {veh.route[0]} ({over:.2f} m beyond entry)")
+                            f"link {veh.route[0]} ({over / POS_UNITS:.2f} m beyond "
+                            f"entry)")
                     veh.pos = over
                     if veh.speed > nlk.free_speed:
                         veh.speed = nlk.free_speed
                 else:
                     veh.pos = lk.length
-                    veh.speed = 0.0
+                    veh.speed = 0
             elif moving and own and occ[lid] == snap:
                 # its link's count is still the snapshot's, so the next
                 # snapshot gives the same target unless a change wakes it
@@ -722,110 +721,60 @@ class Simulation:
         """Apply the steps a parked or moving asleep vehicle skipped before ``upto``.
 
         A parked step is the burn at v = a = 0 (see ``step``). A moving
-        step is the loop body with the target held in ``veh.target``: the
-        speed steps toward it, clamped to ``a_max * DT``, and the vehicle
-        moves and burns. While the speed differs from the target,
-        ``_ramp`` takes those steps one at a time. Once they are equal,
-        every later step moves the vehicle by one constant increment, which
-        ``add_repeated`` jumps over. Either way the steps left are steady:
-        the increments held since the last lookup until the next one is
-        due, then those of every later lookup, at the steady speed and
-        a = 0 (``_burn_steady``).
+        step is the loop body with the target held in ``veh.target``:
+        ``_travel`` gives the move and the speed of all of them at once.
+        The burns are those of the held increments until the next lookup
+        is due, then one run per refresh window, looked up at the speed
+        and speed change of the window's first step. Once that step is
+        steady (the speed on its target, or parked), every later window
+        looks up the same rates, so the rest is one run.
         """
         start = veh.burned_to
-        if upto <= start:
+        k = upto - start
+        if k <= 0:
             return
         veh.burned_to = upto
+        v0 = target = d = full = 0
         if veh.moving:
-            if veh.speed != veh.target:
-                start = self._ramp(veh, start, upto)
-            if start < upto:
-                veh.pos = add_repeated(veh.pos, veh.speed / 3.6 * DT, upto - start)
-                self.cruise_steps += upto - start
-                self._burn_steady(veh, start, upto, veh.speed)
+            v0, target = veh.speed, veh.target
+            dm = self._dv_max
+            d = dm if target > v0 else -dm
+            full = abs(target - v0) // dm
+            ramp = min(-(-abs(target - v0) // dm), k)      # the steps off target
+            self.ramp_steps += ramp
+            self.cruise_steps += k - ramp
+            moved, veh.speed = self._travel(veh, k)
+            veh.pos += moved
         else:
             lk = self._lk[veh.route[0]]
             red = self._red_steps(lk, start, upto) if lk.to_signal else 0
             self.parked_red_steps += red
-            self.parked_full_steps += upto - start - red
-            self._burn_steady(veh, start, upto, 0.0)
+            self.parked_full_steps += k - red
 
-    def _ramp(self, veh, j, upto) -> int:
-        """Take a moving sleeper's steps from j on while its speed is off target.
-
-        Each is the loop body's step, with the same roundings in the same
-        order. Returns the first step not taken: upto, or the first at
-        which the speed already equals the target.
-        """
-        target = veh.target
-        v = veh.speed
-        pos = veh.pos
-        dv_max = self._dv_max
-        refresh = self._refresh_steps
-        rates = veh.rates
-        until = veh.rate_until
-        f, c, h, x = rates
-        fuel, link_fuel, co, hc, nox = veh.fuel, veh.link_fuel, veh.co, veh.hc, veh.nox
-        start = j
+        j = veh.rate_until            # the next lookup
+        f, c, h, x = rates = veh.rates
+        held = min(j, upto) - start
+        fuel, co, hc, nox = held * f, held * c, held * h, held * x
+        p = self._refresh_steps
         while j < upto:
-            dv = target - v
-            if not dv:
-                break
-            if dv > dv_max:
-                dv = dv_max
-            elif dv < -dv_max:
-                dv = -dv_max
-            v += dv
-            pos += v / 3.6 * DT
-            if j >= until:
-                f, c, h, x = rates = self._lookup_rates(v, dv / DT)
-                until = j + refresh
-            fuel += f
-            link_fuel += f
-            co += c
-            hc += h
-            nox += x
-            j += 1
-        veh.speed = v
-        veh.pos = pos
-        veh.rates = rates
-        veh.rate_until = until
-        veh.fuel, veh.link_fuel, veh.co, veh.hc, veh.nox = fuel, link_fuel, co, hc, nox
-        self.ramp_steps += j - start
-        return j
-
-    def _burn_steady(self, veh, start, upto, v) -> None:
-        """Burn the steps [start, upto) of a vehicle that holds speed v, a = 0.
-
-        The increments held since the last lookup until the next one is
-        due, then the lookup at (v, 0), which every later lookup returns
-        again: at most two runs of constant rates (one, when the held
-        rates are already those), each added with ``add_repeated``, which
-        gives the bits of the step-by-step sums.
-        """
-        k = upto - start
-        rates = veh.rates
-        held = min(veh.rate_until, upto) - start
-        if held < k:
-            after = self._lookup_rates(v, 0.0)
-            p = self._refresh_steps
-            veh.rate_until += ((upto - 1 - veh.rate_until) // p + 1) * p
-            veh.rates = after
-            if rates == after:
-                held = k
+            i = j - start + 1         # step j is the i-th skipped one
+            if i <= full:
+                v, dv = v0 + i * d, d
             else:
-                self._add_burns(veh, rates, held)
-                rates, held = after, k - held
-        self._add_burns(veh, rates, held)
-
-    @staticmethod
-    def _add_burns(veh, rates, k) -> None:
-        f, c, h, x = rates
-        veh.fuel = add_repeated(veh.fuel, f, k)
-        veh.link_fuel = add_repeated(veh.link_fuel, f, k)
-        veh.co = add_repeated(veh.co, c, k)
-        veh.hc = add_repeated(veh.hc, h, k)
-        veh.nox = add_repeated(veh.nox, x, k)
+                v, dv = target, target - v0 - full * d if i == full + 1 else 0
+            run = min(p, upto - j) if dv else upto - j
+            f, c, h, x = rates = self._lookup_rates(v, dv)
+            fuel += run * f
+            co += run * c
+            hc += run * h
+            nox += run * x
+            j += -(-run // p) * p
+        veh.rates, veh.rate_until = rates, j
+        veh.fuel += fuel
+        veh.link_fuel += fuel
+        veh.co += co
+        veh.hc += hc
+        veh.nox += nox
 
     def _red_steps(self, lk, start, upto) -> int:
         """Steps in [start, upto) at which lk's approach shows red."""
@@ -850,32 +799,28 @@ class Simulation:
         the link's count was still the snapshot step n read. Each later
         step then repeats the loop body with the same target for as long
         as that count holds: the speed steps toward the target (a ramp;
-        once there, a cruise, the ramp with dv == 0), and the vehicle moves
-        and burns. ``_replay`` applies those steps at the wake: the step
-        after any change of the link's count (``_change_occupancy``) or,
-        at the latest, the step whose move could first reach the stop line.
+        once there, a cruise), and the vehicle moves and burns.
+        ``_replay`` applies those steps at the wake: the step after any
+        change of the link's count (``_change_occupancy``) or, at the
+        latest, the step whose move could first reach the stop line.
 
-        No step moves the vehicle by more than inc, the increment at the
-        faster of its speed and the target, plus a rounding of the pos,
-        below ``_MARGIN_WAKE`` of the line. So the first k steps stay
-        short of the line for k up to (line - pos) / (inc + line *
-        _MARGIN_WAKE), and the vehicle wakes at step n + k + 1, the first
-        that could reach it. A pos that inc no longer changes never
-        reaches the line, and a vehicle that could reach it within two
-        steps stays awake.
+        No step moves the vehicle by more than top, the faster of its
+        speed and the target, so the first (length - pos - 1) // top
+        steps surely stay short of the line, and the vehicle wakes at the
+        step after them. For a cruise, top is every step's move, and that
+        is the very step whose move reaches the line. A vehicle that
+        stands with a target of 0 never reaches the line, and one that
+        could reach it within two steps stays awake.
         """
-        pos = veh.pos
-        speed = veh.speed
-        inc = (speed if speed > target else target) / 3.6 * DT
-        if pos + inc == pos:
-            wake = _NEVER
-        else:
-            line = self._lk[lid].length - _POS_EPS
-            steps = (line - pos) / (inc + line * _MARGIN_WAKE)
-            if steps < 2.0:
+        top = veh.speed if veh.speed > target else target
+        if top:
+            skip = (self._lk[lid].length - veh.pos - 1) // top
+            if skip < 2:
                 return
-            wake = n + 1 + int(steps)
+            wake = n + 1 + skip
             self._file(veh, wake)
+        else:
+            wake = _NEVER
         veh.wake = wake
         veh.target = target
         veh.moving, veh.burned_to = True, n + 1
@@ -943,15 +888,15 @@ class Simulation:
         self._exit_link(veh, lid, lk, now_end)
         veh.route.pop(0)
         self._change_occupancy(nxt, 1)
-        veh.pos = 0.0
+        veh.pos = 0
         veh.decided = False
         return True
 
     def _exit_link(self, veh, lid, lk, now_end) -> None:
         self._update_seq += 1
-        self.updates.append(
-            LinkCostUpdate(self._update_seq, lid, veh.link_fuel, now_end, veh))
-        veh.link_fuel = 0.0
+        self.updates.append(LinkCostUpdate(
+            self._update_seq, lid, veh.link_fuel * BURN_QUANTA[0], now_end, veh))
+        veh.link_fuel = 0
         veh.distance += lk.length
         veh.ff_time += lk.ff_time
         self._change_occupancy(lid, -1)
@@ -993,7 +938,7 @@ class Simulation:
                 self._change_occupancy(lid, 1)
                 veh.state = EN_ROUTE
                 veh.entered_at = now_end
-                veh.pos = 0.0
+                veh.pos = 0
                 veh.speed = lk.target[k]
                 veh.seq = self._admitted
                 self._admitted += 1
@@ -1018,11 +963,11 @@ class Simulation:
         if count == 0:
             self.nfd.append(NfdSample(now, 0.0, 0.0, None))
             return
-        for veh in self.enroute:
-            if veh.moving and veh.speed != veh.target:
-                self._replay(veh, self._moved)    # a ramp: its speed moves
+        moved = self._moved
+        total = sum(self._travel(v, moved - v.burned_to)[1] if v.moving else v.speed
+                    for v in self.enroute)
         density = count / self._total_len_lanes_km
-        speed = math.fsum(v.speed for v in self.enroute) / count
+        speed = total / (count * SPEED_UNITS)
         self.nfd.append(NfdSample(now, density, density * speed, speed))
 
     def state_hash(self) -> str:
@@ -1031,8 +976,8 @@ class Simulation:
         h.update(f"{self._n}\n".encode())
         for veh in self.vehicles:
             lid = veh.route[0] if veh.state == EN_ROUTE else 0
-            h.update(f"{veh.id} {veh.state} {lid} {veh.pos!r} "
-                     f"{veh.speed!r} {veh.fuel!r}\n".encode())
+            h.update(f"{veh.id} {veh.state} {lid} {veh.pos} "
+                     f"{veh.speed} {veh.fuel}\n".encode())
         return h.hexdigest()
 
     def summary(self) -> dict:
@@ -1044,13 +989,14 @@ class Simulation:
             return math.fsum(get(v) for v in done) / n if n else None
         out["mean_travel_s"] = mean(lambda v: v.finished_at - v.depart)
         out["mean_delay_s"] = mean(lambda v: v.finished_at - v.depart - v.ff_time)
-        out["mean_distance_km"] = mean(lambda v: v.distance / 1000.0)
+        out["mean_distance_km"] = mean(lambda v: v.distance / _POS_UNITS_KM)
         out["mean_speed_kmh"] = mean(
-            lambda v: v.distance / 1000.0 / ((v.finished_at - v.depart) / 3600.0))
-        out["mean_fuel_l"] = mean(lambda v: v.fuel)
-        out["mean_co_mg"] = mean(lambda v: v.co)
-        out["mean_hc_mg"] = mean(lambda v: v.hc)
-        out["mean_nox_mg"] = mean(lambda v: v.nox)
+            lambda v: v.distance / _POS_UNITS_KM / ((v.finished_at - v.depart) / 3600.0))
+        qf, qc, qh, qx = BURN_QUANTA
+        out["mean_fuel_l"] = mean(lambda v: v.fuel * qf)
+        out["mean_co_mg"] = mean(lambda v: v.co * qc)
+        out["mean_hc_mg"] = mean(lambda v: v.hc * qh)
+        out["mean_nox_mg"] = mean(lambda v: v.nox * qx)
         return out
 
     VEHICLE_COLUMNS = ("id", "origin", "destination", "depart_s", "entered_s",
@@ -1058,10 +1004,11 @@ class Simulation:
                        "fuel_l", "co_mg", "hc_mg", "nox_mg")
 
     def vehicle_rows(self) -> list[tuple]:
+        qf, qc, qh, qx = BURN_QUANTA
         return [(v.id, v.origin, v.destination, v.depart, v.entered_at,
                  v.finished_at, v.finished_at - v.depart,
-                 v.finished_at - v.depart - v.ff_time, v.distance / 1000.0,
-                 v.fuel, v.co, v.hc, v.nox)
+                 v.finished_at - v.depart - v.ff_time, v.distance / _POS_UNITS_KM,
+                 v.fuel * qf, v.co * qc, v.hc * qh, v.nox * qx)
                 for v in self.finished]
 
     NFD_COLUMNS = ("time_s", "density_veh_km_lane", "flow_veh_h_lane", "speed_kmh")

@@ -18,6 +18,7 @@ from concurrent import futures
 import pytest
 
 from vanetsim import cli, mac_analytic, mac_des, roadnet
+from vanetsim.errors import ConfigurationError
 
 TREND_INI = """\
 [network]
@@ -203,10 +204,53 @@ def test_criterion_1_cell_model_vs_event_sim():
         "under-estimates service time and its delay diverges.")
 
 
+# criterion 2's computation, with two checks of its own that print no
+# verdict line
+SINGLE_AC_CHECK_STATIONS = 10
+SINGLE_AC_CHECK_MIN_DELIVERED = 200
+
+
+def single_ac_approximation_check(lambda_per_ac: float, *, seed: int = 1,
+                                  measured_duration: float = 30.0) -> float:
+    """Relative error of collapsing four ACs into one queue at 4x the rate.
+
+    Runs ten stations with each AC offered lambda_per_ac and ten
+    single best-effort queues offered 4*lambda_per_ac, then compares the
+    per-AC share of the single-queue throughput against the measured
+    best-effort throughput (both network-wide rates).
+    """
+    n = SINGLE_AC_CHECK_STATIONS
+    stats_four = mac_des.simulate(mac_des.DesConfig(
+        mac_params=mac_analytic.MacParams(n_stations=n, arrival_rate=lambda_per_ac),
+        seed=seed, measured_duration=measured_duration,
+        ac_mode=mac_des.AcMode.FOUR_AC, min_delivered=SINGLE_AC_CHECK_MIN_DELIVERED))
+    stats_single = mac_des.simulate(mac_des.DesConfig(
+        mac_params=mac_analytic.MacParams(n_stations=n, arrival_rate=4.0 * lambda_per_ac),
+        seed=seed + 1, measured_duration=measured_duration,
+        ac_mode=mac_des.AcMode.SINGLE_AC, min_delivered=SINGLE_AC_CHECK_MIN_DELIVERED))
+    thr_be = stats_four.per_ac_delivered["ac_be"]
+    if thr_be <= 0:
+        raise ConfigurationError(
+            "best-effort throughput is zero; cannot form a relative error")
+    thr_single_share = stats_single.delivered_per_station * n / 4.0
+    return abs(thr_single_share - thr_be) / thr_be
+
+
+def test_criterion_2_single_ac_check_rejects_zero_rate():
+    with pytest.raises(ConfigurationError):
+        single_ac_approximation_check(0.0)
+
+
+def test_criterion_2_single_ac_check_uncontended_limit():
+    # light enough that both systems deliver essentially everything
+    err = single_ac_approximation_check(5.0, seed=11, measured_duration=120.0)
+    assert err < 0.02
+
+
 def test_criterion_2_priority_collapse_error():
     """Folding the four priority queues into one stays within 15%."""
     t0 = time.perf_counter()
-    errs = {lam: mac_des.single_ac_approximation_check(
+    errs = {lam: single_ac_approximation_check(
         lam, seed=1, measured_duration=60.0)
         for lam in (1.0, 2.0, 5.0, 10.0, 20.0)}
     wall = time.perf_counter() - t0

@@ -7,6 +7,7 @@ pieces (ideal-mode equivalence, never-delivered degeneracy) run the
 real co-simulation end to end.
 """
 
+import bisect
 import collections
 import dataclasses
 import math
@@ -18,7 +19,6 @@ import pytest
 from vanetsim import ecorouting as eco
 from vanetsim import energy, mac_analytic, roadnet as rn, traffic
 from vanetsim.errors import SimulationError, ValidationError
-from vanetsim.floats import add_repeated
 
 from test_roadnet import reference_shortest_path
 
@@ -198,6 +198,9 @@ class StubSim:
 
     def position(self, veh):
         return self.xy
+
+    def cover(self, veh, index):
+        return index.cover_of(*self.xy)
 
     def cell_tallies(self, index):
         return {index.cover_of(*self.xy): len(self.fleet)}
@@ -410,31 +413,29 @@ class CheckedIdealComm(eco.CommModule):
 
 
 class RecountParity(eco.CommModule):
-    """Realistic uplink that checks each recount against every vehicle's position.
+    """Realistic uplink that checks each recount against every vehicle's replayed pos.
 
-    It also counts the vehicles the tallies located, the moving sleepers
-    among them that a tally placed by an estimate (``lagging``: moves not
-    yet applied) and those it settled, and of each the ones on a ramp
-    (speed off target).
+    The tallies place each moving sleeper at the pos its unapplied steps
+    reach, without applying them. Here every such vehicle (``lagging``)
+    is then replayed, and each vehicle's pos is placed by the cut rule
+    (its link profile's entry for that pos); the counts must be equal.
+    It also counts the lagging vehicles on a ramp (speed off target).
     """
 
-    recounts = located = lagging = settled = ramp_lagging = ramp_settled = 0
+    recounts = lagging = ramp_lagging = 0
 
     def _recount(self, sim, now):
         lagging = [v for v in sim.enroute if v.moving and v.burned_to < sim._moved]
-        ramps = [v for v in lagging if v.speed != v.target]
         tallies = sim.cell_tallies(self.index)
-        self.located += len(sim.enroute)
         self.lagging += len(lagging)
-        self.settled += sum(v.burned_to == sim._moved for v in lagging)
-        self.ramp_lagging += len(ramps)
-        self.ramp_settled += sum(v.burned_to == sim._moved for v in ramps)
-        assert sum(tallies.values()) == len(sim.enroute)
-        xy = [sim.position(veh) for veh in sim.enroute]
-        reach = self.index.range_m
-        each = {rid: sum(math.hypot(x - rx, y - ry) <= reach for x, y in xy)
-                for rid, (rx, ry) in enumerate(self.index._xy)}
-        assert self.index.count_per_rsu(tallies) == each
+        self.ramp_lagging += sum(v.speed != v.target for v in lagging)
+        for veh in lagging:
+            sim._replay(veh, sim._moved)
+        want = collections.Counter()
+        for veh in sim.enroute:
+            cuts, covers = self.index.profiles[veh.route[0]]
+            want[covers[bisect.bisect_right(cuts, veh.pos)]] += 1
+        assert tallies == want
         self.recounts += 1
         super()._recount(sim, now)
 
@@ -442,120 +443,9 @@ class RecountParity(eco.CommModule):
 def test_recount_counts_equal_a_count_of_every_position():
     sim, _, comm = grid_scenario("realistic", comm_cls=RecountParity)
     assert comm.recounts > 300 and comm.delivered > 0
-    # moving sleepers, ramps among them, were placed by their estimates,
-    # and parked vehicles by their link's stop line
+    # moving sleepers, ramps among them, were placed without a replay, and
+    # parked vehicles at their link's stop line
     assert comm.ramp_lagging > 0 and sim.parked_red_steps > 0
-    assert comm.located > comm.index.exact_tests
-
-
-def _moved_grid(move):
-    """The 3x3 grid of grid_scenario with each node at move(x, y)."""
-    net = rn.gen_grid(3, 3, spacing=150.0)
-    nodes = [rn.Node(n.id, *move(n.x, n.y)) for n in net.nodes.values()]
-    return rn.RoadNetwork(nodes, net.links.values(), net.signals.values())
-
-
-def _turned(x, y, a=0.5):
-    return x * math.cos(a) - y * math.sin(a), x * math.sin(a) + y * math.cos(a)
-
-
-LOADED_OD = ((1, 9, 1500.0, 0.0, 240.0), (9, 1, 1500.0, 0.0, 240.0),
-             (3, 7, 1500.0, 0.0, 240.0), (7, 3, 1500.0, 0.0, 240.0))
-
-
-@pytest.mark.parametrize("case", ["range-on-nodes", "diagonal-loaded", "far",
-                                  "tiny-range"])
-def test_recount_counts_in_guard_bands(case):
-    """Recounts where positions fall in guard bands still count every position.
-
-    range-on-nodes: the range equals the spacing, so disk edges fall on
-    nodes, where parked vehicles stand and entering ones start.
-    diagonal-loaded: the grid turned by 0.5 rad and loaded until queues
-    form. far: the grid moved to about 1e6 m, where a band is about a metre
-    wide, so cruisers' estimates land in bands. tiny-range: a range of
-    1e-306 m, all band, in range only on an RSU's node.
-    """
-    kwargs = {
-        "range-on-nodes": {"range_m": 150.0},
-        "diagonal-loaded": {"net": _moved_grid(_turned), "od_rows": LOADED_OD},
-        "far": {"net": _moved_grid(lambda x, y: (x + 1e6, y + 1e6 + 0.3))},
-        "tiny-range": {"range_m": 1e-306},
-    }[case]
-    sim, _, comm = grid_scenario("realistic", comm_cls=RecountParity, **kwargs)
-    assert comm.recounts > 300
-    assert 0 < comm.index.exact_tests <= comm.located or case == "diagonal-loaded"
-    if case == "far":
-        # estimates of ramps too land in bands and are settled
-        assert comm.ramp_settled > 0
-    if case == "diagonal-loaded":
-        assert sim.parked_full_steps > 0
-
-
-def test_cruiser_estimate_at_the_stop_line_is_settled():
-    """A cruiser whose estimate reaches the stop line, but not its moves.
-
-    Link 6 runs from (300, 0) to node 2 at (150, 0), the edge of RSU 0's
-    150 m disk: the to-node is in range, every pos short of it is not,
-    and the stretch before the stop line is a guard band. The estimate
-    pos + inc * k rounds up to the link's length while the k moves stop
-    short of it, so only the settled pos gets the exact answer.
-    """
-    net = rn.gen_grid(3, 3, spacing=150.0)
-    index = rn.CoverageIndex(net, [1], 150.0)
-    sim = traffic.Simulation(net, schedule=[])
-    rng = random.Random(5)
-    for _ in range(10_000):
-        speed, k = rng.uniform(20.0, 50.0), rng.randint(10, 50)
-        inc = speed / 3.6 * traffic.DT
-        pos = 150.0 - inc * k + rng.uniform(-1e-12, 1e-12)
-        if pos + inc * k >= 150.0 > add_repeated(pos, inc, k):
-            break
-    else:
-        pytest.fail("no estimate overshoots the stop line")
-    veh = traffic.Vehicle(1, traffic.Departure(0.0, 3, 2))
-    veh.route, veh.pos, veh.speed = [6], pos, speed
-    # cruising: asleep at its target from step 1
-    veh.target, veh.moving, veh.burned_to, veh.rate_until = speed, True, 1, 1
-    veh.rates = sim._lookup_rates(speed, 0.0)
-    sim.enroute.append(veh)
-    sim._moved = 1 + k
-    assert index.count_per_rsu(sim.cell_tallies(index)) == {0: 0}
-    assert veh.burned_to == sim._moved and veh.pos < 150.0
-    assert index.exact_tests == 1
-
-
-def test_ramp_estimate_within_its_margin_of_a_cut_is_settled():
-    """A ramp whose estimate lies within its margin of a cut, outside any band.
-
-    Vehicle 1 is asleep on link 1 from step 1, at 20 km/h toward 50, and
-    30 steps are unapplied. Its pos is set so that the estimate (the
-    arithmetic series of its speeds) falls half a margin short of the
-    start of the first guard band, in a stretch of one known cover. The
-    stretch holds the estimate but not its margin, so the tally replays
-    the vehicle and places the replayed pos.
-    """
-    net = rn.gen_grid(3, 3, spacing=150.0)
-    index = rn.CoverageIndex(net, [1, 5, 9], 160.0)
-    sim = traffic.Simulation(net, schedule=[])
-    cuts, covers, _ = index.profile(1)
-    i = next(i for i in range(len(cuts) - 1) if covers[i] >= 0 > covers[i + 1])
-    v, target, k = 20.0, 50.0, 30
-    dm = traffic.A_MAX * traffic.DT
-    m = min(k, math.ceil((target - v) / dm) - 1)
-    run = (m * v + dm * (m * (m + 1) / 2) + (k - m) * target) / 3.6 * traffic.DT
-    margin = (k + 4) * (sim._margin_base + m * sim._margin_ramp)
-    veh = traffic.Vehicle(1, traffic.Departure(0.0, 1, 2))
-    veh.route, veh.pos, veh.speed, veh.target = [1], cuts[i] - margin / 2 - run, v, target
-    veh.moving = True
-    veh.burned_to = veh.rate_until = 1
-    veh.rates = sim._lookup_rates(v, 0.0)
-    sim.enroute.append(veh)
-    sim._moved = 1 + k
-    tallies = sim.cell_tallies(index)
-    assert veh.burned_to == sim._moved and sim.ramp_steps == k
-    x, y = sim.position(veh)
-    assert index.count_per_rsu(tallies) == {
-        rid: int(math.hypot(x - rx, y - ry) <= 160.0) for rid, (rx, ry) in enumerate(index._xy)}
 
 
 def test_ideal_mode_leaves_no_report_queued():
@@ -570,8 +460,9 @@ def test_position_interpolates_link_ends_bit_for_bit():
             a, b = net.nodes[link.from_node], net.nodes[link.to_node]
             veh = traffic.Vehicle(1, traffic.Departure(0.0, a.id, b.id))
             veh.route = [link.id]
-            for pos in (0.0, link.length / 3.0, link.length / 2.0, link.length):
+            length = round(link.length * rn.POS_UNITS)
+            for pos in (0, length // 3, length // 2, length):
                 veh.pos = pos
-                f = pos / link.length
+                f = pos / length
                 assert sim.position(veh) == (a.x + (b.x - a.x) * f,
                                              a.y + (b.y - a.y) * f)

@@ -168,18 +168,6 @@ def test_four_ac_priorities_and_internal_collisions():
     assert dly["ac_vo"] < dly["ac_vi"] < dly["ac_be"] < dly["ac_bk"]
 
 
-def test_single_ac_check_rejects_zero_rate():
-    with pytest.raises(ConfigurationError):
-        des.single_ac_approximation_check(0.0)
-
-
-def test_single_ac_check_uncontended_limit():
-    # light enough that both systems deliver essentially everything
-    err = des.single_ac_approximation_check(5.0, seed=11,
-                                            measured_duration=120.0)
-    assert err < 0.02
-
-
 def test_mid_load_against_model():
     # One cross-validation point; the full grid runs in the acceptance
     # suite. Below saturation the analytical throughput tracks the

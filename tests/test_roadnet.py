@@ -470,65 +470,49 @@ def _profile_instance(rng):
     return idx, rn.LinkLine(net.links[1], net), idx.profile(1), rsus, r
 
 
-def _edge(line, rx, ry, r, lo, hi):
-    """A pos in [lo, hi] where the computed in-range test flips, by bisection."""
-    def inside(pos):
-        x, y = line.point(pos)
-        return math.hypot(x - rx, y - ry) <= r
-    if inside(lo) == inside(hi):
-        return None
-    want = inside(lo)
-    for _ in range(200):
-        mid = lo + (hi - lo) / 2.0
-        if mid in (lo, hi):
-            break
-        if inside(mid) == want:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def test_profile_matches_the_exact_test_at_every_drawn_pos():
-    """Outside its guard bands the profile answers as the exact test does.
+    """More than a unit from a cut, the profile answers as the distance test.
 
-    Positions are drawn uniformly, at and a few ulps around every cut,
-    and around every place inside a band where the computed test flips,
-    so a band narrower than the rounding of point and hypot would show.
-    ``cover_at`` answers as the exact test at every pos, bands included.
+    The profile's cuts, in whole position units, are the coverage rule.
+    Positions are drawn uniformly and at every unit within 40 of every
+    cut. At each one more than a unit from every cut, the profile's cover
+    must hold the RSUs that ``cover_of`` finds in range of its point, and
+    the carrier's RSU (the cover's nearest to the point) must be
+    ``connected_rsu``'s. Where the computed distance to some RSU is
+    within 2**-48 * big of the range, big bounding every coordinate and
+    the range, ``point`` and ``hypot`` may round enough to decide the
+    test themselves (each rounds by a few ulps of big), and such a pos is
+    not compared. Near-tangent disks far from the origin put about one
+    drawn pos in ten there.
     """
     rng = random.Random(2024)
-    decided = banded = edges = 0
+    checked = near = undecided = 0
     for _ in range(400):
         idx, line, prof, rsus, r = _profile_instance(rng)
         length = line.length
-        draws = [rng.uniform(0.0, length) for _ in range(50)] + [0.0, length]
-        for i, cut in enumerate(prof.cuts):
-            draws += [cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf)]
-            if prof.covers[i] < 0:          # the band [cuts[i-1], cuts[i])
-                lo = prof.cuts[i - 1] if i else 0.0
-                for rx, ry in rsus:
-                    pos = _edge(line, rx, ry, r, lo, cut)
-                    if pos is not None:
-                        edges += 1
-                        for k in range(-40, 41):
-                            draws.append(pos + k * math.ulp(pos))
-                        draws += [pos + (cut - lo) * rng.uniform(-0.5, 0.5)
-                                  for _ in range(10)]
+        big = max(abs(line.x0) + abs(line.dx), abs(line.y0) + abs(line.dy),
+                  *(max(abs(rx), abs(ry)) for rx, ry in rsus)) + r
+        draws = [rng.randint(0, length) for _ in range(50)] + [0, length]
+        for cut in prof.cuts:
+            draws += range(cut - 40, cut + 41)
         for pos in draws:
-            if not 0.0 <= pos <= length:
+            if not 0 <= pos <= length:
+                continue
+            i = bisect.bisect_right(prof.cuts, pos)
+            if any(abs(pos - c) <= 1 for c in prof.cuts[max(i - 1, 0):i + 1]):
                 continue
             x, y = line.point(pos)
-            want = {rid: int(math.hypot(x - rx, y - ry) <= r)
-                    for rid, (rx, ry) in enumerate(rsus)}
-            assert idx.count_per_rsu({idx.cover_at(1, pos): 1}) == want, (pos, length, r)
-            cid = prof.covers[bisect.bisect_right(prof.cuts, pos)]
-            if cid < 0:
-                banded += 1
+            if any(abs(math.hypot(x - rx, y - ry) - r) <= 2.0 ** -48 * big
+                   for rx, ry in rsus):
+                undecided += 1
                 continue
-            decided += 1
-            assert idx.count_per_rsu({cid: 1}) == want, (pos, length, r)
-    assert edges > 100 and decided > 0 and banded > 0
+            cid = prof.covers[i]
+            assert idx.count_per_rsu({cid: 1}) == idx.count_per_rsu(
+                {idx.cover_of(x, y): 1}), (pos, length, r)
+            assert idx.nearest(cid, x, y) == idx.connected_rsu(x, y), (pos, length, r)
+            checked += 1
+            near += any(abs(pos - c) <= 40 for c in prof.cuts[max(i - 1, 0):i + 1])
+    assert checked > 20_000 and near > 10_000 and undecided < checked / 5
 
 
 def test_profile_is_built_on_first_use_and_kept():
@@ -537,17 +521,16 @@ def test_profile_is_built_on_first_use_and_kept():
     assert idx.profiles == {}
     prof = idx.profile(1)              # node 1 (0, 0) to node 2 (150, 0)
     assert idx.profiles == {1: prof}
-    # in range of RSU 0 from the from-node to the to-node, where the
-    # disk's edge falls: a guard band just before the stop line, whose
-    # own cover (the exact test at the to-node) has RSU 0
-    assert prof.cuts[-1] == 150.0 and prof.covers[-2] == -1
+    # in range of RSU 0 from the from-node to the to-node, where the disk's
+    # edge falls: one stretch, whose span includes the stop line
+    assert prof.cuts == [] and len(prof.covers) == 1
     assert idx.count_per_rsu({prof.covers[0]: 1}) == {0: 1, 1: 0}
-    assert idx.count_per_rsu({prof.covers[-1]: 1}) == {0: 1, 1: 0}
-    # only a pos in the band takes the exact test
-    assert idx.cover_at(1, 0.0) == prof.covers[0] and idx.exact_tests == 0
-    band = prof.cuts[-2]
-    assert idx.cover_at(1, band) == prof.covers[0] and idx.exact_tests == 1
-    assert idx.profiles == {1: prof}
+    # link 6 runs from node 3 (300, 0) to node 2: out of range short of
+    # 150 m, then in range for the last unit, the to-node
+    prof = idx.profile(6)
+    assert prof.cuts == [150 * rn.POS_UNITS]
+    assert [idx.count_per_rsu({c: 1})[0] for c in prof.covers] == [0, 1]
+    assert idx.profiles.keys() == {1, 6}
 
 
 def test_coverage_metrics():

@@ -7,6 +7,11 @@ over [0,30) s of each minute) a vehicle reaching the stop line at
 t=36.0 s waits until t=60.0 s. Fuel follows the same timeline, split
 between the cruise rate and the idle rate, so the totals are checked
 against closed-form sums rather than against the simulator itself.
+
+Vehicle state is integer: speeds in thousandths of a km/h
+(``traffic.SPEED_UNITS`` per km/h), positions in 1/36,000 m
+(``traffic.POS_UNITS`` per metre) and burns in the quanta of
+``traffic.BURN_QUANTA``.
 """
 
 import hashlib
@@ -109,7 +114,7 @@ def test_free_flow_traversal_time():
     sim.step()
     veh = sim.vehicles[0]
     assert veh.state == traffic.EN_ROUTE
-    assert veh.speed == 50.0       # admitted at the empty-link equilibrium speed
+    assert veh.speed == 50_000     # admitted at the empty-link equilibrium speed
     sim.run()
     assert veh.state == traffic.FINISHED
     assert veh.finished_at - veh.depart == pytest.approx(72.0, abs=0.2)
@@ -132,16 +137,18 @@ def test_signal_hand_trace():
     assert sim.vehicle_steps == 959
     assert (sim.parked_red_steps, sim.parked_full_steps) == (239, 0)
 
-    r50 = energy.vt_micro_rate(50.0, 0.0, sim.coeffs)
-    idle = energy.vt_micro_rate(0.0, 0.0, sim.coeffs)
-    assert veh.fuel == pytest.approx(71.9 * r50 + 24.0 * idle, rel=1e-9)
+    # each step burns its rate times DT, rounded once to the fuel quantum
+    q = traffic.BURN_QUANTA[0]
+    r50, idle = (round(energy.vt_micro_rate(v, 0.0, sim.coeffs) * traffic.DT / q)
+                 for v in (50.0, 0.0))
+    assert veh.fuel == 719 * r50 + 240 * idle
 
     u1, u2 = sim.updates
     assert (u1.link_id, u2.link_id) == (1, 2)
     assert u1.created_at == pytest.approx(60.1, abs=1e-6)
     assert u2.created_at == pytest.approx(96.0, abs=1e-6)
-    assert u1.fuel == pytest.approx(36.0 * r50 + 23.9 * idle, rel=1e-9)
-    assert u2.fuel == pytest.approx(35.9 * r50 + 0.1 * idle, rel=1e-9)
+    assert u1.fuel == (360 * r50 + 239 * idle) * q
+    assert u2.fuel == (359 * r50 + 1 * idle) * q
     # no comm module attached, so nothing takes the reports or sends them
     assert u1.fate == u2.fate == "queued"
 
@@ -152,11 +159,11 @@ def test_acceleration_clamp_after_release():
                              config=traffic.TrafficConfig(horizon=200.0))
     sim.run(until=60.0)
     veh = sim.vehicles[0]
-    assert veh.speed == 0.0 and veh.pos == 500.0
+    assert veh.speed == 0 and veh.pos == 500 * traffic.POS_UNITS
     for k in range(1, 11):
         sim.step()
         sim.state_hash()        # replays it, asleep on its ramp
-        assert veh.speed == pytest.approx(k * 0.36, abs=1e-9)
+        assert veh.speed == k * 360
 
 
 def test_route_requeried_at_each_link_exit():
@@ -169,6 +176,16 @@ def test_route_requeried_at_each_link_exit():
     assert sim.vehicles[0].state == traffic.FINISHED
     # admission, end of link 1, end of link 2; the last link needs no decision
     assert [at for _, at in router.calls] == [1, 2, 3]
+
+
+def test_unit_constants():
+    # one step at s speed units (thousandths of a km/h) moves s position
+    # units: s / 1000 km/h for 0.1 s is s / 36,000 m
+    assert (traffic.SPEED_UNITS, traffic.POS_UNITS, traffic.DT) == (1000, 36_000, 0.1)
+    sim = traffic.Simulation(line_network([150.0]), schedule=[])
+    assert sim._lk[1].length == 5_400_000
+    assert sim._dv_max == 360 == round(traffic.A_MAX * traffic.DT * traffic.SPEED_UNITS)
+    assert all(q == 2.0 ** round(math.log2(q)) for q in traffic.BURN_QUANTA)
 
 
 def test_position_overrun_diagnostic():
@@ -234,12 +251,16 @@ def test_target_table_is_greenshields_bit_for_bit():
     for net, n_tables in ((rn.gen_grid(4, 4), 1), (diamond, 2)):
         sim = traffic.Simulation(net, schedule=[])
         tables = {}
-        for lk in sim._lk.values():
+        for lid, lk in sim._lk.items():
+            link = net.links[lid]
+            inv_len_lanes = 1.0 / (link.length / 1000.0 * link.lanes)
             assert len(lk.target) == lk.cap + 1
             for k, v in enumerate(lk.target):
-                want = traffic.greenshields(lk.free_speed, k * lk.inv_len_lanes, lk.jam)
-                assert v.hex() == want.hex()
-            key = (lk.free_speed, lk.inv_len_lanes, lk.jam, lk.cap)
+                want = traffic.greenshields(link.free_speed, k * inv_len_lanes,
+                                            link.jam_density)
+                assert v == round(want * traffic.SPEED_UNITS)
+            assert lk.free_speed == 50_000 and lk.length == round(link.length * 36_000)
+            key = (link.free_speed, inv_len_lanes, link.jam_density, lk.cap)
             assert tables.setdefault(key, lk.target) is lk.target
         assert len(tables) == n_tables
 
@@ -253,7 +274,7 @@ def test_admission_enters_at_target_for_occupancy():
     assert len(sim.enroute) == lk.cap == 18
     # the k-th admitted vehicle found k on the link
     assert [v.speed for v in sim.enroute] == lk.target[:lk.cap]
-    assert lk.target[0] == 50.0 and lk.target[lk.cap] == 0.0
+    assert lk.target[0] == 50_000 and lk.target[lk.cap] == 0
 
 
 def ring_gridlock_sim():
@@ -287,9 +308,30 @@ def test_ring_gridlock_flow_zero_density_at_jam():
 # --- parked vehicles ------------------------------------------------------------
 #
 # Vehicles held at a stop line are skipped by the step loop and their idle
-# burn is replayed later. The pinned hashes and float bits below were taken
-# from the plain per-step loop, which burned every held step; they must not
-# move.
+# burn is replayed later. The pinned hashes and burns below were taken from
+# PerStepSimulation, the plain per-step loop, which burned every held step;
+# they must not move.
+
+class PerStepSimulation(traffic.Simulation):
+    """The per-step loop every pin here is taken from: no vehicle sleeps.
+
+    No moving vehicle sleeps, and one that fails to cross is filed for the
+    next step instead of being parked, so the loop visits every en-route
+    vehicle every step.
+    """
+
+    def _sleep_moving(self, veh, lid, n, target):
+        pass
+
+    def _try_cross(self, veh, n, now_end):
+        if super()._try_cross(veh, n, now_end):
+            return True
+        if veh.wake == traffic._NEVER:
+            self._waiters[veh.route[1]].remove(veh)
+        veh.wake = n + 1
+        self._file(veh, n + 1)
+        return False
+
 
 def accumulator_digest(sim):
     h = hashlib.sha256()
@@ -306,25 +348,24 @@ def red_hold_sim():
                               config=traffic.TrafficConfig(horizon=200.0))
 
 
-RED_HOLD_HASH_45 = "54fd57cb3f7493553b33befccbbeb5129b022c4b15b7d19e979b6e698cefa2e9"
-RED_HOLD_FUEL_45 = ["0x1.7781163fdbbabp-5", "0x1.715c701337b19p-5",
-                    "0x1.5e098b7d5b768p-5"]
+RED_HOLD_HASH_45 = "d5fb52d01cf130e8fc1805aa0386b3664af57f052229e751b23acbf77eac8928"
+RED_HOLD_FUEL_45 = [100798653305, 99149611190, 93962418000]     # quanta
 
 
 def test_red_hold_mid_wait_matches_per_step_burn():
     sim = red_hold_sim()
     sim.run(until=45.0)
-    assert all(v.pos == 500.0 and v.speed == 0.0 for v in sim.vehicles)
-    assert [v.fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
-    assert [v.link_fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
+    assert all(v.pos == 500 * traffic.POS_UNITS and v.speed == 0 for v in sim.vehicles)
+    assert [v.fuel for v in sim.vehicles] == RED_HOLD_FUEL_45
+    assert [v.link_fuel for v in sim.vehicles] == RED_HOLD_FUEL_45
     assert accumulator_digest(sim) == (
-        "216ce1eb3c9593fdb0ded01805fe53f696ceb3d19170a02eedb17afd62b58849")
+        "542eff91645d03f8d6a405b75f158d7409d06daa9910a2568671f8ee9f50c84a")
     assert sim.state_hash() == RED_HOLD_HASH_45
     sim.run()
     assert sim.state_hash() == (
-        "8c1a047049eb5aeeddfe3486a6611702f0d24a180f981dd4d128edcb1aaf4ff0")
+        "daf7b3352c6d24928ad97e22460be9691b5527e81e59bc0f08d47e4651ce1296")
     assert accumulator_digest(sim) == (
-        "af49e3a5aea172fc0af793c196b573020c971b05544abe7a914688bfb40a44fe")
+        "da1252e33aeff22cd16fca7e76102161170db8562ffba16c717da8e678342f6b")
 
 
 def test_state_hash_settles_parked_vehicles():
@@ -332,8 +373,8 @@ def test_state_hash_settles_parked_vehicles():
     for _ in range(450):
         sim.step()
     assert sim.state_hash() == RED_HOLD_HASH_45
-    assert [v.fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
-    assert [v.link_fuel.hex() for v in sim.vehicles] == RED_HOLD_FUEL_45
+    assert [v.fuel for v in sim.vehicles] == RED_HOLD_FUEL_45
+    assert [v.link_fuel for v in sim.vehicles] == RED_HOLD_FUEL_45
 
 
 def test_ring_gridlock_full_link_wait_matches_per_step_burn():
@@ -341,9 +382,9 @@ def test_ring_gridlock_full_link_wait_matches_per_step_burn():
     sim.run()
     assert sim.parked_red_steps == 0 and sim.parked_full_steps > 0
     assert sim.state_hash() == (
-        "773003fdc70d68cc0ab2db68271e2cd579bc88d9d43700119453dfc327d41dfb")
+        "740b9bc3d652a8154a6649e25bab3d03230fc6908f581861d6b2dc2fe0a9c703")
     assert accumulator_digest(sim) == (
-        "e1ecc13c8b8a733b1dda6701d6a719a46fe0713a8662f90379e9d66b14657141")
+        "83e8267f197d2d5dc706b6b385a925b3c6ad52eb6b0e69f47111faa6c5090013")
 
 
 def test_full_link_waiters_wake_in_step_order():
@@ -363,104 +404,105 @@ def test_full_link_waiters_wake_in_step_order():
     sim = traffic.Simulation(net, schedule=sched,
                              config=traffic.TrafficConfig(horizon=200.0))
     sim.run(until=61.0)
+    # positions in units: 0.45 m, 600 m, 30 m and 0.55 m
     assert [(v.state, v.pos) for v in sim.vehicles] == [
-        (traffic.EN_ROUTE, 0.45000000000000007), (traffic.EN_ROUTE, 0.45000000000000007),
-        (traffic.EN_ROUTE, 600.0), (traffic.FINISHED, 30.0),
-        (traffic.FINISHED, 30.0), (traffic.FINISHED, 30.0), (traffic.EN_ROUTE, 0.55)]
+        (traffic.EN_ROUTE, 16_200), (traffic.EN_ROUTE, 16_200),
+        (traffic.EN_ROUTE, 21_600_000), (traffic.FINISHED, 1_080_000),
+        (traffic.FINISHED, 1_080_000), (traffic.FINISHED, 1_080_000),
+        (traffic.EN_ROUTE, 19_800)]
     assert sim.state_hash() == (
-        "552e5a083e9301f6d4904563c5ddccea5a6a5ccc47b2f0644099718f355abe20")
+        "ba526c110fee351597ea7854345f511dc2aea612df85adffc24e8d6d536b40d9")
     sim.run()
     assert sim.state_hash() == (
-        "d1ba867e484faa71e4ead1b28a235e2151344b929ad7b4210805dd82d8f701cf")
+        "d63a2bf581548db72cc82b87e7df8e44f3308238a743e6718d4fdd6b8c6af497")
     assert accumulator_digest(sim) == (
-        "c7cc8cecdb0516751867b9418decb10612c1397b8aba56323415a631588d41b5")
+        "a73c9338bb575bd1ca1a56e39dca4c4ae4d102eacaadddc52d61c2841fc500a1")
 
 
 # --- cruising vehicles ----------------------------------------------------------
 #
 # A vehicle that holds its link's target speed sleeps until the link's
 # occupancy changes or its stop line is near; its moves and burns are
-# replayed. The pins below were taken from the plain per-step loop: at each
-# read time, the x bits of position() for every en-route vehicle and the
-# state hash; at the end, the state hash and the accumulator digest.
+# replayed. The pins below were taken from PerStepSimulation: at each read
+# time, the x bits of position() for every en-route vehicle and the state
+# hash; at the end, the state hash and the accumulator digest.
 
 CRUISE_PINS = {
     # vehicle 1 cruises on the empty link until vehicle 2 is admitted onto it
     "admission": (
         [2000.0], [(0.0, 1, 2), (30.0, 1, 2)], (),
         {
-            20.0: (["0x1.14638e38e38e1p+8"],
-                   "e648e1d925f45907d10629cef7ae11581234fd1532006719aff5c3d4dd755085"),
-            35.0: (["0x1.e46ed097b4285p+8", "0x1.149ed097b4262p+6"],
-                   "5cf7404ba54e293b1de300d279ee9b930a8f6341f5b33c32a96b737ff4284481"),
+            20.0: (["0x1.14638e38e38e4p+8"],
+                   "6cbc49ef583dc0c1a891f79545bfeca717e72217d7a10b3360cb103471645186"),
+            35.0: (["0x1.e46eeeeeeeeefp+8", "0x1.149f49f49f49fp+6"],
+                   "6fa65861dc2687c7e06bee34a6c7cced0fc52f7748d6735c907ed1c040c89822"),
         },
-        ("99d5f88fc8d4671224eb5a1f7ac3b7ba3eff649f61de4ecbd3be47bc22359935",
-         "125243d978aa8609b062ae7401ad6e39dfba64e8048388bac02698828ef2f3ee")),
+        ("c63714c50ad52d226efa76627516a1d3984deb1b8fb0fcb037d37ff6e5de7bdb",
+         "87ba8bfa27e64158a55ea564b805c0087ad46168ccb950471cc79a36f75d24fa")),
     # vehicle 2 cruises behind vehicle 1 until vehicle 1 leaves the link
     "exit": (
         [1000.0], [(0.0, 1, 2), (10.0, 1, 2)], (),
         {
-            60.0: (["0x1.9d14598153cecp+9", "0x1.585425ed097aep+9"],
-                   "df9af4e09db358d969ca1b3a0f0e23bcb0fffd81fefa35a155d2bb12d6b87b41"),
-            80.0: (["0x1.e27b5aa49936cp+9"],
-                   "aa0eaa001527aeb8bd4d51e4e462e8e340d3ae39b5759f4213dde185d59e7d76"),
+            60.0: (["0x1.9d13c21ad9ff8p+9", "0x1.58538e38e38e4p+9"],
+                   "cdc2437ec845406d018f84765da59adbcb8e81c29c4a12f579b8939216082d76"),
+            80.0: (["0x1.e27a9c1a657d6p+9"],
+                   "cebcc5af425fae5cd9a6e02c84c15b032f39c24ce9e932314a19baf0aa74691e"),
         },
-        ("b53a88afb0d0e3df4ffea2cd35a0fb3001155ec20f5d280a45757e2da7db903f",
-         "fc49a20ec89d90acd916e6e72da65951bb506e1e103ddcb8a4aedcf4b285cfc8")),
+        ("44d1cf13f19556051a2ca297f40600280cbe9ff83fe5330aad45d2d7f9e710ab",
+         "29d46ddb4c6708baff0905bad52cad8148cce1c7119c2c71182f8e06cf15f35f")),
     # vehicle 2 cruises on link 2 until vehicle 1, earlier in the step
     # order, enters it from upstream
     "entry-earlier": (
         [300.0, 2000.0], [(0.0, 1, 3), (5.0, 2, 3)], (),
         {
-            15.0: (["0x1.9de38e38e38d6p+7", "0x1.b6e38e38e38e0p+8"],
-                   "af3416578fdc47e3e81bbb1f3209e514b8dbc3fc6a77f3db8a2937ce406b1a99"),
-            30.0: (["0x1.9ecc25ed097b8p+8", "0x1.435ef684bda0cp+9"],
-                   "30208c63f30c6e9d6cc617b446e8e670b5d585a3466f919c8634e454af2a5b78"),
+            15.0: (["0x1.9de38e38e38e3p+7", "0x1.b6e38e38e38e4p+8"],
+                   "bcb0955fd9bb89d97868d3f22bff1d1296a7c1fc6fcefe68afb9498b85ddff51"),
+            30.0: (["0x1.9ecc584aa3628p+8", "0x1.435f0fb38a94dp+9"],
+                   "4b9996ef5fdd2da8c1a228d6f360e9e0f1a1987c6a255608cd3c064a5133f811"),
         },
-        ("86fc303503a990fac36dd002650e40cf941537182da9a7b8e7cfacab319cd824",
-         "a37ba58d9ab6aa9fa274a9e8d00f65856e2eae688d37cfa27aa30b2e1b691a6a")),
+        ("1aa8d64bb6cad19a2eeb910ad83486312fe4b72058449b3d3f73059d23aaab74",
+         "e6efcab91e82b594f4393678d4ca256c8e6b2dd4a4db7f769523bb5e29131d2a")),
     # vehicle 1 cruises on link 2 until vehicle 2, later in the step
     # order, enters it from upstream
     "entry-later": (
         [300.0, 2000.0], [(0.0, 2, 3), (3.0, 1, 3)], (),
         {
-            15.0: (["0x1.faf1c71c71c6bp+8", "0x1.4d5555555554bp+7"],
-                   "461f04f5d2b2888f898a5376e0a1459a8fa3947b1f9c8aa0e6803d09c9b56908"),
-            30.0: (["0x1.657b8e38e38eap+9", "0x1.76b0000000006p+8"],
-                   "9e18f7c2f656adbb1d1e0897fbb692b847ec6d837bff5a4ff8fabdaeb3b3e36c"),
+            15.0: (["0x1.faf1c71c71c72p+8", "0x1.4d55555555556p+7"],
+                   "9623ef26508e6801df32135fb56c998ce223716cc2721ee6d336c3422bd869cc"),
+            30.0: (["0x1.657b9e9b31612p+9", "0x1.76b020c49ba5ep+8"],
+                   "e596e9b551c674b8e4d24da1ab4646c2f7aa44e6b145f135ddf517734c53417f"),
         },
-        ("e4a2f7825264a0701d61ff71728d75ceefe542637e07fda8394b0ada97361107",
-         "8c3ada0b736d53a35537127fed56a0af94d64be3449ede93c1743600de628da3")),
+        ("4aba06f42c71314a20169d4413017bbd090de87f63875b0c6d8c303d5547e9d9",
+         "51c16bd67e8a35093c53413740fbad5490462c8c8d612d03f8cde2254aa41243")),
     # released at the green, the three accelerate to the target; its first
     # steady steps hold the rates of an accelerating step
     "accelerating": (
         [500.0, 500.0], [(0.0, 1, 3), (3.0, 1, 3), (7.5, 1, 3)], (2,),
         {
             70.0: (["0x1.1340000000000p+9", "0x1.1340000000000p+9", "0x1.1340000000000p+9"],
-                   "d45ad3bf943173113f4406ccc00b454d181f59cc7c27a5b2bd452d9092f81feb"),
-            85.0: (["0x1.75186a314dbefp+9", "0x1.75186a314dbefp+9", "0x1.75186a314dbefp+9"],
-                   "d4eb4b861516b8b01ad8e4d3cc75dcd2dc94463923848448afa9e1909fd2449f"),
+                   "4d6af09560e4a1941411edbd8dda706d3ddb038756110ea1ad5476b6ef229681"),
+            85.0: (["0x1.751846ff513ccp+9", "0x1.751846ff513ccp+9", "0x1.751846ff513ccp+9"],
+                   "2d1b9c5ecb53364a07c2b0bd8f03689dd0ce8a86e984c3e211c2fff5d9031256"),
         },
-        ("8c1a047049eb5aeeddfe3486a6611702f0d24a180f981dd4d128edcb1aaf4ff0",
-         "af49e3a5aea172fc0af793c196b573020c971b05544abe7a914688bfb40a44fe")),
+        ("daf7b3352c6d24928ad97e22460be9691b5527e81e59bc0f08d47e4651ce1296",
+         "da1252e33aeff22cd16fca7e76102161170db8562ffba16c717da8e678342f6b")),
 }
 
 
-# Vehicles on a speed ramp sleep too, replayed step by step. These pins were
-# taken from the loop that visited every vehicle whose speed was stepping
-# toward its target, in the format of CRUISE_PINS.
+# Vehicles on a speed ramp sleep too. These pins were taken from
+# PerStepSimulation, in the format of CRUISE_PINS.
 RAMP_PINS = {
     # released at the green, the two cross the 40 m link 2 mid-ramp
     "stop-line-mid-ramp": (
         [500.0, 40.0, 500.0], [(0.0, 1, 4), (3.0, 1, 4)], (2,),
         {
             64.0: (["0x1.fc33333333333p+8", "0x1.fc33333333333p+8"],
-                   "cef31e267df45f980668bad4e06e9d86047fdd80c0874cc1e9d4ac1c45770c95"),
+                   "7303fae7effa10c228580b2a4613a36b881370ebc13763e50cb660e93b385d98"),
             70.0: (["0x1.1340000000000p+9", "0x1.1340000000000p+9"],
-                   "0215278828347b280dacb05cae5449251d3a1475cfb111ba3c411926b0aa7d97"),
+                   "af583e4000eedea7789103c87e4cc51cad05fd34403b2991eb6d5107f3a4f27e"),
         },
-        ("47523f2134b04b1355606028b9fcb0b01cb08e58f0f7696345f630ede326d139",
-         "9b063905e14c834475556798a3b23060481cb419ded2f9724a9bc9d8e90e07c3")),
+        ("d1268a41b13f0ecc0ef32126616016845b61047b9962c72f2505d8f5598d9feb",
+         "ffb63bdca1dec5a838fe7c99f3f84809baa7f95c297638705e3794c5540ea02b")),
     # vehicle 1 ramps up from the green until six admissions at 68 s drop
     # its target below its speed; it and the admitted ones then decelerate
     # to it, and ramp up again as the link empties
@@ -468,26 +510,26 @@ RAMP_PINS = {
         [300.0, 100.0], [(10.0, 1, 3)] + [(68.0, 2, 3)] * 6, (2,),
         {
             66.0: (["0x1.3e4cccccccccdp+8"],
-                   "cbc6a2b71392c6d19ec9ebcff10006de195aa4d66a81fb21c885eb55ec2ea591"),
-            72.0: (["0x1.68aeeeeeeeeeep+8", "0x1.56b9d6480f2bap+8", "0x1.5218a6dfc3519p+8",
-                    "0x1.4da2222222222p+8", "0x1.4a57839a5bc7ep+8", "0x1.486413b8b302ap+8",
+                   "605ca9c70909a3487f74d4691f438077a95430b4190f56cbe8199ce6dc28fb6c"),
+            72.0: (["0x1.68aeeeeeeeeefp+8", "0x1.56b9be02468adp+8", "0x1.5218bf258bf26p+8",
+                    "0x1.4da2222222222p+8", "0x1.4a5775a56ed1dp+8", "0x1.48641a657d621p+8",
                     "0x1.47c71c71c71c7p+8"],
-                   "d70a3593241466f8bde62bb6f991984d8b45539a480437f482171d8ed243b80b"),
+                   "b3f6430a4a32e4e9f212d4e6f8842d69bc70d279818f64bfc983de970092be81"),
         },
-        ("5c0ea0caa25235622e562027550d3bfdbb55e2d3fc2e6b70e212f2b0ac63f603",
-         "f371964620472f64359d0d5128d0ecbc0ea4bcabc0cd4ddbfcaad7314a0b22aa")),
+        ("3845f1e822583d13f495455e3d85a1ba8a355e61fe4d15b5dcccc90bf06d4a39",
+         "cc5defa7ff5ce3fcf4a6e48c1cfc4234f37d48de7ab9ce5866066253da3b7805")),
     # vehicle 1 ramps up from the green behind vehicle 2; vehicle 2's exit
     # raises its target mid-ramp
     "exit-higher-target": (
         [300.0, 150.0], [(10.0, 1, 3), (58.0, 2, 3)], (2,),
         {
-            65.0: (["0x1.38c0000000000p+8", "0x1.89b3944a55b6ap+8"],
-                   "15cc06a96ddca9bee73ba864fe31994c6c41638c79601f3f3420837acb56bb4a"),
-            70.0: (["0x1.5e7ffffffffffp+8"],
-                   "8d0fe8416c8c598451cc462cfe1344a7c99babdfa0035982e9c57179b4887027"),
+            65.0: (["0x1.38c0000000000p+8", "0x1.89b3834cafac4p+8"],
+                   "16008fd4ea8cd0b0dfeabafa0330d8899a2bfaa2c74a41ed5038f678dfc904c5"),
+            70.0: (["0x1.5e80000000000p+8"],
+                   "c43be88af4587a23f712b9be403f1437ac8b47edfb1dcd1aa0abbcf7d5acd2f2"),
         },
-        ("ac32983d3f69c5b5a9ce105707bbd30895cbf7e7fb92a7cf2955a3f354566c19",
-         "59c545ed020ec9481face8c572e0ed438dd74995a07dd2440bf74c5802d522f7")),
+        ("04d0d54ed16a828f631c44a14a088d4f00cfd9cabbecd86025c686d65f6d4c75",
+         "3893740dd681f0ca57a817b47b530688eb4605f70ed8c050c52f6d20e607caa5")),
 }
 
 
@@ -528,16 +570,6 @@ def test_ramp_matches_per_step_loop(name):
     assert check_pins(*RAMP_PINS[name]).ramp_steps > 0
 
 
-class PerStepSimulation(traffic.Simulation):
-    """The per-step loop the pins were taken from: no moving vehicle sleeps.
-
-    Parked vehicles still sleep; their replay has its own pins above.
-    """
-
-    def _sleep_moving(self, veh, lid, n, target):
-        pass
-
-
 def random_scenario(rng):
     """A seeded small network with signals, its trips and an a_max.
 
@@ -573,87 +605,107 @@ def end_state(sim):
 
 
 def test_moving_sleepers_match_the_per_step_loop():
+    """Sleeping changes nothing: positions, tallies and end states are equal.
+
+    At each read, both sides place their fleets through one shared
+    coverage index over the scenario's signals, so the tallies of
+    vehicles asleep (placed at the pos their unapplied steps reach)
+    meet those of the loop that moved every vehicle.
+    """
     totals = dict.fromkeys(("ramp_steps", "cruise_steps", "parked_full_steps",
                             "parked_red_steps"), 0)
+    lagging = 0          # moving sleepers the reads met with steps unapplied
     for seed in range(40):
         rng = random.Random(seed)
         net, sched, config = random_scenario(rng)
         reads = sorted(round(rng.uniform(1.0, 250.0), 1) for _ in range(3))
+        index = rn.CoverageIndex(net, sorted(net.signals), rng.choice([40.0, 100.0, 250.0]))
         ref = PerStepSimulation(net, schedule=sched, config=config)
         sim = traffic.Simulation(net, schedule=sched, config=config)
         for t in reads:
-            ref.run(until=t)
-            sim.run(until=t)
+            # stepped, not run(until=t), which would settle the sleepers
+            for side in (ref, sim):
+                while not side.done() and side.now < t - 1e-9:
+                    side.step()
             assert ([[c.hex() for c in sim.position(v)] for v in sim.enroute]
                     == [[c.hex() for c in ref.position(v)] for v in ref.enroute]), (seed, t)
+            assert sim.cell_tallies(index) == ref.cell_tallies(index), (seed, t)
+            lagging += sum(v.moving and v.burned_to < sim._moved for v in sim.enroute)
         ref.run()
         sim.run()
         want = end_state(ref)
         assert end_state(sim) == want, seed
-        # without reads mid-run, each sleep is replayed in fewer pieces
+        # the reads apply nothing, so a run without them ends the same
         quiet = traffic.Simulation(net, schedule=sched, config=config)
         quiet.run()
         assert end_state(quiet) == want, seed
         assert ref.ramp_steps == ref.cruise_steps == 0
+        assert ref.parked_red_steps == ref.parked_full_steps == 0
         for key in totals:
             totals[key] += getattr(quiet, key)
-    assert all(totals.values()), totals
+    assert all(totals.values()) and lagging, (totals, lagging)
 
 
 def test_moving_sleeper_wakes_by_the_first_step_that_could_reach_the_line():
-    """The stop-line bound holds where rounded moves reach the line early.
+    """A moving sleeper's wake is a ceiling division, exact for a cruiser.
 
-    A vehicle at its target (or just below it) is put to sleep a
-    whole number of its increments short of the line, give or take
-    1e-12 m, so in some draws the rounded moves reach the line one step
-    before the exact ones would. Its wake must come no later than the
-    step whose move first reaches the line, taken step by step as the
-    loop takes it.
+    A vehicle put to sleep after step n at pos, with top the faster of
+    its speed and target, wakes at step n + ceil((length - pos) / top),
+    or stays awake if that is within two steps. For a cruiser (speed ==
+    target) that is exactly the step whose move first reaches the line,
+    taken step by step as the loop takes it; a ramp's speeds are never
+    above top, so it reaches the line no earlier.
     """
     sim = traffic.Simulation(line_network([150.0]), schedule=[])
-    line = 150.0 - traffic._POS_EPS
-    dv_max = traffic.A_MAX * traffic.DT
+    length = 150 * traffic.POS_UNITS
+    dv_max = 360
     rng = random.Random(3)
-    early = 0
+    cruisers = 0
     for _ in range(20_000):
-        target = rng.uniform(20.0, 50.0)
-        speed = target - rng.choice([0.0, rng.uniform(0.0, 0.01)])
-        k = rng.randint(10, 60)
-        pos = line - target / 3.6 * traffic.DT * k + rng.uniform(-1e-12, 1e-12)
+        target = rng.randint(20_000, 50_000)
+        speed = target + rng.choice([0, rng.randint(-3_000, 3_000)])
+        pos = length - rng.randint(1, 60 * target)
+        n = rng.randint(0, 1000)
         veh = traffic.Vehicle(1, traffic.Departure(0.0, 1, 2))
         veh.route, veh.pos, veh.speed = [1], pos, speed
-        sim._sleep_moving(veh, 1, 0, target)
-        p, v, step = pos, speed, 0
-        while p < line:
+        sim._sleep_moving(veh, 1, n, target)
+        p, v, step = pos, speed, n
+        while p < length:
             v += min(max(target - v, -dv_max), dv_max)
-            p += v / 3.6 * traffic.DT
+            p += v
             step += 1
-        assert 0 < veh.wake <= step
-        early += step == k and pos + target / 3.6 * traffic.DT * k < line
-    assert early > 0
+        wake = n + -(-(length - pos) // max(speed, target))
+        if wake - n - 1 < 2:
+            assert veh.wake == 0 and not veh.moving
+            continue
+        assert veh.wake == wake <= step
+        if speed == target:
+            cruisers += 1
+            assert wake == step
+    assert cruisers > 1000
 
 
 # --- the wake calendar ----------------------------------------------------------
 #
 # The step loop visits only the vehicles that are awake or due; a sleeping one
-# is filed under its wake step. The pins below were taken from the loop that
-# visited every en-route vehicle every step.
+# is filed under its wake step. The pins below were taken from
+# PerStepSimulation, which visits every en-route vehicle every step.
 
 # position() x bits of the en-route vehicles and the state hash at each read
 # time, then the state hash and accumulator digest at the end
 RESUMED_CRUISE_READS = {
-    144.7: (["0x1.f40fed097b56dp+10", "0x1.e30c5ed097c72p+10", "0x0.0p+0"],
-            "5cfbe996ac57a5e3a9933382ab10412c4d84df426cbd14f3c72db8b88f3d5d0a"),
-    146.0: (["0x1.f8937b425ee51p+10", "0x1.e78b1c71c72fdp+10", "0x1.1faf684bda12ep+4"],
-            "138fe7a1bd990e97e83257de4361de2b758bcee3269f47f613d45e4e683e87ff"),
-    149.6: (["0x1.0289bda12f728p+11", "0x1.f3fdc71c71db9p+10", "0x1.0f1684bda12fap+6"],
-            "86b1bb3cda940c36a1bc3323b9a4bb418e7d230c232ab21693ec6eb6cfa08e7e"),
-    150.0: (["0x1.0339d159e2753p+11", "0x1.f55cfd585e22ep+10", "0x1.25497b425ed0cp+6"],
-            "844e9fa9b568179953510d3e245d5384a54b48594855180c9b64dd3056cc2eb7"),
+    144.7: (["0x1.f410c0f794980p+10", "0x1.e30d32beb109dp+10", "0x0.0p+0"],
+            "e52d701a9c2af6be9e2439249e41233e8f5a0489dd89fa6d3f42e5e766433fc1"),
+    146.0: (["0x1.f8944f3078264p+10", "0x1.e78bf258bf259p+10", "0x1.1fafe68386f0cp+4"],
+            "b9f0bd5c9b6a2ecff2626960f4af61746a5912a28bc17035f649d2a516e66b41"),
+    149.6: (["0x1.028a27983c132p+11", "0x1.f3fea27983c13p+10", "0x1.0f16fbad2b769p+6"],
+            "b3d75a1d9b515a6e0dcb46bf4d55e9b3756a4a75c8308b6b317e28f5d8860241"),
+    150.0: (["0x1.033a3b645a1cbp+11", "0x1.f55dd950c83fbp+10", "0x1.2549f49f49f4ap+6"],
+            "37ceeb70d5c157931668993e799cbb4d96de020fc49d8fd6948ee4271f9b203b"),
 }
 RESUMED_CRUISE_FINAL = (
-    "519346b7146e2eb623867f1991d3ab4809bec7417c8fbdb3e0f01060002188ad",
-    "807921241c1d02eb74632c905df4852194610c9e27cb68a8849179273d52ad04")
+    "9ab4a279b83afe82341b43822a27e3bfb854395c74ca2db75207efcefe1037bf",
+    "04a3aed609f2463004e192c282c8bb4c1951fadca5f8ea88b0563766e55f0b8b")
 
 
 def test_cruise_cut_short_and_resumed_with_the_same_wake_steps_once():
@@ -720,8 +772,8 @@ def test_parked_carrier_stays_in_step_order_until_emptied():
     assert hashlib.sha256(repr(comm.log).encode()).hexdigest() == (
         "6b4128a081959323d551ffd598b4e353b50d787fee9cc280767afe6853a23d9d")
     assert (sim.state_hash(), accumulator_digest(sim)) == (
-        "f9bc026281fbd4385eafd91a3a886a05ce05c63a1dadcb5539fd9d6757c92066",
-        "8d01f1cb0bb16f5c85a41ad82138c84bfcb2bbfd5b585cca14b42b80ec4cfa45")
+        "3e661f739e98db8bce19b317d13ff6cd2c13577aaf99d3f0318f74c3b2c6ea62",
+        "b79cf0675b21417941578f931c25aa55e59262bedfaaf4e10639019bb7d5385b")
     assert comm.delivered == 0
 
 
@@ -774,11 +826,11 @@ def test_quantized_energy_tracks_exact_mode():
     (v_lo, v_hi), (a_lo, a_hi) = energy.ENVELOPE_V, energy.ENVELOPE_A
 
     def exact_rates(sim):
-        def lookup(v, a):
-            v = min(max(v, v_lo), v_hi)
-            a = min(max(a, a_lo), a_hi)
-            return tuple(energy.vt_micro_rate(v, a, sim.coeffs, m) * traffic.DT
-                         for m in energy.MEASURES)
+        def lookup(v, dv):
+            v = min(max(v / traffic.SPEED_UNITS, v_lo), v_hi)
+            a = min(max(dv / (traffic.SPEED_UNITS * traffic.DT), a_lo), a_hi)
+            return tuple(round(energy.vt_micro_rate(v, a, sim.coeffs, m) * traffic.DT / q)
+                         for m, q in zip(energy.MEASURES, traffic.BURN_QUANTA))
         return lookup
 
     net = line_network([500.0, 500.0], signal_nodes=[2])
